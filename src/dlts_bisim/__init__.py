@@ -6,16 +6,7 @@ Ships with a set-based reference implementation, seeded instance generators,
 and a DFA minimizer built on the same engine.
 """
 
-from .bisim import (
-    DEBUG_ENV,
-    LetterBuckets,
-    ScanStats,
-    SplitterSet,
-    collect_smaller_preimages,
-    dbisim,
-    init_refine,
-    select_block,
-)
+from .bisim import DEBUG_ENV, ScanStats, dbisim, init_refine
 from .cli import MinimizeReport, bench_rows, main, minimize_dfa
 from .lts import (
     Dfa,
@@ -43,16 +34,14 @@ from .oracle import (
     is_bisimulation,
     naive_fixpoint,
 )
-from .partition import BlockDesc, PartitionError, RefinablePartition, SplitRecord
+from .partition import PartitionError, RefinablePartition
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDesc",
     "DEBUG_ENV",
     "Dfa",
     "GenConfig",
-    "LetterBuckets",
     "LtsError",
     "LtsParseError",
     "MinimizeReport",
@@ -62,12 +51,9 @@ __all__ = [
     "RawLts",
     "RefinablePartition",
     "ScanStats",
-    "SplitRecord",
-    "SplitterSet",
     "bench_rows",
     "canonical_view",
     "check_deterministic",
-    "collect_smaller_preimages",
     "dbisim",
     "dfa_language_equivalent",
     "format_dfa",
@@ -85,5 +71,4 @@ __all__ = [
     "parse_dfa",
     "parse_lts",
     "parse_partition",
-    "select_block",
 ]

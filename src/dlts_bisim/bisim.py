@@ -12,8 +12,8 @@ floor(log2 n) + 1.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .lts import NormalizedDlts
 from .partition import RefinablePartition
@@ -45,50 +45,6 @@ class ScanStats:
         return cls(per_transition_counts=[0] * m)
 
 
-class SplitterSet:
-    """LIFO worklist of pending splitter ranges over the partition array.
-
-    Every entry is a [left, right) range spanning at least two whole blocks;
-    entries are pairwise disjoint.  Ranges stay valid while blocks inside
-    them split, because splitting permutes states only within block bounds.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[list[int]] = []
-
-    def push(self, left: int, right: int) -> None:
-        self.entries.append([left, right])
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-class LetterBuckets:
-    """Per-letter source buckets filled while scanning one splitter side.
-
-    Only buckets whose letter was actually touched are reset afterwards, so a
-    refinement step costs nothing for the rest of the alphabet.
-    """
-
-    def __init__(self, k: int) -> None:
-        self.buckets: list[list[int]] = [[] for _ in range(k)]
-        self.touched: list[int] = []
-
-    def add(self, letter: int, state: int) -> None:
-        bucket = self.buckets[letter]
-        if not bucket:
-            self.touched.append(letter)
-        bucket.append(state)
-
-    def clear_touched(self) -> None:
-        for a in self.touched:
-            self.buckets[a].clear()
-        self.touched.clear()
-
-    def is_clean(self) -> bool:
-        return not self.touched and all(not b for b in self.buckets)
-
-
 def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinablePartition:
     """Pre-refinement: separate states whose outgoing letter sets differ.
 
@@ -106,63 +62,20 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     return p
 
 
-def select_block(entry: Sequence[int], p: RefinablePartition) -> int:
-    """The block at the left edge of a splitter range, O(1).
-
-    Always taking the leftmost block keeps the remainder of the range
-    contiguous.  The range must span at least two whole blocks.
-    """
-    left, right = entry
-    b = p.block_of[p.A[left]]
-    blk = p.blocks[b]
-    assert blk.left == left and blk.right < right, "splitter range must span >= 2 whole blocks"
-    return b
-
-
-def collect_smaller_preimages(
-    smaller_states: Iterable[int],
-    T: NormalizedDlts,
-    buckets: LetterBuckets,
-    stats: ScanStats | None = None,
-) -> None:
-    """Distribute the incoming transitions of the scanned states by letter.
-
-    Each source lands in its letter's bucket; a state appears at most once
-    per bucket because the LTS is deterministic.  Every transition visited
-    here is one unit of the algorithm's total work.
-    """
-    in_off = T.in_offsets
-    trans = T.transitions
-    counts = stats.per_transition_counts if stats is not None else None
-    scanned = 0
-    for q1 in smaller_states:
-        for t in range(in_off[q1], in_off[q1 + 1]):
-            src, a, _dst = trans[t]
-            buckets.add(a, src)
-            if counts is not None:
-                counts[t] += 1
-            scanned += 1
-    if stats is not None:
-        stats.transitions_scanned += scanned
-
-
 def dbisim(
     T: NormalizedDlts,
     p_init: RefinablePartition,
     stats: ScanStats | None = None,
     *,
     debug: bool | None = None,
-    _scan_larger: bool = False,
 ) -> RefinablePartition:
     """Coarsest bisimulation over `T` refining `p_init`, as a new partition.
 
     `p_init` is left untouched.  Counters accumulate into `stats` when given.
     `debug` (default: the DLTS_BISIM_DEBUG environment variable) enables the
-    internal invariant assertions on small inputs and allocates per-transition
-    counters on a given `stats`.  `_scan_larger` deliberately scans the larger
-    splitter side instead of the smaller one; the result is still correct but
-    the log-factor scan bound no longer holds — it exists so tests can show
-    the bound really depends on the smaller-half rule.
+    internal invariant assertions on inputs up to 512 states (larger ones get
+    a one-line notice on stderr instead) and allocates per-transition
+    counters on a given `stats`.
     """
     if debug is None:
         debug = os.environ.get(DEBUG_ENV, "") == "1"
@@ -175,59 +88,82 @@ def dbisim(
             stats.blocks_final = p.block_count
         return p
 
-    checker = _InvariantChecker(T, p_init) if debug and T.n <= _DEBUG_ASSERT_MAX_N else None
+    checker = None
+    if debug and T.n <= _DEBUG_ASSERT_MAX_N:
+        checker = _InvariantChecker(T, p_init)
+    elif debug:
+        print(f"{DEBUG_ENV}: invariant checks skipped, n={T.n} > {_DEBUG_ASSERT_MAX_N}",
+              file=sys.stderr)
 
-    worklist = SplitterSet()
-    worklist.push(0, T.n)
-    for blk in p.blocks:
-        blk.in_splitter_union = True  # every block sits inside the initial full range
-    buckets = LetterBuckets(T.k)
-    A, block_of, blocks = p.A, p.block_of, p.blocks
+    A, block_of, left, right = p.A, p.block_of, p.left, p.right
+    in_off, trans = T.in_offsets, T.transitions
+    counts = stats.per_transition_counts if stats is not None else None
+    # Pending splitters: disjoint [l, r] ranges over A, each spanning at least
+    # two whole blocks; popped LIFO.  in_union[b] says whether block b lies
+    # inside one of them; every block starts inside the full range.
+    worklist = [[0, T.n]]
+    in_union = [True] * p.block_count
+    # Per-letter sources of the scanned side; only touched letters get reset.
+    buckets: list[list[int]] = [[] for _ in range(T.k)]
+    touched: list[int] = []
+    scanned = 0
+    split_calls = 0
 
-    while worklist.entries:
+    while worklist:
         if checker is not None:
-            assert buckets.is_clean(), "letter buckets dirty at loop head"
-            checker.check(p, worklist)
+            checker.check(p, worklist, in_union, buckets, touched)
 
-        entry = worklist.entries[-1]
-        left, right = entry
-        b = select_block(entry, p)
-        b_right = blocks[b].right
-        nxt = block_of[A[b_right]]
-        if blocks[nxt].right == right:
+        entry = worklist[-1]
+        lo, hi = entry
+        # Detach the leftmost block, which keeps the rest of the range contiguous.
+        b = block_of[A[lo]]
+        mid = right[b]
+        nxt = block_of[A[mid]]
+        if right[nxt] == hi:
             # Exactly two blocks: the entry is spent, both blocks leave the
             # splitter union (they may re-enter later, once split).
-            worklist.entries.pop()
-            blocks[nxt].in_splitter_union = False
+            worklist.pop()
+            in_union[nxt] = False
         else:
-            entry[0] = b_right  # detach the chosen block, keep the rest pending
-        blocks[b].in_splitter_union = False
+            entry[0] = mid
+        in_union[b] = False
 
-        size_b = b_right - left
-        take_b = size_b <= right - b_right
-        if _scan_larger:
-            take_b = not take_b
-        lo, hi = (left, b_right) if take_b else (b_right, right)
-        collect_smaller_preimages(A[lo:hi], T, buckets, stats)
+        if mid - lo <= hi - mid:
+            side = A[lo:mid]
+        else:
+            side = A[mid:hi]
+        # Each source lands in its letter's bucket at most once, because the
+        # LTS is deterministic.
+        for q in side:
+            start, stop = in_off[q], in_off[q + 1]
+            scanned += stop - start
+            for t in range(start, stop):
+                src, a, _dst = trans[t]
+                bucket = buckets[a]
+                if not bucket:
+                    touched.append(a)
+                bucket.append(src)
+                if counts is not None:
+                    counts[t] += 1
 
-        for a in buckets.touched:
-            records = p.split(buckets.buckets[a])
-            if stats is not None:
-                stats.split_calls += 1
-            for rec in records:
-                # child_out kept the pre-split block's id, hence its flag.
-                if not blocks[rec.child_out].in_splitter_union:
+        for a in touched:
+            split_calls += 1
+            for old, fresh in p.split(buckets[a]):
+                # The fresh id is len(in_union): split hands ids out in order.
+                if not in_union[old]:
                     # The pre-split range re-enters the worklist as one piece:
-                    # it now spans (at least) the two children.
-                    worklist.push(rec.left, rec.right)
-                    blocks[rec.child_in].in_splitter_union = True
-                    blocks[rec.child_out].in_splitter_union = True
-        buckets.clear_touched()
+                    # it now spans (at least) the two parts.
+                    worklist.append([left[fresh], right[old]])
+                    in_union[old] = True
+                in_union.append(True)
+            buckets[a].clear()
+        touched.clear()
 
     if checker is not None:
-        assert buckets.is_clean(), "letter buckets dirty after the loop"
-        checker.check(p, worklist)
+        checker.check(p, worklist, in_union, buckets, touched)
     if stats is not None:
+        stats.transitions_scanned += scanned
+        stats.split_calls += split_calls
         stats.blocks_final = p.block_count
     return p
 
@@ -236,6 +172,7 @@ class _InvariantChecker:
     """Brute-force assertions over the loop state, for debug runs on small inputs.
 
     Checks, at every loop head and once after the loop:
+      * the letter buckets are empty;
       * worklist entries are disjoint and each is a union of >= 2 whole
         blocks, and the per-block flags mirror membership in their union;
       * the current partition is still refined by the coarsest bisimulation
@@ -256,31 +193,34 @@ class _InvariantChecker:
             pre[a].append((src, dst))
         self.pre = pre
 
-    def check(self, p: RefinablePartition, worklist: SplitterSet) -> None:
-        self._check_worklist_shape(p, worklist)
+    def check(self, p: RefinablePartition, worklist: list[list[int]], in_union: list[bool],
+              buckets: list[list[int]], touched: list[int]) -> None:
+        assert not touched and not any(buckets), "letter buckets dirty"
+        self._check_worklist_shape(p, worklist, in_union)
         self._check_contains_all_bisimulations(p)
-        self._check_stability(p, worklist)
+        self._check_stability(p, worklist, in_union)
 
-    def _check_worklist_shape(self, p: RefinablePartition, worklist: SplitterSet) -> None:
-        in_union = [False] * len(p.A)
+    def _check_worklist_shape(self, p: RefinablePartition, worklist: list[list[int]],
+                              in_union: list[bool]) -> None:
+        covered = [False] * len(p.A)
         previous_right = None
-        for left, right in sorted(tuple(e) for e in worklist.entries):
+        for left, right in sorted(tuple(e) for e in worklist):
             assert previous_right is None or left >= previous_right, "worklist ranges overlap"
             previous_right = right
             cursor = left
             spanned = 0
             while cursor < right:
-                blk = p.blocks[p.block_of[p.A[cursor]]]
-                assert blk.left == cursor, "worklist range cuts through a block"
-                cursor = blk.right
+                b = p.block_of[p.A[cursor]]
+                assert p.left[b] == cursor, "worklist range cuts through a block"
+                cursor = p.right[b]
                 spanned += 1
             assert cursor == right, "worklist range cuts through a block"
             assert spanned >= 2, "worklist range spans fewer than two blocks"
             for i in range(left, right):
-                in_union[i] = True
-        for b, blk in enumerate(p.blocks):
-            expected = blk.left < len(in_union) and in_union[blk.left]
-            assert blk.in_splitter_union == expected, f"flag of block {b} out of sync"
+                covered[i] = True
+        assert len(in_union) == p.block_count, "one flag per block"
+        for b in range(p.block_count):
+            assert in_union[b] == covered[p.left[b]], f"flag of block {b} out of sync"
 
     def _check_contains_all_bisimulations(self, p: RefinablePartition) -> None:
         # The coarsest bisimulation inside the initial partition contains
@@ -289,12 +229,11 @@ class _InvariantChecker:
             ids = {p.block_of[q] for q in block}
             assert len(ids) == 1, "partition separated two bisimilar states"
 
-    def _check_stability(self, p: RefinablePartition, worklist: SplitterSet) -> None:
-        regions: list[set[int]] = [set(p.A[l:r]) for l, r in worklist.entries]
+    def _check_stability(self, p: RefinablePartition, worklist: list[list[int]],
+                         in_union: list[bool]) -> None:
+        regions: list[set[int]] = [set(p.A[l:r]) for l, r in worklist]
         regions.extend(
-            set(p.block_members(b))
-            for b, blk in enumerate(p.blocks)
-            if not blk.in_splitter_union
+            set(p.block_members(b)) for b in range(p.block_count) if not in_union[b]
         )
         for region in regions:
             for a in range(self.T.k):

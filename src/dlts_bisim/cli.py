@@ -291,7 +291,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for cfg, T, p_view in instance_stream(args.count, args.n, args.k, args.density, args.seed):
         stats = ScanStats.detailed(T.m)
         p_init = RefinablePartition.from_initial(T.n, p_view)
-        result = dbisim(T, p_init, stats, _scan_larger=args.mutant_pick_larger)
+        result = dbisim(T, p_init, stats)
         got = result.to_canonical()
         want = canonical_view(naive_fixpoint(T, p_view))
 
@@ -382,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--density", type=float, default=None,
                          help="transition density (default: draw from 0.2/0.5/0.9)")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--mutant-pick-larger", action="store_true",
-                         help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_check)
 
     p_bench = sub.add_parser("bench", help="work counters and timings over a size ladder")

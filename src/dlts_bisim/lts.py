@@ -10,7 +10,7 @@ contiguous slice.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -100,8 +100,6 @@ class NormalizedDlts:
     in_offsets: list[int]
     state_names: list[str]
     letter_names: list[str]
-    isolated: list[bool]
-    _build_steps: int = field(default=0, repr=False, compare=False)
 
     def incoming(self, q: int) -> list[tuple[int, int, int]]:
         """Transitions whose destination is q, O(in-degree)."""
@@ -178,8 +176,8 @@ def check_deterministic(raw: RawLts) -> list[tuple[str, str]]:
 def normalize(raw: RawLts) -> NormalizedDlts:
     """Build the indexed encoding: used-only alphabet, destination-sorted transitions.
 
-    States without any incident transition are retained (their index space is
-    identical to the declaration order of `raw.states`) but flagged isolated.
+    States without any incident transition are retained: the index space is
+    identical to the declaration order of `raw.states`.
     Raises NondeterminismError if some (state, letter) pair has two outgoing
     transitions.
     """
@@ -188,11 +186,9 @@ def normalize(raw: RawLts) -> NormalizedDlts:
     if violations:
         raise NondeterminismError(violations)
 
-    steps = 0
     n = len(raw.states)
     state_index = {name: i for i, name in enumerate(raw.states)}
     raw_letter_index = {name: i for i, name in enumerate(raw.letters)}
-    steps += n + len(raw.letters)
 
     m = len(raw.transitions)
     used = [False] * len(raw.letters)
@@ -201,7 +197,6 @@ def normalize(raw: RawLts) -> NormalizedDlts:
         a = raw_letter_index[letter]
         used[a] = True
         indexed.append((state_index[src], a, state_index[dst]))
-        steps += 1
 
     # Restrict the alphabet to used letters, keeping declaration order.
     new_letter = [0] * len(raw.letters)
@@ -210,32 +205,20 @@ def normalize(raw: RawLts) -> NormalizedDlts:
         if used[a]:
             new_letter[a] = len(letter_names)
             letter_names.append(name)
-        steps += 1
     k = len(letter_names)
 
     # Counting sort by destination; the prefix sums double as in_offsets.
     counts = [0] * (n + 1)
     for _src, _a, dst in indexed:
         counts[dst + 1] += 1
-        steps += 1
     for q in range(n):
         counts[q + 1] += counts[q]
-        steps += 1
     in_offsets = list(counts)
     sorted_transitions: list[tuple[int, int, int]] = [(0, 0, 0)] * m
     cursor = counts[:]
     for src, a, dst in indexed:
         sorted_transitions[cursor[dst]] = (src, new_letter[a], dst)
         cursor[dst] += 1
-        steps += 1
-
-    incident = [False] * n
-    for src, _a, dst in indexed:
-        incident[src] = True
-        incident[dst] = True
-        steps += 1
-    isolated = [not flag for flag in incident]
-    steps += n
 
     return NormalizedDlts(
         n=n,
@@ -245,8 +228,6 @@ def normalize(raw: RawLts) -> NormalizedDlts:
         in_offsets=in_offsets,
         state_names=list(raw.states),
         letter_names=letter_names,
-        isolated=isolated,
-        _build_steps=steps,
     )
 
 
@@ -285,9 +266,13 @@ def _parse_sections(text: str, kind: str):
     word, col = tokens[0]
     if word != kind:
         raise LtsParseError(f"expected `{kind}` header, got {word!r}", lineno, col)
-    if len(tokens) != 2 or not tokens[1][0].isdigit():
+    if len(tokens) != 2:
         raise LtsParseError(f"expected `{kind} <n-states>`", lineno, col)
-    n = int(tokens[1][0])
+    count, col = tokens[1]
+    # str.isdigit alone also accepts digits that int() rejects, such as "²".
+    if not (count.isascii() and count.isdigit()):
+        raise LtsParseError(f"state count must be ASCII digits, got {count!r}", lineno, col)
+    n = int(count)
 
     allowed = _DFA_HEADERS if kind == "dfa" else _DLTS_HEADERS
     headers: dict[str, tuple[int, list[tuple[str, int]]]] = {}
@@ -330,16 +315,15 @@ def _resolve_states(n: int, headers) -> tuple[list[str], dict[str, int]]:
 def _parse_body(n: int, headers, transition_lines, kind: str):
     state_names, state_index = _resolve_states(n, headers)
 
-    declared_letters: dict[str, int] | None = None
-    letter_names: list[str] = []
-    if "letters:" in headers:
+    # Insertion-ordered set of letters: declaration order, else first use.
+    letters: dict[str, None] = {}
+    declared = "letters:" in headers
+    if declared:
         lineno, tokens = headers["letters:"]
-        declared_letters = {}
         for tok, col in tokens:
-            if tok in declared_letters:
+            if tok in letters:
                 raise LtsParseError(f"duplicate letter name {tok!r}", lineno, col)
-            declared_letters[tok] = len(declared_letters)
-            letter_names.append(tok)
+            letters[tok] = None
 
     transitions: list[tuple[str, str, str]] = []
     seen: set[tuple[str, str, str]] = set()
@@ -349,18 +333,17 @@ def _parse_body(n: int, headers, transition_lines, kind: str):
             raise LtsParseError(f"undeclared state {src!r}", lineno, src_col)
         if dst not in state_index:
             raise LtsParseError(f"undeclared state {dst!r}", lineno, dst_col)
-        if declared_letters is None:
-            if letter not in letter_names:
-                letter_names.append(letter)
-        elif letter not in declared_letters:
-            raise LtsParseError(f"undeclared letter {letter!r}", lineno, letter_col)
+        if letter not in letters:
+            if declared:
+                raise LtsParseError(f"undeclared letter {letter!r}", lineno, letter_col)
+            letters[letter] = None
         triple = (src, letter, dst)
         if triple in seen:
             raise LtsParseError(f"duplicate transition {src} {letter} {dst}", lineno, src_col)
         seen.add(triple)
         transitions.append(triple)
 
-    raw = RawLts(states=state_names, letters=letter_names, transitions=transitions)
+    raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
     if kind == "dlts":
         return raw
 

@@ -1,15 +1,14 @@
 """Array-backed refinable partition of 0..n with an O(|X|) split primitive.
 
 All states live in one permutation array; the states of a block occupy a
-contiguous subarray, so a block is fully described by a (left, right) index
+contiguous subarray, so a block is fully described by a [left, right) index
 pair.  Splitting swaps hit states to the left end of their block and moves
-the boundary, which keeps every previously recorded (left, right) range valid
+the boundary, which keeps every previously recorded [left, right) range valid
 as a set of states even while the blocks inside it split further.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -17,63 +16,31 @@ class PartitionError(ValueError):
     """The given blocks do not form a partition of the state range."""
 
 
-@dataclass
-class BlockDesc:
-    """One block: its subarray bounds, worklist-membership flag, split cursor.
-
-    `marked` counts states already swapped to the block's left end during an
-    ongoing split call; it is 0 whenever no split is in progress.
-    """
-
-    left: int
-    right: int
-    in_splitter_union: bool = False
-    marked: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.right - self.left
-
-
-@dataclass
-class SplitRecord:
-    """Outcome of splitting one block.
-
-    `left`/`right` are the bounds of the block *before* the split (the two
-    children tile this range exactly); `child_in` is the id of the part that
-    met the splitting set, `child_out` the part that missed it.  The caller
-    needs the pre-split range because that whole range, not a child, is what
-    re-enters the splitter worklist.
-    """
-
-    left: int
-    right: int
-    child_in: int
-    child_out: int
-
-
 class RefinablePartition:
     """Partition of the states 0..n-1 supporting only refinement.
 
-    Attributes:
+    All state is kept in parallel int lists:
         A: the state permutation; each block is a contiguous slice of it.
         pos: inverse permutation (state -> index in A).
         block_of: state -> id of its block.
-        blocks: block descriptors, indexed by block id.  Ids are never reused
-            and existing ids keep designating (a shrinking part of) the same
-            states, which is what lets split callers skip re-registration.
+        left, right: block id -> bounds of its slice A[left:right].
+        marked: block id -> states already swapped to the block's left end
+            during an ongoing split call; 0 whenever no split is in progress.
 
-    Single-writer: callers must not mutate concurrently.  `move_count`
-    accumulates element swaps across split calls so tests can bound the work.
+    Block ids are never reused, and an existing id keeps designating (a
+    shrinking part of) the same states, which is what lets split callers
+    skip re-registration.  Single-writer: callers must not mutate
+    concurrently.
     """
 
     def __init__(self, order: list[int], position: list[int], block_of: list[int],
-                 blocks: list[BlockDesc]):
+                 left: list[int], right: list[int]):
         self.A = order
         self.pos = position
         self.block_of = block_of
-        self.blocks = blocks
-        self.move_count = 0
+        self.left = left
+        self.right = right
+        self.marked = [0] * len(left)
 
     @classmethod
     def from_initial(cls, n: int, initial_blocks: Iterable[Iterable[int]]) -> "RefinablePartition":
@@ -84,91 +51,85 @@ class RefinablePartition:
         """
         order: list[int] = []
         block_of = [-1] * n
-        blocks: list[BlockDesc] = []
+        left: list[int] = []
+        right: list[int] = []
         for members in initial_blocks:
             members = sorted(members)
             if not members:
                 raise PartitionError("empty block")
-            left = len(order)
+            left.append(len(order))
             for q in members:
                 if not 0 <= q < n:
                     raise PartitionError(f"state index {q} out of range 0..{n - 1}")
                 if block_of[q] != -1:
                     raise PartitionError(f"state {q} appears in two blocks")
-                block_of[q] = len(blocks)
+                block_of[q] = len(right)
                 order.append(q)
-            blocks.append(BlockDesc(left, len(order)))
+            right.append(len(order))
         if len(order) != n:
             missing = block_of.index(-1)
             raise PartitionError(f"state {missing} is not covered by any block")
         position = [0] * n
         for i, q in enumerate(order):
             position[q] = i
-        return cls(order, position, block_of, blocks)
+        return cls(order, position, block_of, left, right)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.left)
 
     def copy(self) -> "RefinablePartition":
         return RefinablePartition(
-            list(self.A),
-            list(self.pos),
-            list(self.block_of),
-            [BlockDesc(b.left, b.right, b.in_splitter_union, b.marked) for b in self.blocks],
+            list(self.A), list(self.pos), list(self.block_of), list(self.left), list(self.right)
         )
 
-    def split(self, xs: Iterable[int]) -> list[SplitRecord]:
+    def split(self, xs: Iterable[int]) -> list[tuple[int, int]]:
         """Split every block that meets `xs` without being contained in it.
 
-        The part inside `xs` ends up on the left of the block's subarray and
-        gets a fresh block id; the part outside keeps the original id (and
-        thus the original `in_splitter_union` flag object).  Both children
-        inherit the flag value.  Duplicates in `xs` are harmless; cost is
-        O(|xs|) element moves.
+        Returns one (old, fresh) id pair per split block, fresh ids in
+        ascending order.  The part inside `xs` ends up on the left of the
+        block's subarray and gets the fresh id; the part outside keeps the
+        old id.  The block's range before the split, which the two parts tile
+        exactly, is [left[fresh], right[old]).  Duplicates in `xs` are
+        harmless; cost is O(|xs|) element moves.
         """
-        A, pos, block_of, blocks = self.A, self.pos, self.block_of, self.blocks
+        A, pos, block_of = self.A, self.pos, self.block_of
+        left, right, marked = self.left, self.right, self.marked
         touched: list[int] = []
-        moves = 0
         for x in xs:
             b = block_of[x]
-            blk = blocks[b]
             i = pos[x]
-            boundary = blk.left + blk.marked
+            boundary = left[b] + marked[b]
             if i < boundary:
                 continue  # already marked by an earlier occurrence in xs
-            if blk.marked == 0:
+            if boundary == left[b]:
                 touched.append(b)
             y = A[boundary]
             A[boundary] = x
             A[i] = y
             pos[x] = boundary
             pos[y] = i
-            blk.marked += 1
-            moves += 1
-        self.move_count += moves
+            marked[b] += 1
 
-        records: list[SplitRecord] = []
+        pairs: list[tuple[int, int]] = []
         for b in touched:
-            blk = blocks[b]
-            if blk.marked == blk.size:
-                blk.marked = 0  # block lies entirely inside xs: not split
-                continue
-            orig_left = blk.left
-            mid = orig_left + blk.marked
-            child = len(blocks)
-            blocks.append(BlockDesc(orig_left, mid, blk.in_splitter_union))
-            for i in range(orig_left, mid):
-                block_of[A[i]] = child
-            records.append(SplitRecord(orig_left, blk.right, child, b))
-            blk.left = mid
-            blk.marked = 0
-        return records
+            mid = left[b] + marked[b]
+            marked[b] = 0
+            if mid == right[b]:
+                continue  # block lies entirely inside xs: not split
+            fresh = len(left)
+            left.append(left[b])
+            right.append(mid)
+            marked.append(0)
+            for i in range(left[b], mid):
+                block_of[A[i]] = fresh
+            left[b] = mid
+            pairs.append((b, fresh))
+        return pairs
 
     def block_members(self, b: int) -> list[int]:
         """The block's states in array order, O(size)."""
-        blk = self.blocks[b]
-        return self.A[blk.left : blk.right]
+        return self.A[self.left[b] : self.right[b]]
 
     def to_canonical(self) -> list[list[int]]:
         """Blocks as sorted index lists, ordered by their minimum state.
@@ -176,7 +137,7 @@ class RefinablePartition:
         Equal partitions produce identical output, whatever refinement steps
         led to them.
         """
-        out = [sorted(self.block_members(b)) for b in range(len(self.blocks))]
+        out = [sorted(self.block_members(b)) for b in range(self.block_count)]
         out.sort()
         return out
 
@@ -185,13 +146,13 @@ class RefinablePartition:
         n = len(self.A)
         assert sorted(self.A) == list(range(n)), "A is not a permutation"
         assert all(self.A[self.pos[q]] == q for q in range(n)), "pos is not the inverse of A"
-        spans = sorted((b.left, b.right) for b in self.blocks)
+        assert len(self.right) == len(self.marked) == self.block_count, "block lists differ in length"
         cursor = 0
-        for left, right in spans:
+        for left, right in sorted(zip(self.left, self.right)):
             assert left == cursor and right > left, "blocks do not tile the array"
             cursor = right
         assert cursor == n, "blocks do not cover the array"
-        for b, blk in enumerate(self.blocks):
-            assert blk.marked == 0, "split cursor left dirty"
-            for i in range(blk.left, blk.right):
+        assert not any(self.marked), "split cursor left dirty"
+        for b in range(self.block_count):
+            for i in range(self.left[b], self.right[b]):
                 assert self.block_of[self.A[i]] == b, "block_of disagrees with block ranges"

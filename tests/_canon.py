@@ -6,9 +6,16 @@ library's data structures, so tests compare two genuinely different routes.
 
 from __future__ import annotations
 
+import inspect
+import sys
+import types
 from itertools import combinations
 
+import dlts_bisim.bisim
 from dlts_bisim import Dfa, NormalizedDlts, naive_fixpoint
+
+SMALLER_SIDE_TEST = "if mid - lo <= hi - mid:"
+LARGER_SIDE_TEST = "if mid - lo > hi - mid:"
 
 
 def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:
@@ -171,3 +178,20 @@ def table_filling_minimal_size(dfa: Dfa) -> int:
         else:
             classes.append({q})
     return len(classes)
+
+
+def larger_side_dbisim():
+    """`dbisim` rebuilt from its source with the smaller-side test inverted.
+
+    The mutant scans the larger side of every detached splitter.  Its result
+    is still the coarsest bisimulation, but the per-transition scan bound no
+    longer holds, which shows that the bound rests on the smaller-half rule.
+    """
+    source = inspect.getsource(dlts_bisim.bisim)
+    assert source.count(SMALLER_SIDE_TEST) == 1, "the smaller-side test moved"
+    mutant = types.ModuleType("dlts_bisim._larger_side_mutant")
+    mutant.__package__ = "dlts_bisim"
+    sys.modules[mutant.__name__] = mutant  # dataclass decorators look the module up
+    code = compile(source.replace(SMALLER_SIDE_TEST, LARGER_SIDE_TEST), mutant.__name__, "exec")
+    exec(code, mutant.__dict__)
+    return mutant.dbisim

@@ -2,28 +2,24 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlts_bisim import (
     GenConfig,
-    LetterBuckets,
     RawLts,
     RefinablePartition,
     ScanStats,
     canonical_view,
-    collect_smaller_preimages,
     dbisim,
     gen_random_dlts,
     init_refine,
     is_bisimulation,
     naive_fixpoint,
     normalize,
-    select_block,
 )
 
-from _canon import letter_signature_blocks, refines
+from _canon import larger_side_dbisim, letter_signature_blocks, refines
 
 
 def _dlts(n, transitions, letters=("a", "b")):
@@ -34,6 +30,10 @@ def _dlts(n, transitions, letters=("a", "b")):
 
 def _full(n):
     return RefinablePartition.from_initial(n, [set(range(n))] if n else [])
+
+
+def _chain(n):
+    return _dlts(n, [(i, "a", i + 1) for i in range(n - 1)], letters=("a",))
 
 
 def scan_bound(n):
@@ -117,58 +117,6 @@ def test_dbisim_fills_stats():
     assert stats.transitions_scanned == sum(stats.per_transition_counts)
 
 
-# --- helpers around the main loop -----------------------------------------
-
-
-def test_select_block_picks_leftmost():
-    p = RefinablePartition.from_initial(4, [{0, 1}, {2}, {3}])
-    assert select_block([0, 4], p) == 0
-    assert select_block([2, 4], p) == 1
-    with pytest.raises(AssertionError):
-        select_block([2, 3], p)  # spans a single block
-
-
-def test_collect_preimages_empty_smaller():
-    T = _dlts(3, [(0, "a", 1)], letters=("a",))
-    buckets = LetterBuckets(T.k)
-    collect_smaller_preimages([2], T, buckets)
-    assert buckets.touched == []
-    assert buckets.is_clean()
-
-
-def test_collect_preimages_single_transition():
-    T = _dlts(3, [(0, "a", 1)], letters=("a",))
-    buckets = LetterBuckets(T.k)
-    stats = ScanStats.detailed(T.m)
-    collect_smaller_preimages([1], T, buckets, stats)
-    assert buckets.touched == [0]
-    assert buckets.buckets[0] == [0]
-    assert stats.transitions_scanned == 1
-
-
-def test_collect_preimages_matches_direct_filter():
-    T = _dlts(5, [(0, "a", 3), (1, "b", 3), (2, "a", 4), (4, "b", 4), (3, "a", 0)])
-    smaller = [3, 4]
-    buckets = LetterBuckets(T.k)
-    collect_smaller_preimages(smaller, T, buckets)
-    for a in range(T.k):
-        want = sorted(s for s, letter, d in T.transitions if letter == a and d in smaller)
-        assert sorted(buckets.buckets[a]) == want
-    assert sorted(buckets.touched) == [a for a in range(T.k) if buckets.buckets[a]]
-    buckets.clear_touched()
-    assert buckets.is_clean()
-
-
-def test_letter_buckets_lazy_reset():
-    buckets = LetterBuckets(3)
-    buckets.add(1, 7)
-    buckets.add(1, 8)
-    buckets.add(2, 7)
-    assert buckets.touched == [1, 2]
-    buckets.clear_touched()
-    assert buckets.is_clean()
-
-
 # --- randomized equivalence with the reference ----------------------------
 
 
@@ -231,18 +179,24 @@ def test_debug_mode_follows_environment(monkeypatch):
     assert stats.per_transition_counts is not None  # allocated by debug mode
 
 
+def test_debug_mode_reports_skipped_checks(monkeypatch, capsys):
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    dbisim(_chain(8), _full(8))
+    assert capsys.readouterr().err == ""  # small enough: checked, nothing to say
+    dbisim(_chain(513), _full(513))
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "skipped" in err and "513" in err
+
+
 # --- the smaller-half rule is what gives the log bound ---------------------
-
-
-def _chain(n):
-    return _dlts(n, [(i, "a", i + 1) for i in range(n - 1)], letters=("a",))
 
 
 def test_scan_larger_mutant_breaks_bound_but_not_result():
     n = 64
     T = _chain(n)
     stats = ScanStats.detailed(T.m)
-    mutant = dbisim(T, _full(n), stats, _scan_larger=True)
+    mutant = larger_side_dbisim()(T, _full(n), stats)
     assert max(stats.per_transition_counts) > scan_bound(n)
     assert mutant.to_canonical() == canonical_view(naive_fixpoint(T, [set(range(n))]))
 

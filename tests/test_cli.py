@@ -2,9 +2,14 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dlts_bisim
 from dlts_bisim import (
     GenConfig,
     bench_rows,
@@ -17,7 +22,7 @@ from dlts_bisim import (
 )
 from dlts_bisim.cli import main
 
-from _canon import dfa_canonical_form, table_filling_minimal_size
+from _canon import dfa_canonical_form, larger_side_dbisim, table_filling_minimal_size
 
 CYCLE = "dlts 2\nstates: q0 q1\nq0 a q1\nq1 a q0\n"
 
@@ -197,11 +202,12 @@ def test_check_small_run_passes(capsys):
     assert "checked 40 instances: ok" in err
 
 
-def test_check_mutant_fails_counter_bound(capsys):
+def test_check_mutant_fails_counter_bound(capsys, monkeypatch):
+    monkeypatch.setattr("dlts_bisim.cli.dbisim", larger_side_dbisim())
     code, _out, err = run(
         capsys,
         "check", "--count", "10", "--n", "50", "--k", "4",
-        "--density", "0.9", "--seed", "0", "--mutant-pick-larger",
+        "--density", "0.9", "--seed", "0",
     )
     assert code == 3
     assert "scanned" in err and "seed=" in err  # reproducer seed printed
@@ -245,3 +251,16 @@ def test_random_minimization_preserves_language():
         assert dfa_language_equivalent(d, minimal), seed
         assert minimal.n == table_filling_minimal_size(d), seed
         assert report.final_blocks == minimal.n <= d.n
+
+
+def test_python_dash_m_runs_cli():
+    src = str(Path(dlts_bisim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "dlts_bisim", "gen", "--n", "5", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert len(parse_lts(done.stdout).states) == 5

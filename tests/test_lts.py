@@ -1,9 +1,11 @@
 """Parsing, validation, and the normalized encoding."""
 
 import random
+import sys
 
 import pytest
 
+import dlts_bisim.lts
 from dlts_bisim import (
     Dfa,
     LtsError,
@@ -75,6 +77,12 @@ def test_parse_bad_shapes():
         parse_lts("dlts 1\nstates: x\nfinals: x\n")
     with pytest.raises(LtsParseError, match="empty input"):
         parse_lts("# nothing\n")
+    # digits outside ASCII pass str.isdigit but not int()
+    for count in ("\u00b2", "\u0663", "-1", "1e3"):
+        with pytest.raises(LtsParseError, match="line 2, column 6: state count"):
+            parse_lts(f"# header\ndlts {count}\n")
+    with pytest.raises(LtsParseError, match="line 1, column 5: state count"):
+        parse_dfa("dfa \u00b2\n")
 
 
 def test_parse_dfa():
@@ -152,7 +160,8 @@ def test_normalize_retains_isolated_states():
     raw = RawLts(["q0", "q1", "lonely"], ["a"], [("q0", "a", "q1")])
     T = normalize(raw)
     assert T.n == 3
-    assert T.isolated == [False, False, True]
+    assert T.state_names == ["q0", "q1", "lonely"]
+    assert T.incoming(2) == []
 
 
 def test_normalize_idempotent():
@@ -196,10 +205,32 @@ def _complete_two_letter(n):
     return RawLts(states, ["a", "b"], transitions)
 
 
+def _lts_line_events(raw):
+    """Lines executed in lts.py while normalizing `raw`: a machine-independent work count."""
+    lines = 0
+
+    def tracer(frame, event, _arg):
+        nonlocal lines
+        if frame.f_code.co_filename != dlts_bisim.lts.__file__:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        normalize(raw)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
 def test_normalize_step_count_is_linear():
-    small = normalize(_complete_two_letter(500))
-    big = normalize(_complete_two_letter(1000))
-    assert big._build_steps <= 2.5 * small._build_steps + 100
+    small = _lts_line_events(_complete_two_letter(500))
+    big = _lts_line_events(_complete_two_letter(1000))
+    assert small > 0
+    assert big <= 2.5 * small + 100
 
 
 def test_format_round_trips():

@@ -13,10 +13,25 @@ def canonical_sets(blocks):
     return sorted(sorted(b) for b in blocks)
 
 
+class WriteCountingList(list):
+    """A list that counts item assignments, to bound the moves a split makes."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+def counting(p):
+    p.A = WriteCountingList(p.A)
+    return p.A
+
+
 def test_from_initial_single_block():
     p = RefinablePartition.from_initial(3, [{0, 1, 2}])
     assert p.block_count == 1
-    assert p.blocks[0].left == 0 and p.blocks[0].right == 3
+    assert p.left[0] == 0 and p.right[0] == 3
 
 
 def test_from_initial_singletons():
@@ -44,47 +59,40 @@ def test_split_empty_is_noop():
 
 def test_split_singleton_out_of_full_block():
     p = RefinablePartition.from_initial(3, [{0, 1, 2}])
-    records = p.split([0])
+    pairs = p.split([0])
     assert p.to_canonical() == [[0], [1, 2]]
-    assert len(records) == 1
-    rec = records[0]
-    assert (rec.left, rec.right) == (0, 3)  # the pre-split block covered everything
-    assert sorted(p.block_members(rec.child_in)) == [0]
-    assert sorted(p.block_members(rec.child_out)) == [1, 2]
+    assert pairs == [(0, 1)]
+    old, fresh = pairs[0]
+    assert (p.left[fresh], p.right[old]) == (0, 3)  # the pre-split block covered everything
+    assert sorted(p.block_members(fresh)) == [0]
+    assert sorted(p.block_members(old)) == [1, 2]
 
 
 def test_split_skips_contained_blocks():
     # Expected values fixed by the set-based reference split.
     assert canonical_sets(split_sets([{0, 1}, {2, 3}], [0, 1, 2])) == [[0, 1], [2], [3]]
     p = RefinablePartition.from_initial(4, [{0, 1}, {2, 3}])
-    records = p.split([0, 1, 2])
+    pairs = p.split([0, 1, 2])
     assert p.to_canonical() == [[0, 1], [2], [3]]
-    assert len(records) == 1
-    assert (records[0].left, records[0].right) == (2, 4)
+    assert len(pairs) == 1
+    old, fresh = pairs[0]
+    assert (p.left[fresh], p.right[old]) == (2, 4)
 
 
 def test_split_tolerates_duplicates():
     p = RefinablePartition.from_initial(4, [{0, 1, 2, 3}])
-    before = p.move_count
-    records = p.split([1, 1, 2, 1])
+    A = counting(p)
+    pairs = p.split([1, 1, 2, 1])
     assert p.to_canonical() == [[0, 3], [1, 2]]
-    assert len(records) == 1
-    assert p.move_count - before <= 2  # one move per distinct hit state
+    assert len(pairs) == 1
+    assert A.writes <= 2 * 2  # one swap (two writes) per distinct hit state
 
 
 def test_split_conserves_members():
     p = RefinablePartition.from_initial(5, [{0, 1, 2, 3, 4}])
-    (rec,) = p.split([1, 3])
-    joined = sorted(p.block_members(rec.child_in) + p.block_members(rec.child_out))
+    ((old, fresh),) = p.split([1, 3])
+    joined = sorted(p.block_members(fresh) + p.block_members(old))
     assert joined == [0, 1, 2, 3, 4]
-
-
-def test_split_children_inherit_flag():
-    p = RefinablePartition.from_initial(4, [{0, 1, 2, 3}])
-    p.blocks[0].in_splitter_union = True
-    (rec,) = p.split([0])
-    assert p.blocks[rec.child_in].in_splitter_union
-    assert p.blocks[rec.child_out].in_splitter_union
 
 
 def test_split_twice_by_same_set_is_stable():
@@ -138,20 +146,21 @@ def partitions_and_split_sequences(draw):
 def test_split_matches_set_reference(case):
     n, blocks, splits = case
     p = RefinablePartition.from_initial(n, [set(b) for b in blocks])
+    A = counting(p)
     reference = [set(b) for b in blocks]
     for xs in splits:
         before = canonical_sets(reference)
-        moves_before = p.move_count
-        records = p.split(xs)
+        writes_before = A.writes
+        pairs = p.split(xs)
         reference = split_sets(reference, xs)
 
         p.check_consistency()
         assert p.to_canonical() == canonical_sets(reference)
-        assert len(records) == len(reference) - len(before)
-        assert p.move_count - moves_before <= len(xs)
+        assert len(pairs) == len(reference) - len(before)
+        assert A.writes - writes_before <= 2 * len(set(xs))
         # refinement monotonicity: every new block sits inside one old block
         assert refines(p.to_canonical(), [set(b) for b in before])
-        # the recorded pre-split range covers exactly both children
-        for rec in records:
-            child = sorted(p.block_members(rec.child_in) + p.block_members(rec.child_out))
-            assert sorted(p.A[rec.left : rec.right]) == child
+        # the pre-split range [left[fresh], right[old]) covers exactly both parts
+        for old, fresh in pairs:
+            parts = sorted(p.block_members(fresh) + p.block_members(old))
+            assert sorted(p.A[p.left[fresh] : p.right[old]]) == parts
