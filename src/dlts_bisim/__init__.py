@@ -15,7 +15,6 @@ from .lts import (
     NondeterminismError,
     NormalizedDlts,
     RawLts,
-    check_deterministic,
     format_dfa,
     format_dlts,
     format_partition,
@@ -53,7 +52,6 @@ __all__ = [
     "ScanStats",
     "bench_rows",
     "canonical_view",
-    "check_deterministic",
     "dbisim",
     "dfa_language_equivalent",
     "format_dfa",

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bisim import DEBUG_ENV, ScanStats, dbisim, init_refine
 from .lts import (
@@ -30,7 +30,6 @@ from .lts import (
     LtsError,
     NondeterminismError,
     NormalizedDlts,
-    RawLts,
     format_dfa,
     format_dlts,
     format_partition,
@@ -89,32 +88,22 @@ class MinimizeReport:
         ]
 
 
-def _reachable(T: NormalizedDlts, start: int, out_adj: list[list[int]]) -> set[int]:
-    seen = {start}
-    stack = [start]
+def _closure(n: int, roots: Iterable[int], step: Callable[[int], Iterable[int]]) -> list[bool]:
+    """Marks the states reachable from `roots` through `step(q)`."""
+    marked = [False] * n
+    stack = list(roots)
+    for q in stack:
+        marked[q] = True
     while stack:
-        q = stack.pop()
-        for dst in out_adj[q]:
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return seen
-
-
-def _coreachable(T: NormalizedDlts, targets: set[int]) -> set[int]:
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        q = stack.pop()
-        for src, _a, _dst in T.incoming(q):
-            if src not in seen:
-                seen.add(src)
-                stack.append(src)
-    return seen
+        for r in step(stack.pop()):
+            if not marked[r]:
+                marked[r] = True
+                stack.append(r)
+    return marked
 
 
 def _empty_dfa() -> Dfa:
-    return Dfa(dlts=RawLts([], [], []), initial=None, finals=set())
+    return Dfa(dlts=NormalizedDlts.from_triples(0, [], [], []), initial=None, finals=set())
 
 
 def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, MinimizeReport]:
@@ -123,12 +112,12 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     Useless states (unreachable from the initial state, or unable to reach a
     final state) are removed first; the remaining states are then merged by
     the coarsest bisimulation refining the finals/non-finals partition.  An
-    empty language yields the canonical empty automaton.
+    empty language yields the canonical empty automaton.  Every step works
+    on state indices; each block of the result is named after its lowest
+    useful state.
     """
     started = time.perf_counter()
-    dfa = dfa.normalized()
     T = dfa.dlts
-    assert isinstance(T, NormalizedDlts)
     if stats is None:
         stats = ScanStats()
 
@@ -147,57 +136,55 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     if dfa.initial is None:
         return _empty_dfa(), report(0, 0)
 
-    out_adj: list[list[int]] = [[] for _ in range(T.n)]
+    successors: list[list[int]] = [[] for _ in range(T.n)]
     for src, _a, dst in T.transitions:
-        out_adj[src].append(dst)
-    useful = _reachable(T, dfa.initial, out_adj) & _coreachable(T, dfa.finals)
-    if dfa.initial not in useful:
+        successors[src].append(dst)
+    reachable = _closure(T.n, [dfa.initial], successors.__getitem__)
+    coreachable = _closure(T.n, dfa.finals, lambda q: [src for src, _a, _d in T.incoming(q)])
+
+    # Renumber the useful states in their original order.
+    renumber = [-1] * T.n
+    useful: list[int] = []
+    for q in range(T.n):
+        if reachable[q] and coreachable[q]:
+            renumber[q] = len(useful)
+            useful.append(q)
+    if renumber[dfa.initial] < 0:
         return _empty_dfa(), report(0, len(useful))
 
-    # Induced sub-automaton on the useful states, original names kept.
-    names = T.state_names
-    letters = T.letter_names
-    sub_raw = RawLts(
-        states=[names[q] for q in sorted(useful)],
-        letters=list(letters),
-        transitions=[
-            (names[s], letters[a], names[d])
+    sub = NormalizedDlts.from_triples(
+        len(useful),
+        [
+            (renumber[s], a, renumber[d])
             for s, a, d in T.transitions
-            if s in useful and d in useful
+            if renumber[s] >= 0 and renumber[d] >= 0
         ],
+        [T.state_names[q] for q in useful],
+        T.letter_names,
     )
-    sub = normalize(sub_raw)
-    sub_index = {name: i for i, name in enumerate(sub.state_names)}
-    final_names = {names[q] for q in dfa.finals}
-    finals_sub = {sub_index[name] for name in final_names if name in sub_index}
-
+    finals_sub = {renumber[q] for q in dfa.finals if renumber[q] >= 0}
     blocks = [block for block in (finals_sub, set(range(sub.n)) - finals_sub) if block]
-    part = dbisim(sub, RefinablePartition.from_initial(sub.n, blocks), stats)
-    canonical = part.to_canonical()
+    canonical = dbisim(sub, RefinablePartition.from_initial(sub.n, blocks), stats).to_canonical()
 
     block_of = [0] * sub.n
     for i, members in enumerate(canonical):
         for q in members:
             block_of[q] = i
-    block_names = [sub.state_names[members[0]] for members in canonical]
-
-    sub_out: list[list[tuple[int, int]]] = [[] for _ in range(sub.n)]
-    for s, a, d in sub.transitions:
-        sub_out[s].append((a, d))
-    quotient_transitions = []
-    for i, members in enumerate(canonical):
-        representative = members[0]
-        for a, d in sorted(sub_out[representative]):
-            quotient_transitions.append((block_names[i], sub.letter_names[a], block_names[block_of[d]]))
-
-    quotient_raw = RawLts(
-        states=block_names,
-        letters=list(sub.letter_names),
-        transitions=quotient_transitions,
+    # Each block moves like its first member; sorting by (block, letter)
+    # fixes the order that ties keep in the destination sort.
+    quotient = sorted(
+        (block_of[s], a, block_of[d])
+        for s, a, d in sub.transitions
+        if canonical[block_of[s]][0] == s
     )
     result = Dfa(
-        dlts=normalize(quotient_raw),
-        initial=block_of[sub_index[names[dfa.initial]]],
+        dlts=NormalizedDlts.from_triples(
+            len(canonical),
+            quotient,
+            [sub.state_names[members[0]] for members in canonical],
+            sub.letter_names,
+        ),
+        initial=block_of[renumber[dfa.initial]],
         finals={i for i, members in enumerate(canonical) if members[0] in finals_sub},
     )
     return result, report(len(canonical), len(useful))

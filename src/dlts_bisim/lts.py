@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Iterable, Sequence
 
 
@@ -47,39 +48,13 @@ class RawLts:
     """A labelled transition system over named states and letters.
 
     States and letters are identified by their declaration order; letters
-    that label no transition are allowed here and dropped by `normalize`.
+    that label no transition are allowed here and dropped by `normalize`,
+    which is also where the system is validated.
     """
 
     states: list[str]
     letters: list[str]
     transitions: list[tuple[str, str, str]]
-
-    def validate(self) -> None:
-        """Raise LtsError on duplicate names, unresolved names, or duplicate triples."""
-        _check_unique(self.states, "state")
-        _check_unique(self.letters, "letter")
-        states = set(self.states)
-        letters = set(self.letters)
-        seen: set[tuple[str, str, str]] = set()
-        for triple in self.transitions:
-            src, letter, dst = triple
-            if src not in states:
-                raise LtsError(f"undeclared state {src!r} in transition {src} {letter} {dst}")
-            if dst not in states:
-                raise LtsError(f"undeclared state {dst!r} in transition {src} {letter} {dst}")
-            if letter not in letters:
-                raise LtsError(f"undeclared letter {letter!r} in transition {src} {letter} {dst}")
-            if triple in seen:
-                raise LtsError(f"duplicate transition {src} {letter} {dst}")
-            seen.add(triple)
-
-
-def _check_unique(names: Sequence[str], what: str) -> None:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise LtsError(f"duplicate {what} name {name!r}")
-        seen.add(name)
 
 
 @dataclass
@@ -101,6 +76,37 @@ class NormalizedDlts:
     state_names: list[str]
     letter_names: list[str]
 
+    @classmethod
+    def from_triples(
+        cls,
+        n: int,
+        triples: Sequence[tuple[int, int, int]],
+        state_names: list[str],
+        letter_names: Sequence[str],
+    ) -> "NormalizedDlts":
+        """Encode triples that `normalize` has validated, or that are valid by construction.
+
+        Unused letters are dropped, keeping the order of the others, and the
+        triples are counting-sorted by destination, stably.
+        """
+        used = [False] * len(letter_names)
+        counts = [0] * (n + 1)
+        for _src, a, dst in triples:
+            used[a] = True
+            counts[dst + 1] += 1
+        kept = [name for name, is_used in zip(letter_names, used) if is_used]
+        new_letter = list(accumulate(used, initial=0))  # used letters before each letter
+
+        # The prefix sums double as in_offsets.
+        for q in range(n):
+            counts[q + 1] += counts[q]
+        cursor = counts[:]
+        transitions: list[tuple[int, int, int]] = [(0, 0, 0)] * len(triples)
+        for src, a, dst in triples:
+            transitions[cursor[dst]] = (src, new_letter[a], dst)
+            cursor[dst] += 1
+        return cls(n, len(kept), len(triples), transitions, counts, state_names, kept)
+
     def incoming(self, q: int) -> list[tuple[int, int, int]]:
         """Transitions whose destination is q, O(in-degree)."""
         return self.transitions[self.in_offsets[q] : self.in_offsets[q + 1]]
@@ -118,12 +124,12 @@ class NormalizedDlts:
 
 @dataclass
 class Dfa:
-    """Deterministic automaton: a DLTS plus an initial state and final states.
+    """Deterministic automaton: a normalized DLTS plus an initial state and final states.
 
     `initial` may be None only for the canonical empty automaton (n = 0).
     """
 
-    dlts: RawLts | NormalizedDlts
+    dlts: NormalizedDlts
     initial: int | None
     finals: set[int]
 
@@ -140,95 +146,68 @@ class Dfa:
 
     @property
     def n(self) -> int:
-        if isinstance(self.dlts, NormalizedDlts):
-            return self.dlts.n
-        return len(self.dlts.states)
-
-    def normalized(self) -> "Dfa":
-        """A copy whose transition system is in the indexed encoding.
-
-        State indices are preserved by normalization, so `initial` and
-        `finals` carry over unchanged.
-        """
-        if isinstance(self.dlts, NormalizedDlts):
-            return self
-        return Dfa(normalize(self.dlts), self.initial, set(self.finals))
+        return self.dlts.n
 
 
-def check_deterministic(raw: RawLts) -> list[tuple[str, str]]:
-    """All (state, letter) pairs with more than one outgoing transition.
+# Names must survive a trip through the text format: one token, no comment
+# sign, and no state name that would read as a header word at a line start.
+_NAME_RULES = {
+    "state": (re.compile(r"[^\s#]*[^\s#:]"), "is empty, has whitespace or `#`, or ends in `:`"),
+    "letter": (re.compile(r"[^\s#]+"), "is empty or has whitespace or `#`"),
+}
 
-    Empty result means the transition relation is a partial function in each
-    letter; each violating pair is reported once, in first-conflict order.
-    """
-    seen: set[tuple[str, str]] = set()
-    violations: list[tuple[str, str]] = []
-    reported: set[tuple[str, str]] = set()
-    for src, letter, _dst in raw.transitions:
-        key = (src, letter)
-        if key in seen and key not in reported:
-            violations.append(key)
-            reported.add(key)
-        seen.add(key)
-    return violations
+
+def _index_names(names: Sequence[str], what: str) -> dict[str, int]:
+    rule, rule_text = _NAME_RULES[what]
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if not rule.fullmatch(name):
+            raise LtsError(f"{what} name {name!r} {rule_text}")
+        if index.setdefault(name, i) != i:
+            raise LtsError(f"duplicate {what} name {name!r}")
+    return index
 
 
 def normalize(raw: RawLts) -> NormalizedDlts:
-    """Build the indexed encoding: used-only alphabet, destination-sorted transitions.
+    """Validate `raw` and encode it: used-only alphabet, destination-sorted transitions.
 
     States without any incident transition are retained: the index space is
-    identical to the declaration order of `raw.states`.
-    Raises NondeterminismError if some (state, letter) pair has two outgoing
-    transitions.
+    identical to the declaration order of `raw.states`.  Raises
+    NondeterminismError, listing each (state, letter) pair with two outgoing
+    transitions once, in first-conflict order; LtsError for bad, repeated
+    or undeclared names and repeated triples.
     """
-    raw.validate()
-    violations = check_deterministic(raw)
-    if violations:
-        raise NondeterminismError(violations)
+    states = _index_names(raw.states, "state")
+    letters = _index_names(raw.letters, "letter")
 
-    n = len(raw.states)
-    state_index = {name: i for i, name in enumerate(raw.states)}
-    raw_letter_index = {name: i for i, name in enumerate(raw.letters)}
-
-    m = len(raw.transitions)
-    used = [False] * len(raw.letters)
-    indexed: list[tuple[int, int, int]] = []
+    triples: list[tuple[int, int, int]] = []
+    # Per letter: source -> destination.  Keyed by the state indices already
+    # held in `states`, so the check allocates no object per transition.
+    targets: list[dict[int, int]] = [{} for _ in letters]
+    forks: dict[tuple[int, int, int], None] = {}  # later triples of a forked pair, in order
     for src, letter, dst in raw.transitions:
-        a = raw_letter_index[letter]
-        used[a] = True
-        indexed.append((state_index[src], a, state_index[dst]))
-
-    # Restrict the alphabet to used letters, keeping declaration order.
-    new_letter = [0] * len(raw.letters)
-    letter_names: list[str] = []
-    for a, name in enumerate(raw.letters):
-        if used[a]:
-            new_letter[a] = len(letter_names)
-            letter_names.append(name)
-    k = len(letter_names)
-
-    # Counting sort by destination; the prefix sums double as in_offsets.
-    counts = [0] * (n + 1)
-    for _src, _a, dst in indexed:
-        counts[dst + 1] += 1
-    for q in range(n):
-        counts[q + 1] += counts[q]
-    in_offsets = list(counts)
-    sorted_transitions: list[tuple[int, int, int]] = [(0, 0, 0)] * m
-    cursor = counts[:]
-    for src, a, dst in indexed:
-        sorted_transitions[cursor[dst]] = (src, new_letter[a], dst)
-        cursor[dst] += 1
-
-    return NormalizedDlts(
-        n=n,
-        k=k,
-        m=m,
-        transitions=sorted_transitions,
-        in_offsets=in_offsets,
-        state_names=list(raw.states),
-        letter_names=letter_names,
-    )
+        s = states.get(src)
+        if s is None:
+            raise LtsError(f"undeclared state {src!r} in transition {src} {letter} {dst}")
+        d = states.get(dst)
+        if d is None:
+            raise LtsError(f"undeclared state {dst!r} in transition {src} {letter} {dst}")
+        a = letters.get(letter)
+        if a is None:
+            raise LtsError(f"undeclared letter {letter!r} in transition {src} {letter} {dst}")
+        known = targets[a].get(s)
+        if known is None:
+            targets[a][s] = d
+        elif known == d or (s, a, d) in forks:
+            raise LtsError(f"duplicate transition {src} {letter} {dst}")
+        else:
+            forks[(s, a, d)] = None
+        triples.append((s, a, d))
+    if forks:
+        pairs = dict.fromkeys((raw.states[s], raw.letters[a]) for s, a, _d in forks)
+        raise NondeterminismError(list(pairs))
+    del targets  # the check's tables go before the encoding allocates
+    return NormalizedDlts.from_triples(len(raw.states), triples, list(raw.states), raw.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +220,9 @@ def normalize(raw: RawLts) -> NormalizedDlts:
 #   finals: <name> <name> ...        dfa only, optional
 #   <src> <letter> <dst>             one transition per line
 #
-# `#` starts a comment; blank lines are ignored.
+# `#` starts a comment; blank lines are ignored.  A name is any token
+# without `#`; a state name must not end in `:`, or its transition lines
+# would read as headers.
 
 _TOKEN = re.compile(r"\S+")
 
@@ -250,135 +231,135 @@ _DFA_HEADERS = _DLTS_HEADERS + ("initial:", "finals:")
 
 
 def _content_lines(text: str):
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        cut = raw_line.find("#")
-        line = raw_line if cut < 0 else raw_line[:cut]
-        tokens = [(match.group(), match.start() + 1) for match in _TOKEN.finditer(line)]
+    """(line number, tokens) for each line that has tokens outside comments."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        cut = line.find("#")
+        tokens = (line if cut < 0 else line[:cut]).split()
         if tokens:
             yield lineno, tokens
 
 
-def _parse_sections(text: str, kind: str):
-    lines = list(_content_lines(text))
-    if not lines:
+def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError:
+    """An error at the index-th token of a line, whose column only errors compute.
+
+    `str.split` and `_TOKEN` split at the same characters.
+    """
+    line = text.splitlines()[lineno - 1].split("#", 1)[0]
+    match = next(islice(_TOKEN.finditer(line), index, None))
+    return LtsParseError(message, lineno, match.start() + 1)
+
+
+def _parse(text: str, kind: str):
+    """The system in `text`, its headers and state index; checks only what needs a position."""
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise LtsParseError(f"empty input, expected a `{kind} <n-states>` header")
-    lineno, tokens = lines[0]
-    word, col = tokens[0]
-    if word != kind:
-        raise LtsParseError(f"expected `{kind}` header, got {word!r}", lineno, col)
+    lineno, tokens = first
+    if tokens[0] != kind:
+        raise _error_at(text, f"expected `{kind}` header, got {tokens[0]!r}", lineno, 0)
     if len(tokens) != 2:
-        raise LtsParseError(f"expected `{kind} <n-states>`", lineno, col)
-    count, col = tokens[1]
+        raise _error_at(text, f"expected `{kind} <n-states>`", lineno, 0)
+    count = tokens[1]
     # str.isdigit alone also accepts digits that int() rejects, such as "²".
     if not (count.isascii() and count.isdigit()):
-        raise LtsParseError(f"state count must be ASCII digits, got {count!r}", lineno, col)
+        raise _error_at(text, f"state count must be ASCII digits, got {count!r}", lineno, 1)
     n = int(count)
 
     allowed = _DFA_HEADERS if kind == "dfa" else _DLTS_HEADERS
-    headers: dict[str, tuple[int, list[tuple[str, int]]]] = {}
-    transition_lines: list[tuple[int, list[tuple[str, int]]]] = []
-    for lineno, tokens in lines[1:]:
-        word, col = tokens[0]
-        if word in allowed:
+    headers: dict[str, tuple[int, list[str]]] = {}
+    transition_lines: list[tuple[int, list[str]]] = []
+    for lineno, tokens in lines:
+        word = tokens[0]
+        if word.endswith(":"):
+            if word not in _DFA_HEADERS:
+                raise _error_at(text, f"unknown header {word!r}", lineno, 0)
+            if word not in allowed:
+                raise _error_at(text, f"`{word}` is only valid in dfa files", lineno, 0)
             if word in headers:
-                raise LtsParseError(f"duplicate `{word}` line", lineno, col)
-            headers[word] = (lineno, tokens[1:])
-        elif word in _DFA_HEADERS:
-            raise LtsParseError(f"`{word}` is only valid in dfa files", lineno, col)
-        elif word.endswith(":"):
-            raise LtsParseError(f"unknown header {word!r}", lineno, col)
+                raise _error_at(text, f"duplicate `{word}` line", lineno, 0)
+            headers[word] = (lineno, tokens)
+        elif len(tokens) != 3:
+            raise _error_at(text, "expected `<src> <letter> <dst>`", lineno, 0)
         else:
-            if len(tokens) != 3:
-                raise LtsParseError("expected `<src> <letter> <dst>`", lineno, col)
             transition_lines.append((lineno, tokens))
-    return n, headers, transition_lines
 
-
-def _resolve_states(n: int, headers) -> tuple[list[str], dict[str, int]]:
     if "states:" in headers:
         lineno, tokens = headers["states:"]
-        names = [tok for tok, _col in tokens]
-        if len(names) != n:
+        state_names = tokens[1:]
+        if len(state_names) != n:
             raise LtsParseError(
-                f"`states:` lists {len(names)} names but the header declares {n}", lineno
+                f"`states:` lists {len(state_names)} names but the header declares {n}", lineno
             )
-        index: dict[str, int] = {}
-        for tok, col in tokens:
-            if tok in index:
-                raise LtsParseError(f"duplicate state name {tok!r}", lineno, col)
-            index[tok] = len(index)
-        return names, index
-    names = [str(i) for i in range(n)]
-    return names, {name: i for i, name in enumerate(names)}
-
-
-def _parse_body(n: int, headers, transition_lines, kind: str):
-    state_names, state_index = _resolve_states(n, headers)
+        state_index: dict[str, int] = {}
+        for i, name in enumerate(state_names):
+            if name.endswith(":"):
+                raise _error_at(text, f"state name {name!r} ends in `:`", lineno, i + 1)
+            if state_index.setdefault(name, i) != i:
+                raise _error_at(text, f"duplicate state name {name!r}", lineno, i + 1)
+    else:
+        state_names = [str(i) for i in range(n)]
+        state_index = {name: i for i, name in enumerate(state_names)}
 
     # Insertion-ordered set of letters: declaration order, else first use.
     letters: dict[str, None] = {}
     declared = "letters:" in headers
     if declared:
         lineno, tokens = headers["letters:"]
-        for tok, col in tokens:
-            if tok in letters:
-                raise LtsParseError(f"duplicate letter name {tok!r}", lineno, col)
-            letters[tok] = None
+        for i in range(1, len(tokens)):
+            if tokens[i] in letters:
+                raise _error_at(text, f"duplicate letter name {tokens[i]!r}", lineno, i)
+            letters[tokens[i]] = None
 
     transitions: list[tuple[str, str, str]] = []
     seen: set[tuple[str, str, str]] = set()
     for lineno, tokens in transition_lines:
-        (src, src_col), (letter, letter_col), (dst, dst_col) = tokens
+        src, letter, dst = tokens
         if src not in state_index:
-            raise LtsParseError(f"undeclared state {src!r}", lineno, src_col)
+            raise _error_at(text, f"undeclared state {src!r}", lineno, 0)
         if dst not in state_index:
-            raise LtsParseError(f"undeclared state {dst!r}", lineno, dst_col)
+            raise _error_at(text, f"undeclared state {dst!r}", lineno, 2)
         if letter not in letters:
             if declared:
-                raise LtsParseError(f"undeclared letter {letter!r}", lineno, letter_col)
+                raise _error_at(text, f"undeclared letter {letter!r}", lineno, 1)
             letters[letter] = None
         triple = (src, letter, dst)
         if triple in seen:
-            raise LtsParseError(f"duplicate transition {src} {letter} {dst}", lineno, src_col)
+            raise _error_at(text, f"duplicate transition {src} {letter} {dst}", lineno, 0)
         seen.add(triple)
         transitions.append(triple)
 
     raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
-    if kind == "dlts":
-        return raw
+    return raw, headers, state_index
 
+
+def parse_lts(text: str) -> RawLts:
+    """Parse the `dlts` text format; diagnostics carry line/column positions."""
+    return _parse(text, "dlts")[0]
+
+
+def parse_dfa(text: str) -> Dfa:
+    """Parse the `dfa` text format (dlts format plus `initial:`/`finals:`) and normalize it."""
+    raw, headers, state_index = _parse(text, "dfa")
     initial: int | None = None
     if "initial:" in headers:
         lineno, tokens = headers["initial:"]
-        if len(tokens) != 1:
+        if len(tokens) != 2:
             raise LtsParseError("`initial:` takes exactly one state name", lineno)
-        name, col = tokens[0]
-        if name not in state_index:
-            raise LtsParseError(f"undeclared state {name!r}", lineno, col)
-        initial = state_index[name]
-    elif n > 0:
+        if tokens[1] not in state_index:
+            raise _error_at(text, f"undeclared state {tokens[1]!r}", lineno, 1)
+        initial = state_index[tokens[1]]
+    elif raw.states:
         raise LtsParseError("missing `initial:` line")
 
     finals: set[int] = set()
     if "finals:" in headers:
         lineno, tokens = headers["finals:"]
-        for name, col in tokens:
-            if name not in state_index:
-                raise LtsParseError(f"undeclared state {name!r}", lineno, col)
-            finals.add(state_index[name])
-    return Dfa(dlts=raw, initial=initial, finals=finals)
-
-
-def parse_lts(text: str) -> RawLts:
-    """Parse the `dlts` text format; diagnostics carry line/column positions."""
-    n, headers, transition_lines = _parse_sections(text, "dlts")
-    return _parse_body(n, headers, transition_lines, "dlts")
-
-
-def parse_dfa(text: str) -> Dfa:
-    """Parse the `dfa` text format (dlts format plus `initial:`/`finals:`)."""
-    n, headers, transition_lines = _parse_sections(text, "dfa")
-    return _parse_body(n, headers, transition_lines, "dfa")
+        for i in range(1, len(tokens)):
+            if tokens[i] not in state_index:
+                raise _error_at(text, f"undeclared state {tokens[i]!r}", lineno, i)
+            finals.add(state_index[tokens[i]])
+    return Dfa(dlts=normalize(raw), initial=initial, finals=finals)
 
 
 def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:
@@ -391,15 +372,16 @@ def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:
     assigned: dict[int, int] = {}
     for lineno, tokens in _content_lines(text):
         block: set[int] = set()
-        for name, col in tokens:
+        for i, name in enumerate(tokens):
             if name not in index:
-                raise LtsParseError(f"unknown state {name!r}", lineno, col)
+                raise _error_at(text, f"unknown state {name!r}", lineno, i)
             q = index[name]
             if q in assigned:
-                raise LtsParseError(
+                raise _error_at(
+                    text,
                     f"state {name!r} already belongs to the block on line {assigned[q]}",
                     lineno,
-                    col,
+                    i,
                 )
             assigned[q] = lineno
             block.add(q)
@@ -417,8 +399,7 @@ def format_dlts(dlts: NormalizedDlts) -> str:
 
 def format_dfa(dfa: Dfa) -> str:
     """Serialize to the `dfa` text format; the empty automaton is just `dfa 0`."""
-    normalized = dfa.normalized()
-    return _format(normalized.dlts, "dfa", normalized.initial, normalized.finals)
+    return _format(dfa.dlts, "dfa", dfa.initial, dfa.finals)
 
 
 def _format(dlts: NormalizedDlts, kind: str, initial: int | None, finals: set[int] | None) -> str:

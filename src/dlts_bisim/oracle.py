@@ -18,7 +18,7 @@ from .lts import Dfa, NormalizedDlts, RawLts, normalize
 PartitionView = list[set[int]]
 
 
-def validate_partition_view(blocks: Iterable[set[int]], n: int) -> PartitionView:
+def _partition_view(blocks: Iterable[set[int]], n: int) -> PartitionView:
     blocks = [set(b) for b in blocks]
     seen: set[int] = set()
     for block in blocks:
@@ -57,7 +57,7 @@ def _pre_of(pre_map: dict[int, list[int]], block: Iterable[int]) -> set[int]:
 def is_bisimulation(blocks: PartitionView, T: NormalizedDlts) -> bool:
     """Check the block characterization: every block's preimage, under every
     letter, must be a union of whole blocks."""
-    blocks = validate_partition_view(blocks, T.n)
+    blocks = _partition_view(blocks, T.n)
     block_of = {}
     for i, block in enumerate(blocks):
         for q in block:
@@ -98,7 +98,7 @@ def naive_fixpoint(T: NormalizedDlts, p_init: Iterable[set[int]]) -> PartitionVi
     is a union of current blocks, hence closed under every bisimulation the
     current partition still contains.  Roughly O(k * n^3); fine as an oracle.
     """
-    blocks = validate_partition_view(p_init, T.n)
+    blocks = _partition_view(p_init, T.n)
     pre = _pre_maps(T)
     while True:
         changed = False
@@ -207,9 +207,7 @@ def instance_stream(
 
 
 def _delta(dfa: Dfa) -> tuple[dict[tuple[int, str], int], set[int], int | None]:
-    dfa = dfa.normalized()
     dlts = dfa.dlts
-    assert isinstance(dlts, NormalizedDlts)
     table: dict[tuple[int, str], int] = {}
     for src, a, dst in dlts.transitions:
         table[(src, dlts.letter_names[a])] = dst

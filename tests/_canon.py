@@ -74,9 +74,7 @@ def dfa_canonical_form(dfa: Dfa):
     """Relabel the reachable part by BFS discovery order (letters sorted by
     name); two automata are isomorphic on their reachable parts iff their
     forms are equal."""
-    dfa = dfa.normalized()
     T = dfa.dlts
-    assert isinstance(T, NormalizedDlts)
     if dfa.initial is None:
         return (0, (), ())
     delta: dict[tuple[int, str], int] = {}
@@ -111,9 +109,7 @@ def table_filling_minimal_size(dfa: Dfa) -> int:
     finality are marked, and marks propagate backwards along letters until
     stable; the answer counts the equivalence classes among useful states.
     """
-    dfa = dfa.normalized()
     T = dfa.dlts
-    assert isinstance(T, NormalizedDlts)
     if dfa.initial is None:
         return 0
     n = T.n

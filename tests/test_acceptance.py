@@ -23,6 +23,7 @@ from dlts_bisim import (
     is_bisimulation,
     minimize_dfa,
     naive_fixpoint,
+    normalize,
 )
 
 from _canon import (
@@ -111,7 +112,7 @@ def test_criterion_4_debug_invariants_never_fire(monkeypatch):
 
 
 HAND_BUILT_6 = Dfa(
-    dlts=RawLts(
+    dlts=normalize(RawLts(
         states=["s0", "s1", "s2", "s3", "s4", "s5"],
         letters=["a", "b"],
         transitions=[
@@ -122,7 +123,7 @@ HAND_BUILT_6 = Dfa(
             ("s4", "a", "s0"), ("s4", "b", "s5"),
             ("s5", "a", "s5"), ("s5", "b", "s5"),
         ],
-    ),
+    )),
     initial=0,
     finals={5},
 )

@@ -12,7 +12,6 @@ from dlts_bisim import (
     LtsParseError,
     NondeterminismError,
     RawLts,
-    check_deterministic,
     format_dfa,
     format_dlts,
     format_partition,
@@ -101,22 +100,59 @@ def test_parse_empty_dfa_has_no_initial():
 
 
 def test_dfa_index_validation():
-    raw = RawLts(["x"], [], [])
+    T = normalize(RawLts(["x"], [], []))
     with pytest.raises(LtsError, match="initial"):
-        Dfa(raw, 3, set())
+        Dfa(T, 3, set())
     with pytest.raises(LtsError, match="final"):
-        Dfa(raw, 0, {1})
+        Dfa(T, 0, {1})
 
 
 def test_raw_validate_catches_bad_names_and_duplicates():
     with pytest.raises(LtsError, match="undeclared state"):
-        RawLts(["a"], ["x"], [("a", "x", "b")]).validate()
+        normalize(RawLts(["a"], ["x"], [("a", "x", "b")]))
     with pytest.raises(LtsError, match="undeclared letter"):
-        RawLts(["a", "b"], [], [("a", "x", "b")]).validate()
+        normalize(RawLts(["a", "b"], [], [("a", "x", "b")]))
     with pytest.raises(LtsError, match="duplicate transition"):
-        RawLts(["a"], ["x"], [("a", "x", "a"), ("a", "x", "a")]).validate()
+        normalize(RawLts(["a"], ["x"], [("a", "x", "a"), ("a", "x", "a")]))
+    with pytest.raises(LtsError, match="duplicate transition a x b"):
+        normalize(RawLts(["a", "b"], ["x"], [("a", "x", "a"), ("a", "x", "b"), ("a", "x", "b")]))
     with pytest.raises(LtsError, match="duplicate state name"):
-        RawLts(["a", "a"], [], []).validate()
+        normalize(RawLts(["a", "a"], [], []))
+    with pytest.raises(LtsError, match="duplicate letter name"):
+        normalize(RawLts(["a"], ["x", "x"], []))
+
+
+@pytest.mark.parametrize(
+    "states, letters",
+    [
+        (["a", ""], ["x"]),
+        (["a", "b c"], ["x"]),
+        (["a", "b\u3000"], ["x"]),
+        (["a", "b#"], ["x"]),
+        (["a", "states:"], ["x"]),
+        (["a", "b:"], ["x"]),
+        (["a", "b"], [""]),
+        (["a", "b"], ["x y"]),
+        (["a", "b"], ["x\n"]),
+        (["a", "b"], ["#x"]),
+    ],
+)
+def test_normalize_rejects_names_that_cannot_round_trip(states, letters):
+    with pytest.raises(LtsError, match="name .* is empty(, | or )has whitespace"):
+        normalize(RawLts(states, letters, []))
+
+
+def test_names_that_do_round_trip():
+    # letters may end in `:`, state names may be header words without it
+    T = normalize(RawLts(["dlts", "states", "a:b"], ["x:", "y"], [("dlts", "x:", "a:b")]))
+    assert normalize(parse_lts(format_dlts(T))) == T
+
+
+def test_parse_rejects_state_name_ending_in_colon():
+    with pytest.raises(LtsParseError, match="line 3, column 12: state name 'b:' ends in `:`"):
+        parse_lts("dlts 2\n\nstates: a  b: \na x a\n")
+    with pytest.raises(LtsParseError, match="line 2, column 9: state name 'states:'"):
+        parse_dfa("dfa 1\nstates: states:\ninitial: states:\n")
 
 
 def test_normalize_drops_unused_letters():
@@ -150,10 +186,22 @@ def test_normalize_rejects_nondeterminism():
 
 def test_check_deterministic():
     cycle = RawLts(["a", "b", "c"], ["x"], [("a", "x", "b"), ("b", "x", "c"), ("c", "x", "a")])
-    assert check_deterministic(cycle) == []
+    assert normalize(cycle).m == 3
     fork = RawLts(["a", "b", "c"], ["x"], [("a", "x", "b"), ("a", "x", "c")])
-    assert check_deterministic(fork) == [("a", "x")]
-    assert check_deterministic(RawLts(["a"], [], [])) == []
+    with pytest.raises(NondeterminismError) as info:
+        normalize(fork)
+    assert info.value.violations == [("a", "x")]
+    assert normalize(RawLts(["a"], [], [])).m == 0
+    # each pair once, in the order of its first conflict
+    forks = RawLts(
+        ["a", "b", "c"],
+        ["x", "y"],
+        [("b", "y", "a"), ("a", "x", "b"), ("b", "y", "c"), ("a", "x", "c"),
+         ("b", "y", "b"), ("a", "x", "a"), ("c", "x", "a")],
+    )
+    with pytest.raises(NondeterminismError) as info:
+        normalize(forks)
+    assert info.value.violations == [("b", "y"), ("a", "x")]
 
 
 def test_normalize_retains_isolated_states():
@@ -240,7 +288,7 @@ def test_format_round_trips():
     assert again == T
 
     dfa = parse_dfa("dfa 2\nstates: e o\ninitial: e\nfinals: e\ne a o\no a e\n")
-    again_dfa = parse_dfa(format_dfa(dfa)).normalized()
+    again_dfa = parse_dfa(format_dfa(dfa))
     assert again_dfa.initial == 0 and again_dfa.finals == {0}
 
 

@@ -102,8 +102,8 @@ def test_gen_config_validation():
 
 
 def _dfa(text_states, initial, finals, transitions, letters):
-    raw = RawLts(text_states, letters, transitions)
-    return Dfa(dlts=raw, initial=initial, finals=set(finals))
+    T = normalize(RawLts(text_states, letters, transitions))
+    return Dfa(dlts=T, initial=initial, finals=set(finals))
 
 
 def test_language_equivalence_reflexive():
@@ -128,7 +128,7 @@ def test_language_equivalence_handles_missing_letters():
 
 
 def test_language_equivalence_none_initial():
-    empty = Dfa(dlts=RawLts([], [], []), initial=None, finals=set())
+    empty = Dfa(dlts=normalize(RawLts([], [], [])), initial=None, finals=set())
     dead = _dfa(["x"], 0, [], [("x", "a", "x")], ["a"])
     eps = _dfa(["x"], 0, [0], [], [])
     assert dfa_language_equivalent(empty, dead)
