@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .lts import NormalizedDlts
+from .oracle import InvariantChecker
 from .partition import RefinablePartition
 
 DEBUG_ENV = "DLTS_BISIM_DEBUG"
@@ -55,7 +56,7 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     """
     p = p_init.copy()
     sources: list[list[int]] = [[] for _ in range(T.k)]
-    for src, a, _dst in T.transitions:
+    for a, src in zip(T.in_letter, T.in_src):
         sources[a].append(src)
     for xs in sources:
         p.split(xs)
@@ -90,13 +91,13 @@ def dbisim(
 
     checker = None
     if debug and T.n <= _DEBUG_ASSERT_MAX_N:
-        checker = _InvariantChecker(T, p_init)
+        checker = InvariantChecker(T, p_init)
     elif debug:
         print(f"{DEBUG_ENV}: invariant checks skipped, n={T.n} > {_DEBUG_ASSERT_MAX_N}",
               file=sys.stderr)
 
     A, block_of, left, right = p.A, p.block_of, p.left, p.right
-    in_off, trans = T.in_offsets, T.transitions
+    in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
     counts = stats.per_transition_counts if stats is not None else None
     # Pending splitters: disjoint [l, r] ranges over A, each spanning at least
     # two whole blocks; popped LIFO.  in_union[b] says whether block b lies
@@ -138,11 +139,11 @@ def dbisim(
             start, stop = in_off[q], in_off[q + 1]
             scanned += stop - start
             for t in range(start, stop):
-                src, a, _dst = trans[t]
+                a = in_letter[t]
                 bucket = buckets[a]
                 if not bucket:
                     touched.append(a)
-                bucket.append(src)
+                bucket.append(in_src[t])
                 if counts is not None:
                     counts[t] += 1
 
@@ -166,80 +167,3 @@ def dbisim(
         stats.split_calls += split_calls
         stats.blocks_final = p.block_count
     return p
-
-
-class _InvariantChecker:
-    """Brute-force assertions over the loop state, for debug runs on small inputs.
-
-    Checks, at every loop head and once after the loop:
-      * the letter buckets are empty;
-      * worklist entries are disjoint and each is a union of >= 2 whole
-        blocks, and the per-block flags mirror membership in their union;
-      * the current partition is still refined by the coarsest bisimulation
-        inside the initial partition (hence contains every bisimulation
-        inside it);
-      * every worklist range, and every block outside the worklist union, has
-        a preimage under each letter that is a union of whole blocks.
-    """
-
-    def __init__(self, T: NormalizedDlts, p_init: RefinablePartition):
-        from .oracle import naive_fixpoint  # debug-only dependency
-
-        self.T = T
-        init_blocks = [set(p_init.block_members(b)) for b in range(p_init.block_count)]
-        self.coarsest = naive_fixpoint(T, init_blocks)
-        pre: list[list[tuple[int, int]]] = [[] for _ in range(T.k)]
-        for src, a, dst in T.transitions:
-            pre[a].append((src, dst))
-        self.pre = pre
-
-    def check(self, p: RefinablePartition, worklist: list[list[int]], in_union: list[bool],
-              buckets: list[list[int]], touched: list[int]) -> None:
-        assert not touched and not any(buckets), "letter buckets dirty"
-        self._check_worklist_shape(p, worklist, in_union)
-        self._check_contains_all_bisimulations(p)
-        self._check_stability(p, worklist, in_union)
-
-    def _check_worklist_shape(self, p: RefinablePartition, worklist: list[list[int]],
-                              in_union: list[bool]) -> None:
-        covered = [False] * len(p.A)
-        previous_right = None
-        for left, right in sorted(tuple(e) for e in worklist):
-            assert previous_right is None or left >= previous_right, "worklist ranges overlap"
-            previous_right = right
-            cursor = left
-            spanned = 0
-            while cursor < right:
-                b = p.block_of[p.A[cursor]]
-                assert p.left[b] == cursor, "worklist range cuts through a block"
-                cursor = p.right[b]
-                spanned += 1
-            assert cursor == right, "worklist range cuts through a block"
-            assert spanned >= 2, "worklist range spans fewer than two blocks"
-            for i in range(left, right):
-                covered[i] = True
-        assert len(in_union) == p.block_count, "one flag per block"
-        for b in range(p.block_count):
-            assert in_union[b] == covered[p.left[b]], f"flag of block {b} out of sync"
-
-    def _check_contains_all_bisimulations(self, p: RefinablePartition) -> None:
-        # The coarsest bisimulation inside the initial partition contains
-        # every other one, so containment of its blocks is containment of all.
-        for block in self.coarsest:
-            ids = {p.block_of[q] for q in block}
-            assert len(ids) == 1, "partition separated two bisimilar states"
-
-    def _check_stability(self, p: RefinablePartition, worklist: list[list[int]],
-                         in_union: list[bool]) -> None:
-        regions: list[set[int]] = [set(p.A[l:r]) for l, r in worklist]
-        regions.extend(
-            set(p.block_members(b)) for b in range(p.block_count) if not in_union[b]
-        )
-        for region in regions:
-            for a in range(self.T.k):
-                pre_a = {src for src, dst in self.pre[a] if dst in region}
-                hit_blocks = {p.block_of[q] for q in pre_a}
-                for b in hit_blocks:
-                    assert set(p.block_members(b)) <= pre_a, (
-                        "a letter preimage of a pending splitter cuts a block"
-                    )

@@ -21,6 +21,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import and_
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -103,7 +105,7 @@ def _closure(n: int, roots: Iterable[int], step: Callable[[int], Iterable[int]])
 
 
 def _empty_dfa() -> Dfa:
-    return Dfa(dlts=NormalizedDlts.from_triples(0, [], [], []), initial=None, finals=set())
+    return Dfa(dlts=NormalizedDlts.from_columns(0, [], [], [], [], []), initial=None, finals=set())
 
 
 def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, MinimizeReport]:
@@ -136,58 +138,64 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     if dfa.initial is None:
         return _empty_dfa(), report(0, 0)
 
+    in_src, in_off = T.in_src, T.in_offsets
+    dst = T.destinations()
     successors: list[list[int]] = [[] for _ in range(T.n)]
-    for src, _a, dst in T.transitions:
-        successors[src].append(dst)
+    for src, d in zip(in_src, dst):
+        successors[src].append(d)
     reachable = _closure(T.n, [dfa.initial], successors.__getitem__)
-    coreachable = _closure(T.n, dfa.finals, lambda q: [src for src, _a, _d in T.incoming(q)])
+    del successors
+    coreachable = _closure(T.n, dfa.finals, lambda q: in_src[in_off[q] : in_off[q + 1]])
+    useful = list(map(and_, reachable, coreachable))
+    if not useful[dfa.initial]:
+        return _empty_dfa(), report(0, sum(useful))
 
-    # Renumber the useful states in their original order.
-    renumber = [-1] * T.n
-    useful: list[int] = []
-    for q in range(T.n):
-        if reachable[q] and coreachable[q]:
-            renumber[q] = len(useful)
-            useful.append(q)
-    if renumber[dfa.initial] < 0:
-        return _empty_dfa(), report(0, len(useful))
-
-    sub = NormalizedDlts.from_triples(
-        len(useful),
-        [
-            (renumber[s], a, renumber[d])
-            for s, a, d in T.transitions
-            if renumber[s] >= 0 and renumber[d] >= 0
-        ],
-        [T.state_names[q] for q in useful],
+    # Renumbering the useful states in their original order is monotone, so
+    # the kept transitions stay sorted by destination.
+    renumber = list(accumulate(useful, initial=0))  # useful states before each state
+    keep = list(map(and_, map(useful.__getitem__, in_src), map(useful.__getitem__, dst)))
+    sub = NormalizedDlts.from_columns(
+        renumber[-1],
+        list(map(renumber.__getitem__, compress(in_src, keep))),
+        list(compress(T.in_letter, keep)),
+        list(map(renumber.__getitem__, compress(dst, keep))),
+        list(compress(T.state_names, useful)),
         T.letter_names,
     )
-    finals_sub = {renumber[q] for q in dfa.finals if renumber[q] >= 0}
+    del dst, keep
+    finals_sub = {renumber[q] for q in dfa.finals if useful[q]}
     blocks = [block for block in (finals_sub, set(range(sub.n)) - finals_sub) if block]
     canonical = dbisim(sub, RefinablePartition.from_initial(sub.n, blocks), stats).to_canonical()
 
     block_of = [0] * sub.n
+    is_first = [False] * sub.n
     for i, members in enumerate(canonical):
+        is_first[members[0]] = True
         for q in members:
             block_of[q] = i
-    # Each block moves like its first member; sorting by (block, letter)
-    # fixes the order that ties keep in the destination sort.
-    quotient = sorted(
-        (block_of[s], a, block_of[d])
-        for s, a, d in sub.transitions
-        if canonical[block_of[s]][0] == s
-    )
+    # Each block moves like its first member.  The quotient's transitions go
+    # in (destination, source, letter) order, which the stable destination
+    # sort keeps.
+    rep = list(map(is_first.__getitem__, sub.in_src))
+    q_src = list(map(block_of.__getitem__, compress(sub.in_src, rep)))
+    q_letter = list(compress(sub.in_letter, rep))
+    q_dst = list(map(block_of.__getitem__, compress(sub.destinations(), rep)))
+    nb, k = len(canonical), sub.k
+    rank = [(d * nb + s) * k + a for s, a, d in zip(q_src, q_letter, q_dst)]
+    order = sorted(range(len(rank)), key=rank.__getitem__)
     result = Dfa(
-        dlts=NormalizedDlts.from_triples(
-            len(canonical),
-            quotient,
+        dlts=NormalizedDlts.from_columns(
+            nb,
+            list(map(q_src.__getitem__, order)),
+            list(map(q_letter.__getitem__, order)),
+            list(map(q_dst.__getitem__, order)),
             [sub.state_names[members[0]] for members in canonical],
             sub.letter_names,
         ),
         initial=block_of[renumber[dfa.initial]],
         finals={i for i, members in enumerate(canonical) if members[0] in finals_sub},
     )
-    return result, report(len(canonical), len(useful))
+    return result, report(len(canonical), renumber[-1])
 
 
 def bench_rows(

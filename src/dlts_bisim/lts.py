@@ -2,17 +2,21 @@
 
 The refinement engine works on a dense, index-based encoding of a
 deterministic LTS in which the alphabet is restricted to letters that
-actually label a transition and the transition array is counting-sorted by
-destination, so that the incoming transitions of a state form one
-contiguous slice.
+actually label a transition and the transitions are held as parallel
+source and letter columns sorted by destination, so that the incoming
+transitions of a state form one contiguous slice.  Text and names are
+turned into these columns a whole column at a time; the per-item loops
+run only to locate the first error.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, itemgetter, mul, sub
+from typing import Iterable, NoReturn, Sequence
 
 
 class LtsError(Exception):
@@ -61,9 +65,10 @@ class RawLts:
 class NormalizedDlts:
     """Dense index encoding of a deterministic LTS.
 
-    `transitions` holds (source, letter, destination) index triples sorted by
-    destination; the incoming transitions of state q are exactly
-    transitions[in_offsets[q]:in_offsets[q + 1]].  Letter indices cover only
+    Transitions are stored column-wise and sorted by destination: transition
+    t runs from state in_src[t] on letter in_letter[t], and the incoming
+    transitions of state q are exactly the indices
+    in_offsets[q] <= t < in_offsets[q + 1].  Letter indices cover only
     letters that label at least one transition, so k <= m.  Instances are
     immutable after construction and safe to share between threads.
     """
@@ -71,45 +76,48 @@ class NormalizedDlts:
     n: int
     k: int
     m: int
-    transitions: list[tuple[int, int, int]]
+    in_src: list[int]
+    in_letter: list[int]
     in_offsets: list[int]
     state_names: list[str]
     letter_names: list[str]
 
     @classmethod
-    def from_triples(
+    def from_columns(
         cls,
         n: int,
-        triples: Sequence[tuple[int, int, int]],
+        src: Sequence[int],
+        letter: Sequence[int],
+        dst: Sequence[int],
         state_names: list[str],
         letter_names: Sequence[str],
     ) -> "NormalizedDlts":
-        """Encode triples that `normalize` has validated, or that are valid by construction.
+        """Encode columns that `normalize` has validated, or that are valid by construction.
 
         Unused letters are dropped, keeping the order of the others, and the
-        triples are counting-sorted by destination, stably.
+        transitions are sorted by destination, stably.
         """
-        used = [False] * len(letter_names)
-        counts = [0] * (n + 1)
-        for _src, a, dst in triples:
-            used[a] = True
-            counts[dst + 1] += 1
-        kept = [name for name, is_used in zip(letter_names, used) if is_used]
-        new_letter = list(accumulate(used, initial=0))  # used letters before each letter
+        order = sorted(range(len(dst)), key=dst.__getitem__)
+        in_src = list(map(src.__getitem__, order))
+        in_letter = list(map(letter.__getitem__, order))
+        del order
+        used = set(in_letter)
+        is_used = list(map(used.__contains__, range(len(letter_names))))
+        new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
+        in_letter = list(map(new_letter.__getitem__, in_letter))
+        per_dst = Counter(dst)
+        in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
+        kept = list(compress(letter_names, is_used))
+        return cls(n, len(kept), len(in_src), in_src, in_letter, in_offsets, state_names, kept)
 
-        # The prefix sums double as in_offsets.
-        for q in range(n):
-            counts[q + 1] += counts[q]
-        cursor = counts[:]
-        transitions: list[tuple[int, int, int]] = [(0, 0, 0)] * len(triples)
-        for src, a, dst in triples:
-            transitions[cursor[dst]] = (src, new_letter[a], dst)
-            cursor[dst] += 1
-        return cls(n, len(kept), len(triples), transitions, counts, state_names, kept)
+    def destinations(self) -> list[int]:
+        """The destination of each transition, expanded from `in_offsets`."""
+        offsets = self.in_offsets
+        return list(chain.from_iterable(map(repeat, range(self.n), map(sub, offsets[1:], offsets))))
 
-    def incoming(self, q: int) -> list[tuple[int, int, int]]:
-        """Transitions whose destination is q, O(in-degree)."""
-        return self.transitions[self.in_offsets[q] : self.in_offsets[q + 1]]
+    def triples(self) -> list[tuple[int, int, int]]:
+        """(source, letter, destination) per transition, in storage order; built on demand."""
+        return list(zip(self.in_src, self.in_letter, self.destinations()))
 
     def to_raw(self) -> RawLts:
         return RawLts(
@@ -117,7 +125,7 @@ class NormalizedDlts:
             letters=list(self.letter_names),
             transitions=[
                 (self.state_names[s], self.letter_names[a], self.state_names[d])
-                for s, a, d in self.transitions
+                for s, a, d in self.triples()
             ],
         )
 
@@ -159,13 +167,17 @@ _NAME_RULES = {
 
 def _index_names(names: Sequence[str], what: str) -> dict[str, int]:
     rule, rule_text = _NAME_RULES[what]
-    index: dict[str, int] = {}
-    for i, name in enumerate(names):
+    index = dict(zip(names, range(len(names))))
+    if len(index) == len(names) and all(map(rule.fullmatch, names)):
+        return index
+    seen: set[str] = set()
+    for name in names:  # the first bad name, in declaration order
         if not rule.fullmatch(name):
             raise LtsError(f"{what} name {name!r} {rule_text}")
-        if index.setdefault(name, i) != i:
+        if name in seen:
             raise LtsError(f"duplicate {what} name {name!r}")
-    return index
+        seen.add(name)
+    raise AssertionError("unreachable: the bulk check failed on good names")
 
 
 def normalize(raw: RawLts) -> NormalizedDlts:
@@ -179,8 +191,28 @@ def normalize(raw: RawLts) -> NormalizedDlts:
     """
     states = _index_names(raw.states, "state")
     letters = _index_names(raw.letters, "letter")
+    transitions = raw.transitions
+    try:
+        src = list(map(states.__getitem__, map(itemgetter(0), transitions)))
+        letter = list(map(letters.__getitem__, map(itemgetter(1), transitions)))
+        dst = list(map(states.__getitem__, map(itemgetter(2), transitions)))
+    except KeyError:
+        _raise_first_error(raw, states, letters)
+    # One int key per (source, letter): a repeat is a repeated triple or a fork.
+    k = len(letters)
+    if len(set(map(add, map(mul, src, repeat(k)), letter))) != len(src):
+        _raise_first_error(raw, states, letters)
+    n = len(raw.states)
+    return NormalizedDlts.from_columns(n, src, letter, dst, list(raw.states), raw.letters)
 
-    triples: list[tuple[int, int, int]] = []
+
+def _raise_first_error(raw: RawLts, states: dict[str, int], letters: dict[str, int]) -> NoReturn:
+    """Raise the error of `raw`'s first defective transition, in input order.
+
+    Forks do not stop the scan: each (state, letter) pair with two
+    transitions is reported once, in first-conflict order, after every
+    transition has been checked for undeclared names and repeats.
+    """
     # Per letter: source -> destination.  Keyed by the state indices already
     # held in `states`, so the check allocates no object per transition.
     targets: list[dict[int, int]] = [{} for _ in letters]
@@ -202,12 +234,8 @@ def normalize(raw: RawLts) -> NormalizedDlts:
             raise LtsError(f"duplicate transition {src} {letter} {dst}")
         else:
             forks[(s, a, d)] = None
-        triples.append((s, a, d))
-    if forks:
-        pairs = dict.fromkeys((raw.states[s], raw.letters[a]) for s, a, _d in forks)
-        raise NondeterminismError(list(pairs))
-    del targets  # the check's tables go before the encoding allocates
-    return NormalizedDlts.from_triples(len(raw.states), triples, list(raw.states), raw.letters)
+    pairs = dict.fromkeys((raw.states[s], raw.letters[a]) for s, a, _d in forks)
+    raise NondeterminismError(list(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +279,37 @@ def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError
 
 def _parse(text: str, kind: str):
     """The system in `text`, its headers and state index; checks only what needs a position."""
-    lines = _content_lines(text)
-    first = next(lines, None)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = list(map(tuple, map(str.split, lines)))
+    del lines
+    first = next(compress(count(), rows), None)
     if first is None:
         raise LtsParseError(f"empty input, expected a `{kind} <n-states>` header")
-    lineno, tokens = first
+    lineno, tokens = first + 1, rows[first]
     if tokens[0] != kind:
         raise _error_at(text, f"expected `{kind}` header, got {tokens[0]!r}", lineno, 0)
     if len(tokens) != 2:
         raise _error_at(text, f"expected `{kind} <n-states>`", lineno, 0)
-    count = tokens[1]
+    count_token = tokens[1]
     # str.isdigit alone also accepts digits that int() rejects, such as "²".
-    if not (count.isascii() and count.isdigit()):
-        raise _error_at(text, f"state count must be ASCII digits, got {count!r}", lineno, 1)
-    n = int(count)
+    if not (count_token.isascii() and count_token.isdigit()):
+        raise _error_at(text, f"state count must be ASCII digits, got {count_token!r}", lineno, 1)
+    n = int(count_token)
 
+    # Every row but the `<src> <letter> <dst>` ones is handled line by line,
+    # in order: blank lines, headers and rows of the wrong shape.
+    is_transition = [True] * len(rows)
+    is_transition[: first + 1] = [False] * (first + 1)
     allowed = _DFA_HEADERS if kind == "dfa" else _DLTS_HEADERS
-    headers: dict[str, tuple[int, list[str]]] = {}
-    transition_lines: list[tuple[int, list[str]]] = []
-    for lineno, tokens in lines:
-        word = tokens[0]
+    headers: dict[str, tuple[int, tuple[str, ...]]] = {}
+    for i in [i for i, row in enumerate(rows) if len(row) != 3 or row[0][-1] == ":"]:
+        is_transition[i] = False
+        tokens = rows[i]
+        if i <= first or not tokens:
+            continue
+        lineno, word = i + 1, tokens[0]
         if word.endswith(":"):
             if word not in _DFA_HEADERS:
                 raise _error_at(text, f"unknown header {word!r}", lineno, 0)
@@ -279,14 +318,12 @@ def _parse(text: str, kind: str):
             if word in headers:
                 raise _error_at(text, f"duplicate `{word}` line", lineno, 0)
             headers[word] = (lineno, tokens)
-        elif len(tokens) != 3:
-            raise _error_at(text, "expected `<src> <letter> <dst>`", lineno, 0)
         else:
-            transition_lines.append((lineno, tokens))
+            raise _error_at(text, "expected `<src> <letter> <dst>`", lineno, 0)
 
     if "states:" in headers:
         lineno, tokens = headers["states:"]
-        state_names = tokens[1:]
+        state_names = list(tokens[1:])
         if len(state_names) != n:
             raise LtsParseError(
                 f"`states:` lists {len(state_names)} names but the header declares {n}", lineno
@@ -299,7 +336,7 @@ def _parse(text: str, kind: str):
                 raise _error_at(text, f"duplicate state name {name!r}", lineno, i + 1)
     else:
         state_names = [str(i) for i in range(n)]
-        state_index = {name: i for i, name in enumerate(state_names)}
+        state_index = dict(zip(state_names, range(n)))
 
     # Insertion-ordered set of letters: declaration order, else first use.
     letters: dict[str, None] = {}
@@ -311,26 +348,48 @@ def _parse(text: str, kind: str):
                 raise _error_at(text, f"duplicate letter name {tokens[i]!r}", lineno, i)
             letters[tokens[i]] = None
 
-    transitions: list[tuple[str, str, str]] = []
+    transitions: list[tuple[str, str, str]] = list(compress(rows, is_transition))
+    del rows
+    if not (
+        all(map(state_index.__contains__, map(itemgetter(0), transitions)))
+        and all(map(state_index.__contains__, map(itemgetter(2), transitions)))
+        and (not declared or all(map(letters.__contains__, map(itemgetter(1), transitions))))
+        and len(set(transitions)) == len(transitions)
+    ):
+        known_letters = letters if declared else None
+        linenos = compress(count(1), is_transition)
+        _raise_first_line_error(text, linenos, transitions, state_index, known_letters)
+    if not declared:
+        letters = dict.fromkeys(map(itemgetter(1), transitions))
+
+    raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
+    return raw, headers, state_index
+
+
+def _raise_first_line_error(
+    text: str,
+    linenos: Iterable[int],
+    transitions: list[tuple[str, str, str]],
+    state_index: dict[str, int],
+    letters: dict[str, None] | None,
+) -> NoReturn:
+    """Raise the error of the first defective transition line, in line order.
+
+    `letters` is None when the input declares none, so that any letter is known.
+    """
     seen: set[tuple[str, str, str]] = set()
-    for lineno, tokens in transition_lines:
-        src, letter, dst = tokens
+    for lineno, triple in zip(linenos, transitions):
+        src, letter, dst = triple
         if src not in state_index:
             raise _error_at(text, f"undeclared state {src!r}", lineno, 0)
         if dst not in state_index:
             raise _error_at(text, f"undeclared state {dst!r}", lineno, 2)
-        if letter not in letters:
-            if declared:
-                raise _error_at(text, f"undeclared letter {letter!r}", lineno, 1)
-            letters[letter] = None
-        triple = (src, letter, dst)
+        if letters is not None and letter not in letters:
+            raise _error_at(text, f"undeclared letter {letter!r}", lineno, 1)
         if triple in seen:
             raise _error_at(text, f"duplicate transition {src} {letter} {dst}", lineno, 0)
         seen.add(triple)
-        transitions.append(triple)
-
-    raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
-    return raw, headers, state_index
+    raise AssertionError("unreachable: the bulk check failed on valid transition lines")
 
 
 def parse_lts(text: str) -> RawLts:
@@ -412,8 +471,10 @@ def _format(dlts: NormalizedDlts, kind: str, initial: int | None, finals: set[in
         lines.append(f"initial: {dlts.state_names[initial]}")
     if finals:
         lines.append("finals: " + " ".join(dlts.state_names[q] for q in sorted(finals)))
-    for src, a, dst in dlts.transitions:
-        lines.append(f"{dlts.state_names[src]} {dlts.letter_names[a]} {dlts.state_names[dst]}")
+    names = dlts.state_names
+    sources = map(names.__getitem__, dlts.in_src)
+    letters = map(dlts.letter_names.__getitem__, dlts.in_letter)
+    lines.extend(map(" ".join, zip(sources, letters, map(names.__getitem__, dlts.destinations()))))
     return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,8 @@
 Everything here works on plain sets and dicts, straight from the defining
 conditions, and deliberately shares no code with `partition` or `bisim`:
 these functions are the ground truth the fast path is tested against.
+`InvariantChecker` reads the engine's loop state in debug runs and holds it
+to the same definitions.
 """
 
 from __future__ import annotations
@@ -10,9 +12,12 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .lts import Dfa, NormalizedDlts, RawLts, normalize
+
+if TYPE_CHECKING:
+    from .partition import RefinablePartition
 
 # A partition as a plain list of state-index sets: no performance structure.
 PartitionView = list[set[int]]
@@ -40,7 +45,7 @@ def canonical_view(blocks: Iterable[Iterable[int]]) -> list[list[int]]:
 def _pre_maps(T: NormalizedDlts) -> list[dict[int, list[int]]]:
     """Per letter: destination -> list of sources, built directly from the triples."""
     pre: list[dict[int, list[int]]] = [{} for _ in range(T.k)]
-    for src, a, dst in T.transitions:
+    for src, a, dst in T.triples():
         pre[a].setdefault(dst, []).append(src)
     return pre
 
@@ -111,6 +116,79 @@ def naive_fixpoint(T: NormalizedDlts, p_init: Iterable[set[int]]) -> PartitionVi
                     changed = changed or step
         if not changed:
             return blocks
+
+
+class InvariantChecker:
+    """Brute-force assertions over `dbisim`'s loop state, for debug runs on small inputs.
+
+    Checks, at every loop head and once after the loop:
+      * the letter buckets are empty;
+      * worklist entries are disjoint and each is a union of >= 2 whole
+        blocks, and the per-block flags mirror membership in their union;
+      * the current partition is still refined by the coarsest bisimulation
+        inside the initial partition (hence contains every bisimulation
+        inside it);
+      * every worklist range, and every block outside the worklist union, has
+        a preimage under each letter that is a union of whole blocks.
+    """
+
+    def __init__(self, T: NormalizedDlts, p_init: RefinablePartition):
+        self.T = T
+        init_blocks = [set(p_init.block_members(b)) for b in range(p_init.block_count)]
+        self.coarsest = naive_fixpoint(T, init_blocks)
+
+    def check(self, p: RefinablePartition, worklist: list[list[int]], in_union: list[bool],
+              buckets: list[list[int]], touched: list[int]) -> None:
+        assert not touched and not any(buckets), "letter buckets dirty"
+        self._check_worklist_shape(p, worklist, in_union)
+        self._check_contains_all_bisimulations(p)
+        self._check_stability(p, worklist, in_union)
+
+    def _check_worklist_shape(self, p: RefinablePartition, worklist: list[list[int]],
+                              in_union: list[bool]) -> None:
+        covered = [False] * len(p.A)
+        previous_right = None
+        for left, right in sorted(tuple(e) for e in worklist):
+            assert previous_right is None or left >= previous_right, "worklist ranges overlap"
+            previous_right = right
+            cursor = left
+            spanned = 0
+            while cursor < right:
+                b = p.block_of[p.A[cursor]]
+                assert p.left[b] == cursor, "worklist range cuts through a block"
+                cursor = p.right[b]
+                spanned += 1
+            assert cursor == right, "worklist range cuts through a block"
+            assert spanned >= 2, "worklist range spans fewer than two blocks"
+            for i in range(left, right):
+                covered[i] = True
+        assert len(in_union) == p.block_count, "one flag per block"
+        for b in range(p.block_count):
+            assert in_union[b] == covered[p.left[b]], f"flag of block {b} out of sync"
+
+    def _check_contains_all_bisimulations(self, p: RefinablePartition) -> None:
+        # The coarsest bisimulation inside the initial partition contains
+        # every other one, so containment of its blocks is containment of all.
+        for block in self.coarsest:
+            ids = {p.block_of[q] for q in block}
+            assert len(ids) == 1, "partition separated two bisimilar states"
+
+    def _check_stability(self, p: RefinablePartition, worklist: list[list[int]],
+                         in_union: list[bool]) -> None:
+        T = self.T
+        regions = [p.A[l:r] for l, r in worklist]
+        regions.extend(p.block_members(b) for b in range(p.block_count) if not in_union[b])
+        for region in regions:
+            # Per letter: the sources of the transitions into the region.
+            pre: list[set[int]] = [set() for _ in range(T.k)]
+            for q in region:
+                for t in range(T.in_offsets[q], T.in_offsets[q + 1]):
+                    pre[T.in_letter[t]].add(T.in_src[t])
+            for pre_a in pre:
+                for b in {p.block_of[q] for q in pre_a}:
+                    assert set(p.block_members(b)) <= pre_a, (
+                        "a letter preimage of a pending splitter cuts a block"
+                    )
 
 
 @dataclass
@@ -209,7 +287,7 @@ def instance_stream(
 def _delta(dfa: Dfa) -> tuple[dict[tuple[int, str], int], set[int], int | None]:
     dlts = dfa.dlts
     table: dict[tuple[int, str], int] = {}
-    for src, a, dst in dlts.transitions:
+    for src, a, dst in dlts.triples():
         table[(src, dlts.letter_names[a])] = dst
     return table, set(dfa.finals), dfa.initial
 

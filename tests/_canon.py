@@ -35,7 +35,7 @@ def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:
 def letter_signature_blocks(T: NormalizedDlts, p_init: list[set[int]]) -> list[set[int]]:
     """Group states by (initial block, set of outgoing letters)."""
     letters_of: list[set[int]] = [set() for _ in range(T.n)]
-    for src, a, _dst in T.transitions:
+    for src, a, _dst in T.triples():
         letters_of[src].add(a)
     groups: dict[tuple[int, frozenset[int]], set[int]] = {}
     for i, block in enumerate(p_init):
@@ -78,7 +78,7 @@ def dfa_canonical_form(dfa: Dfa):
     if dfa.initial is None:
         return (0, (), ())
     delta: dict[tuple[int, str], int] = {}
-    for src, a, dst in T.transitions:
+    for src, a, dst in T.triples():
         delta[(src, T.letter_names[a])] = dst
     letters = sorted(T.letter_names)
     relabel = {dfa.initial: 0}
@@ -115,7 +115,7 @@ def table_filling_minimal_size(dfa: Dfa) -> int:
     n = T.n
     sink = n
     delta: dict[tuple[int, str], int] = {}
-    for src, a, dst in T.transitions:
+    for src, a, dst in T.triples():
         delta[(src, T.letter_names[a])] = dst
     letters = list(T.letter_names)
 
@@ -137,7 +137,7 @@ def table_filling_minimal_size(dfa: Dfa) -> int:
     changed = True
     while changed:
         changed = False
-        for src, _a, dst in T.transitions:
+        for src, _a, dst in T.triples():
             if dst in coreachable and src not in coreachable:
                 coreachable.add(src)
                 changed = True

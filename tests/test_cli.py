@@ -230,6 +230,20 @@ def test_bench_table_output(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_bench_work_counts_are_pinned(capsys):
+    """The engine's work on a fixed ladder: a change to the encoding or the
+    loop that scans a transition more or less often shows up here."""
+    code, out, _err = run(capsys, "bench", "--sizes", "1024,4096,16384", "--seed", "0", "--csv")
+    assert code == 0
+    columns = ("n", "m", "transitions_scanned", "scan_bound")
+    rows = [tuple(int(row[c]) for c in columns) for row in csv.DictReader(io.StringIO(out))]
+    assert rows == [
+        (1024, 2048, 4094, 22528),
+        (4096, 8192, 16781, 106496),
+        (16384, 32768, 69098, 491520),
+    ]
+
+
 def test_bench_rows_respect_scan_bound():
     for row in bench_rows([128, 256], seed=1, k=2, density=1.0):
         assert row["transitions_scanned"] <= row["scan_bound"]

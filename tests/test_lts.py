@@ -174,8 +174,8 @@ def test_normalize_sorts_by_destination():
     )
     T = normalize(raw)
     assert T.in_offsets[1] - T.in_offsets[0] == 2
-    assert {t[:1] for t in T.incoming(0)} == {(1,), (2,)}
-    assert [dst for _s, _a, dst in T.transitions] == sorted(dst for _s, _a, dst in T.transitions)
+    assert set(T.in_src[T.in_offsets[0] : T.in_offsets[1]]) == {1, 2}
+    assert T.triples() == [(1, 0, 0), (2, 1, 0), (0, 0, 1)]
 
 
 def test_normalize_rejects_nondeterminism():
@@ -209,7 +209,7 @@ def test_normalize_retains_isolated_states():
     T = normalize(raw)
     assert T.n == 3
     assert T.state_names == ["q0", "q1", "lonely"]
-    assert T.incoming(2) == []
+    assert T.in_offsets[2] == T.in_offsets[3] == T.m
 
 
 def test_normalize_idempotent():
@@ -221,7 +221,8 @@ def test_normalize_idempotent():
     once = normalize(raw)
     twice = normalize(once.to_raw())
     assert (twice.n, twice.k, twice.m) == (once.n, once.k, once.m)
-    assert twice.transitions == once.transitions
+    assert twice.in_src == once.in_src
+    assert twice.in_letter == once.in_letter
     assert twice.in_offsets == once.in_offsets
     assert twice.state_names == once.state_names
     assert twice.letter_names == once.letter_names
@@ -241,43 +242,62 @@ def test_incoming_slices_match_brute_force():
         T = normalize(RawLts(states, letters, transitions))
         assert sum(T.in_offsets[q + 1] - T.in_offsets[q] for q in range(n)) == T.m
         for q in range(n):
-            got = {(T.state_names[s], T.letter_names[a]) for s, a, _d in T.incoming(q)}
+            incoming = range(T.in_offsets[q], T.in_offsets[q + 1])
+            got = {(T.state_names[T.in_src[t]], T.letter_names[T.in_letter[t]]) for t in incoming}
             want = {(s, a) for s, a, d in transitions if d == T.state_names[q]}
             assert got == want
 
 
-def _complete_two_letter(n):
-    states = [f"q{i}" for i in range(n)]
-    transitions = [(states[i], "a", states[(i + 1) % n]) for i in range(n)]
-    transitions += [(states[i], "b", states[(2 * i) % n]) for i in range(n)]
-    return RawLts(states, ["a", "b"], transitions)
+def _complete_two_letter(n, name=str):
+    states = [name(f"q{i}") for i in range(n)]
+    transitions = [(name(f"q{i}"), name("a"), name(f"q{(i + 1) % n}")) for i in range(n)]
+    transitions += [(name(f"q{i}"), name("b"), name(f"q{(2 * i) % n}")) for i in range(n)]
+    return RawLts(states, [name("a"), name("b")], transitions)
 
 
-def _lts_line_events(raw):
-    """Lines executed in lts.py while normalizing `raw`: a machine-independent work count."""
-    lines = 0
+def _normalize_steps(n):
+    """Work done while normalizing a complete two-letter system on n states.
+
+    Lines executed in lts.py, plus every hash and equality test of a name:
+    bulk builtins do their per-item work in C, where only the name calls
+    show.  The transitions hold their own copies of the names, so that
+    every lookup that finds a name also compares it.
+    """
+    steps = 0
+
+    class Name(str):
+        def __hash__(self):
+            nonlocal steps
+            steps += 1
+            return str.__hash__(self)
+
+        def __eq__(self, other):
+            nonlocal steps
+            steps += 1
+            return str.__eq__(self, other)
 
     def tracer(frame, event, _arg):
-        nonlocal lines
+        nonlocal steps
         if frame.f_code.co_filename != dlts_bisim.lts.__file__:
             return None
         if event == "line":
-            lines += 1
+            steps += 1
         return tracer
 
+    raw = _complete_two_letter(n, Name)
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         normalize(raw)
     finally:
         sys.settrace(previous)
-    return lines
+    return steps
 
 
 def test_normalize_step_count_is_linear():
-    small = _lts_line_events(_complete_two_letter(500))
-    big = _lts_line_events(_complete_two_letter(1000))
-    assert small > 0
+    small = _normalize_steps(500)
+    big = _normalize_steps(1000)
+    assert small >= 3 * 1000  # each of the 1000 transitions looks up three names
     assert big <= 2.5 * small + 100
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dlts_bisim import (
     Dfa,
+    LtsError,
     LtsParseError,
     NondeterminismError,
     RawLts,
@@ -139,3 +140,159 @@ def test_fuzzed_text_parses_or_raises_a_located_error(case):
         assert kind == "dfa"
     except LtsParseError as error:
         _assert_points_at_token(text, error)
+
+
+# ---------------------------------------------------------------------------
+# Error contract: the first defect in input order decides the error.
+
+_RULE_TEXT = {
+    "state": "is empty, has whitespace or `#`, or ends in `:`",
+    "letter": "is empty or has whitespace or `#`",
+}
+
+
+def _good_name(name, what):
+    if not name or any(c.isspace() or c == "#" for c in name):
+        return False
+    return what == "letter" or not name.endswith(":")
+
+
+def _normalize_outcome(raw):
+    """What `normalize(raw)` must raise, as (type, message or violations), or None.
+
+    Names are checked first, states before letters, each list in order.
+    Then the transitions, in order: undeclared names and repeated triples
+    raise at once; a fork is recorded and the scan goes on, so its
+    NondeterminismError comes only when no transition is wrong otherwise.
+    """
+    for what, names in (("state", raw.states), ("letter", raw.letters)):
+        seen = set()
+        for name in names:
+            if not _good_name(name, what):
+                return LtsError, f"{what} name {name!r} {_RULE_TEXT[what]}"
+            if name in seen:
+                return LtsError, f"duplicate {what} name {name!r}"
+            seen.add(name)
+    target = {}
+    forked = set()  # later triples of a forked (state, letter) pair
+    violations = []
+    for src, letter, dst in raw.transitions:
+        where = f"in transition {src} {letter} {dst}"
+        if src not in raw.states:
+            return LtsError, f"undeclared state {src!r} {where}"
+        if dst not in raw.states:
+            return LtsError, f"undeclared state {dst!r} {where}"
+        if letter not in raw.letters:
+            return LtsError, f"undeclared letter {letter!r} {where}"
+        pair = (src, letter)
+        if pair not in target:
+            target[pair] = dst
+        elif target[pair] == dst or (src, letter, dst) in forked:
+            return LtsError, f"duplicate transition {src} {letter} {dst}"
+        else:
+            forked.add((src, letter, dst))
+            if pair not in violations:
+                violations.append(pair)
+    if violations:
+        return NondeterminismError, violations
+    return None
+
+
+def _rarely(draw):
+    return draw(st.integers(0, 5)) == 3  # not an end point, which Hypothesis favours
+
+
+@st.composite
+def defective_systems(draw):
+    """Systems with one to three extra transitions on pairs that already have
+    one, which makes repeats and forks; in one example out of six each, a
+    bad or repeated name is declared or an undeclared one used."""
+    states = draw(st.lists(st.sampled_from(["p", "q", "r", "s"]), unique=True, max_size=4))
+    letters = draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True, max_size=3))
+    for names, extra in ((states, ["", "q r", "s#", "t:", "p"]), (letters, ["", "x y", "#", "x"])):
+        if _rarely(draw):
+            names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(extra)))
+    used_states = states + ["u"] if _rarely(draw) or not states else states
+    used_letters = letters + ["w"] if _rarely(draw) or not letters else letters
+    pair = st.tuples(st.sampled_from(used_states), st.sampled_from(used_letters))
+    transitions = [(s, a, draw(st.sampled_from(used_states)))
+                   for s, a in draw(st.lists(pair, unique=True, max_size=6))]
+    for _ in range(draw(st.integers(1, 3)) if transitions else 0):
+        s, a, _d = draw(st.sampled_from(transitions))  # a repeat or a fork of this pair
+        transitions.insert(draw(st.integers(0, len(transitions))),
+                           (s, a, draw(st.sampled_from(used_states))))
+    return RawLts(states, letters, transitions)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(defective_systems())
+def test_normalize_raises_the_first_error_in_input_order(raw):
+    want = _normalize_outcome(raw)
+    try:
+        T = normalize(raw)
+    except NondeterminismError as error:
+        assert want == (NondeterminismError, error.violations)
+    except LtsError as error:
+        assert want == (LtsError, str(error))
+    else:
+        assert want is None
+        names = T.state_names
+        named = {(names[s], T.letter_names[a], names[d]) for s, a, d in T.triples()}
+        assert named == set(raw.transitions) and T.m == len(raw.transitions)
+
+
+def _first_defective_transition_line(text):
+    """The first transition line an undeclared name or a repeated triple makes
+    defective, or None; for a text whose header lines parse."""
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    header = next(i for i, row in enumerate(rows) if row)
+    count = int(rows[header][1])
+    headers = {row[0]: row[1:] for row in rows[header + 1 :] if row and row[0].endswith(":")}
+    states = set(headers.get("states:", [str(i) for i in range(count)]))
+    letters = set(headers["letters:"]) if "letters:" in headers else None
+    seen = set()
+    for lineno, row in enumerate(rows[header + 1 :], start=header + 2):
+        if len(row) != 3 or row[0].endswith(":"):
+            continue
+        src, letter, dst = row
+        if src not in states or dst not in states or tuple(row) in seen:
+            return lineno
+        if letters is not None and letter not in letters:
+            return lineno
+        seen.add(tuple(row))
+    return None
+
+
+_TRANSITION_ERROR = re.compile(
+    r"line \d+, column \d+: (undeclared (state|letter)|duplicate transition) "
+)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(fuzzed_texts())
+def test_fuzzed_text_reports_the_first_defective_transition_line(case):
+    """A transition error names the first defective transition line; an input
+    that gets past the transition lines has none."""
+    kind, text = case
+    try:
+        if kind == "dlts":
+            parse_lts(text)
+        else:
+            parse_dfa(text)
+    except NondeterminismError:
+        pass
+    except LtsParseError as error:
+        message = str(error)
+        row = text.splitlines()[error.line - 1].split("#", 1)[0].split() if error.line else []
+        if _TRANSITION_ERROR.match(message) and not row[0].endswith(":"):
+            assert error.line == _first_defective_transition_line(text), error
+            return
+        # parse_dfa checks `initial:` and `finals:` after the transition lines
+        late = kind == "dfa" and (
+            "missing `initial:`" in message
+            or "`initial:` takes" in message
+            or (row[:1] in (["initial:"], ["finals:"]) and "undeclared state" in message)
+        )
+        if not late:
+            return  # a header or shape error comes before any transition check
+    assert _first_defective_transition_line(text) is None
