@@ -64,22 +64,17 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
 
 
 def dbisim(
-    T: NormalizedDlts,
-    p_init: RefinablePartition,
-    stats: ScanStats | None = None,
-    *,
-    debug: bool | None = None,
+    T: NormalizedDlts, p_init: RefinablePartition, stats: ScanStats | None = None
 ) -> RefinablePartition:
     """Coarsest bisimulation over `T` refining `p_init`, as a new partition.
 
     `p_init` is left untouched.  Counters accumulate into `stats` when given.
-    `debug` (default: the DLTS_BISIM_DEBUG environment variable) enables the
+    Setting the DLTS_BISIM_DEBUG environment variable to 1 enables the
     internal invariant assertions on inputs up to 512 states (larger ones get
     a one-line notice on stderr instead) and allocates per-transition
     counters on a given `stats`.
     """
-    if debug is None:
-        debug = os.environ.get(DEBUG_ENV, "") == "1"
+    debug = os.environ.get(DEBUG_ENV, "") == "1"
     if debug and stats is not None and stats.per_transition_counts is None:
         stats.per_transition_counts = [0] * T.m
 

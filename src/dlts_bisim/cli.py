@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import random
 import sys
 import time
@@ -26,7 +25,7 @@ from operator import and_
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bisim import DEBUG_ENV, ScanStats, dbisim, init_refine
+from .bisim import ScanStats, dbisim, init_refine
 from .lts import (
     Dfa,
     LtsError,
@@ -55,10 +54,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONDET = 2
 EXIT_MISMATCH = 3
-
-
-def _debug_enabled() -> bool:
-    return os.environ.get(DEBUG_ENV, "") == "1"
 
 
 def _scan_bound(n: int, m: int) -> int:
@@ -203,7 +198,6 @@ def bench_rows(
     seed: int,
     k: int = 2,
     density: float = 1.0,
-    per_transition: bool = False,
 ) -> list[dict[str, float | int]]:
     """One measurement row per size: work counters next to the scan bound.
 
@@ -219,7 +213,7 @@ def bench_rows(
         half = {q for q in range(T.n) if rng.random() < 0.5}
         blocks = [b for b in (half, set(range(T.n)) - half) if b]
         p_init = RefinablePartition.from_initial(T.n, blocks)
-        stats = ScanStats.detailed(T.m) if per_transition else ScanStats()
+        stats = ScanStats()
         started = time.perf_counter()
         dbisim(T, p_init, stats)
         elapsed = time.perf_counter() - started
@@ -249,10 +243,10 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     else:
         blocks = [set(range(T.n))] if T.n else []
     p_init = RefinablePartition.from_initial(T.n, blocks)
-    stats = ScanStats.detailed(T.m) if _debug_enabled() else None
+    stats = ScanStats()
     result = dbisim(T, p_init, stats)
     sys.stdout.write(format_partition(result.to_canonical(), T.state_names))
-    if stats is not None:
+    if stats.per_transition_counts is not None:  # allocated by debug runs only
         print(
             f"blocks: {stats.blocks_final}  transitions scanned: {stats.transitions_scanned}"
             f"  bound: {_scan_bound(T.n, T.m)}",
@@ -326,8 +320,7 @@ def _refines(fine: list[list[int]], coarse: list[set[int]]) -> bool:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    rows = bench_rows(sizes, args.seed, k=args.k, density=args.density,
-                      per_transition=_debug_enabled())
+    rows = bench_rows(sizes, args.seed, k=args.k, density=args.density)
     columns = ["n", "m", "transitions_scanned", "scan_bound", "seconds"]
     if args.csv:
         writer = csv.DictWriter(sys.stdout, fieldnames=columns)

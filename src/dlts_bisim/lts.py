@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, NoReturn, Sequence
+from typing import Container, Iterable, Sequence
 
 
 class LtsError(Exception):
@@ -197,45 +197,49 @@ def normalize(raw: RawLts) -> NormalizedDlts:
         letter = list(map(letters.__getitem__, map(itemgetter(1), transitions)))
         dst = list(map(states.__getitem__, map(itemgetter(2), transitions)))
     except KeyError:
-        _raise_first_error(raw, states, letters)
+        src = None
     # One int key per (source, letter): a repeat is a repeated triple or a fork.
-    k = len(letters)
-    if len(set(map(add, map(mul, src, repeat(k)), letter))) != len(src):
-        _raise_first_error(raw, states, letters)
+    if src is None or len(set(map(add, map(mul, src, repeat(len(letters))), letter))) != len(src):
+        defect = _first_defect(transitions, states, letters)
+        if isinstance(defect, list):
+            raise NondeterminismError(defect)
+        i, token, message = defect
+        if token is not None:
+            message += " in transition {} {} {}".format(*transitions[i])
+        raise LtsError(message)
     n = len(raw.states)
     return NormalizedDlts.from_columns(n, src, letter, dst, list(raw.states), raw.letters)
 
 
-def _raise_first_error(raw: RawLts, states: dict[str, int], letters: dict[str, int]) -> NoReturn:
-    """Raise the error of `raw`'s first defective transition, in input order.
+def _first_defect(
+    transitions: Sequence[Sequence[str]],
+    states: Container[str],
+    letters: Container[str] | None,
+) -> tuple[int, int | None, str] | list[tuple[str, str]]:
+    """The first undeclared name or repeated triple of `transitions`, in input order.
 
-    Forks do not stop the scan: each (state, letter) pair with two
-    transitions is reported once, in first-conflict order, after every
-    transition has been checked for undeclared names and repeats.
+    Returns (transition index, index of the undeclared token, message); the
+    token index is None for a repeated triple.  Forks do not stop the scan:
+    without such a defect, the result is the list of (state, letter) pairs
+    with two or more destinations, each once, in first-conflict order.
+    `letters` is None when every letter counts as declared.
     """
-    # Per letter: source -> destination.  Keyed by the state indices already
-    # held in `states`, so the check allocates no object per transition.
-    targets: list[dict[int, int]] = [{} for _ in letters]
-    forks: dict[tuple[int, int, int], None] = {}  # later triples of a forked pair, in order
-    for src, letter, dst in raw.transitions:
-        s = states.get(src)
-        if s is None:
-            raise LtsError(f"undeclared state {src!r} in transition {src} {letter} {dst}")
-        d = states.get(dst)
-        if d is None:
-            raise LtsError(f"undeclared state {dst!r} in transition {src} {letter} {dst}")
-        a = letters.get(letter)
-        if a is None:
-            raise LtsError(f"undeclared letter {letter!r} in transition {src} {letter} {dst}")
-        known = targets[a].get(s)
-        if known is None:
-            targets[a][s] = d
-        elif known == d or (s, a, d) in forks:
-            raise LtsError(f"duplicate transition {src} {letter} {dst}")
-        else:
-            forks[(s, a, d)] = None
-    pairs = dict.fromkeys((raw.states[s], raw.letters[a]) for s, a, _d in forks)
-    raise NondeterminismError(list(pairs))
+    seen: set[tuple[str, str, str]] = set()
+    first_dst: dict[tuple[str, str], str] = {}
+    forked: dict[tuple[str, str], None] = {}  # insertion-ordered set
+    for i, (src, letter, dst) in enumerate(transitions):
+        if src not in states:
+            return i, 0, f"undeclared state {src!r}"
+        if dst not in states:
+            return i, 2, f"undeclared state {dst!r}"
+        if letters is not None and letter not in letters:
+            return i, 1, f"undeclared letter {letter!r}"
+        if (src, letter, dst) in seen:
+            return i, None, f"duplicate transition {src} {letter} {dst}"
+        seen.add((src, letter, dst))
+        if first_dst.setdefault((src, letter), dst) != dst:
+            forked[(src, letter)] = None
+    return list(forked)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +262,12 @@ _DLTS_HEADERS = ("states:", "letters:")
 _DFA_HEADERS = _DLTS_HEADERS + ("initial:", "finals:")
 
 
-def _content_lines(text: str):
-    """(line number, tokens) for each line that has tokens outside comments."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        cut = line.find("#")
-        tokens = (line if cut < 0 else line[:cut]).split()
-        if tokens:
-            yield lineno, tokens
+def _rows(text: str) -> list[tuple[str, ...]]:
+    """The tokens of each line of `text`, comments cut, one tuple per line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(map(tuple, map(str.split, lines)))
 
 
 def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError:
@@ -272,18 +275,14 @@ def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError
 
     `str.split` and `_TOKEN` split at the same characters.
     """
-    line = text.splitlines()[lineno - 1].split("#", 1)[0]
+    line = text.splitlines()[lineno - 1].partition("#")[0]
     match = next(islice(_TOKEN.finditer(line), index, None))
     return LtsParseError(message, lineno, match.start() + 1)
 
 
 def _parse(text: str, kind: str):
     """The system in `text`, its headers and state index; checks only what needs a position."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    rows = list(map(tuple, map(str.split, lines)))
-    del lines
+    rows = _rows(text)
     first = next(compress(count(), rows), None)
     if first is None:
         raise LtsParseError(f"empty input, expected a `{kind} <n-states>` header")
@@ -356,40 +355,16 @@ def _parse(text: str, kind: str):
         and (not declared or all(map(letters.__contains__, map(itemgetter(1), transitions))))
         and len(set(transitions)) == len(transitions)
     ):
-        known_letters = letters if declared else None
-        linenos = compress(count(1), is_transition)
-        _raise_first_line_error(text, linenos, transitions, state_index, known_letters)
+        # A name or a repeat failed the checks above, so this is not the list
+        # of forks, which `normalize` reports.
+        i, token, message = _first_defect(transitions, state_index, letters if declared else None)
+        lineno = next(islice(compress(count(1), is_transition), i, None))
+        raise _error_at(text, message, lineno, token or 0)
     if not declared:
         letters = dict.fromkeys(map(itemgetter(1), transitions))
 
     raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
     return raw, headers, state_index
-
-
-def _raise_first_line_error(
-    text: str,
-    linenos: Iterable[int],
-    transitions: list[tuple[str, str, str]],
-    state_index: dict[str, int],
-    letters: dict[str, None] | None,
-) -> NoReturn:
-    """Raise the error of the first defective transition line, in line order.
-
-    `letters` is None when the input declares none, so that any letter is known.
-    """
-    seen: set[tuple[str, str, str]] = set()
-    for lineno, triple in zip(linenos, transitions):
-        src, letter, dst = triple
-        if src not in state_index:
-            raise _error_at(text, f"undeclared state {src!r}", lineno, 0)
-        if dst not in state_index:
-            raise _error_at(text, f"undeclared state {dst!r}", lineno, 2)
-        if letters is not None and letter not in letters:
-            raise _error_at(text, f"undeclared letter {letter!r}", lineno, 1)
-        if triple in seen:
-            raise _error_at(text, f"duplicate transition {src} {letter} {dst}", lineno, 0)
-        seen.add(triple)
-    raise AssertionError("unreachable: the bulk check failed on valid transition lines")
 
 
 def parse_lts(text: str) -> RawLts:
@@ -429,7 +404,9 @@ def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:
     index = {name: i for i, name in enumerate(state_names)}
     blocks: list[set[int]] = []
     assigned: dict[int, int] = {}
-    for lineno, tokens in _content_lines(text):
+    for lineno, tokens in enumerate(_rows(text), start=1):
+        if not tokens:
+            continue
         block: set[int] = set()
         for i, name in enumerate(tokens):
             if name not in index:

@@ -135,11 +135,13 @@ class RefinablePartition:
         """Blocks as sorted index lists, ordered by their minimum state.
 
         Equal partitions produce identical output, whatever refinement steps
-        led to them.
+        led to them.  One walk over the states in ascending order meets each
+        block first at its minimum state and fills it in ascending order.
         """
-        out = [sorted(self.block_members(b)) for b in range(self.block_count)]
-        out.sort()
-        return out
+        blocks: dict[int, list[int]] = {}
+        for q, b in enumerate(self.block_of):
+            blocks.setdefault(b, []).append(q)
+        return list(blocks.values())
 
     def check_consistency(self) -> None:
         """Assert the structural invariants; meant for tests and debug runs."""

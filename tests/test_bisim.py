@@ -74,31 +74,35 @@ def test_init_refine_does_not_touch_input():
 # --- dbisim on the pinned examples ---------------------------------------
 
 
-def test_dbisim_two_state_cycle_single_block():
+def test_dbisim_two_state_cycle_single_block(monkeypatch):
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     T = _dlts(2, [(0, "a", 1), (1, "a", 0)], letters=("a",))
     want = canonical_view(naive_fixpoint(T, [{0, 1}]))
     assert want == [[0, 1]]
-    assert dbisim(T, _full(2), debug=True).to_canonical() == [[0, 1]]
+    assert dbisim(T, _full(2)).to_canonical() == [[0, 1]]
 
 
-def test_dbisim_singletons_unchanged():
+def test_dbisim_singletons_unchanged(monkeypatch):
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     T = _dlts(3, [(0, "a", 1), (1, "a", 2)], letters=("a",))
     p = RefinablePartition.from_initial(3, [{0}, {1}, {2}])
-    assert dbisim(T, p, debug=True).to_canonical() == [[0], [1], [2]]
+    assert dbisim(T, p).to_canonical() == [[0], [1], [2]]
 
 
-def test_dbisim_shared_sink_stays_one_block():
+def test_dbisim_shared_sink_stays_one_block(monkeypatch):
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     T = _dlts(3, [(0, "a", 2), (1, "a", 2), (2, "a", 2)], letters=("a",))
     want = canonical_view(naive_fixpoint(T, [{0, 1, 2}]))
     assert want == [[0, 1, 2]]
-    assert dbisim(T, _full(3), debug=True).to_canonical() == [[0, 1, 2]]
+    assert dbisim(T, _full(3)).to_canonical() == [[0, 1, 2]]
 
 
-def test_dbisim_letter_signature_split():
+def test_dbisim_letter_signature_split(monkeypatch):
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     T = _dlts(4, [(0, "a", 1), (1, "a", 2), (2, "a", 0), (3, "b", 3)])
     want = canonical_view(naive_fixpoint(T, [{0, 1, 2, 3}]))
     assert want == [[0, 1, 2], [3]]
-    assert dbisim(T, _full(4), debug=True).to_canonical() == [[0, 1, 2], [3]]
+    assert dbisim(T, _full(4)).to_canonical() == [[0, 1, 2], [3]]
 
 
 def test_dbisim_leaves_input_partition_alone():
@@ -161,14 +165,15 @@ def test_dbisim_matches_reference_property(n, k, density, seed):
     assert is_bisimulation([set(b) for b in result.to_canonical()], T)
 
 
-def test_debug_assertions_hold_on_small_instances():
+def test_debug_assertions_hold_on_small_instances(monkeypatch):
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     rng = random.Random(31)
     for _ in range(100):
         cfg = GenConfig(n=rng.randint(1, 12), k=rng.randint(1, 3),
                         density=rng.choice([0.2, 0.5, 0.9]),
                         seed=rng.randrange(2**63), max_blocks=rng.randint(1, 3))
         T, p_view = gen_random_dlts(cfg)
-        dbisim(T, RefinablePartition.from_initial(T.n, p_view), debug=True)
+        dbisim(T, RefinablePartition.from_initial(T.n, p_view))
 
 
 def test_debug_mode_follows_environment(monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,16 @@ def test_bisim_two_state_cycle(tmp_path, capsys):
     code, out, _err = run(capsys, "bisim", str(path))
     assert code == 0
     assert out == "q0 q1\n"
+
+
+def test_bisim_reports_work_only_in_debug_mode(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cycle.dlts"
+    path.write_text(CYCLE)
+    assert run(capsys, "bisim", str(path)) == (0, "q0 q1\n", "")
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    code, out, err = run(capsys, "bisim", str(path))
+    assert (code, out) == (0, "q0 q1\n")
+    assert err == "blocks: 1  transitions scanned: 0  bound: 4\n"
 
 
 def test_bisim_with_partition_file(tmp_path, capsys):
@@ -278,3 +289,10 @@ def test_python_dash_m_runs_cli():
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert len(parse_lts(done.stdout).states) == 5
+
+
+def test_public_api_is_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    undocumented = [name for name in dlts_bisim.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert undocumented == []
+    assert all(hasattr(dlts_bisim, name) for name in dlts_bisim.__all__)

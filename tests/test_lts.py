@@ -39,6 +39,23 @@ def test_parse_duplicate_transition_rejected():
         parse_lts("dlts 2\nstates: q0 q1\nq0 a q1\nq0 a q1\n")
 
 
+def test_parse_scans_past_forks():
+    # a fork is normalize's to report; a later undeclared name or repeat is the parser's
+    fork = "dlts 3\nstates: a b c\na x b\na x c\n"
+    with pytest.raises(LtsParseError) as info:
+        parse_lts(fork + "b x q\n")
+    assert (info.value.line, info.value.column) == (5, 5)
+    assert "undeclared state 'q'" in str(info.value)
+    with pytest.raises(LtsParseError) as info:
+        parse_lts(fork + "b y c\n# repeat\n  a x c\n")
+    assert (info.value.line, info.value.column) == (7, 3)
+    assert "duplicate transition a x c" in str(info.value)
+    raw = parse_lts(fork)
+    with pytest.raises(NondeterminismError) as info:
+        normalize(raw)
+    assert info.value.violations == [("a", "x")]
+
+
 def test_parse_default_names_are_indices():
     raw = parse_lts("dlts 3\n0 a 1\n1 a 2\n")
     assert raw.states == ["0", "1", "2"]
@@ -321,6 +338,11 @@ def test_parse_partition():
         parse_partition("q0 q1\n", names)
     with pytest.raises(LtsParseError, match="unknown state"):
         parse_partition("q0 what\nq1 q2\n", names)
+    # lines are counted in the file, comments and blank lines included
+    with pytest.raises(LtsParseError) as info:
+        parse_partition("# blocks\n\nq0 q2  # first\nq1   q2 # second\n", names)
+    assert (info.value.line, info.value.column) == (4, 6)
+    assert "state 'q2' already belongs to the block on line 3" in str(info.value)
 
 
 def test_format_partition():
