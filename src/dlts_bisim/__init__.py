@@ -8,6 +8,7 @@ and a DFA minimizer built on the same engine.
 
 from .bisim import DEBUG_ENV, ScanStats, dbisim, init_refine
 from .cli import MinimizeReport, bench_rows, main, minimize_dfa
+from .gen import GenConfig, gen_random_dfa, gen_random_dlts, instance_stream
 from .lts import (
     Dfa,
     LtsError,
@@ -23,16 +24,7 @@ from .lts import (
     parse_lts,
     parse_partition,
 )
-from .oracle import (
-    GenConfig,
-    canonical_view,
-    dfa_language_equivalent,
-    gen_random_dfa,
-    gen_random_dlts,
-    instance_stream,
-    is_bisimulation,
-    naive_fixpoint,
-)
+from .oracle import canonical_view, is_bisimulation, naive_fixpoint
 from .partition import PartitionError, RefinablePartition
 
 __version__ = "0.1.0"

@@ -94,6 +94,9 @@ def dbisim(
     A, block_of, left, right = p.A, p.block_of, p.left, p.right
     in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
     counts = stats.per_transition_counts if stats is not None else None
+    # Counted runs tally scans per state and expand them per transition after
+    # the loop: every scan of q visits each incoming transition of q once.
+    visits = [0] * T.n if counts is not None else None
     # Pending splitters: disjoint [l, r] ranges over A, each spanning at least
     # two whole blocks; popped LIFO.  in_union[b] says whether block b lies
     # inside one of them; every block starts inside the full range.
@@ -128,6 +131,9 @@ def dbisim(
             side = A[lo:mid]
         else:
             side = A[mid:hi]
+        if visits is not None:
+            for q in side:
+                visits[q] += 1
         # Each source lands in its letter's bucket at most once, because the
         # LTS is deterministic.
         for q in side:
@@ -139,8 +145,6 @@ def dbisim(
                 if not bucket:
                     touched.append(a)
                 bucket.append(in_src[t])
-                if counts is not None:
-                    counts[t] += 1
 
         for a in touched:
             split_calls += 1
@@ -157,6 +161,10 @@ def dbisim(
 
     if checker is not None:
         checker.check(p, worklist, in_union, buckets, touched)
+    if visits is not None:
+        for q, v in enumerate(visits):
+            for t in range(in_off[q], in_off[q + 1]):
+                counts[t] += v
     if stats is not None:
         stats.transitions_scanned += scanned
         stats.split_calls += split_calls

@@ -39,15 +39,8 @@ from .lts import (
     parse_lts,
     parse_partition,
 )
-from .oracle import (
-    GenConfig,
-    canonical_view,
-    gen_random_dfa,
-    gen_random_dlts,
-    instance_stream,
-    is_bisimulation,
-    naive_fixpoint,
-)
+from .gen import GenConfig, gen_random_dfa, gen_random_dlts, instance_stream
+from .oracle import canonical_view, is_bisimulation, naive_fixpoint
 from .partition import PartitionError, RefinablePartition
 
 EXIT_OK = 0

@@ -119,16 +119,6 @@ class NormalizedDlts:
         """(source, letter, destination) per transition, in storage order; built on demand."""
         return list(zip(self.in_src, self.in_letter, self.destinations()))
 
-    def to_raw(self) -> RawLts:
-        return RawLts(
-            states=list(self.state_names),
-            letters=list(self.letter_names),
-            transitions=[
-                (self.state_names[s], self.letter_names[a], self.state_names[d])
-                for s, a, d in self.triples()
-            ],
-        )
-
 
 @dataclass
 class Dfa:
@@ -214,7 +204,7 @@ def normalize(raw: RawLts) -> NormalizedDlts:
 def _first_defect(
     transitions: Sequence[Sequence[str]],
     states: Container[str],
-    letters: Container[str] | None,
+    letters: Container[str],
 ) -> tuple[int, int | None, str] | list[tuple[str, str]]:
     """The first undeclared name or repeated triple of `transitions`, in input order.
 
@@ -222,7 +212,6 @@ def _first_defect(
     token index is None for a repeated triple.  Forks do not stop the scan:
     without such a defect, the result is the list of (state, letter) pairs
     with two or more destinations, each once, in first-conflict order.
-    `letters` is None when every letter counts as declared.
     """
     seen: set[tuple[str, str, str]] = set()
     first_dst: dict[tuple[str, str], str] = {}
@@ -232,7 +221,7 @@ def _first_defect(
             return i, 0, f"undeclared state {src!r}"
         if dst not in states:
             return i, 2, f"undeclared state {dst!r}"
-        if letters is not None and letter not in letters:
+        if letter not in letters:
             return i, 1, f"undeclared letter {letter!r}"
         if (src, letter, dst) in seen:
             return i, None, f"duplicate transition {src} {letter} {dst}"
@@ -349,6 +338,8 @@ def _parse(text: str, kind: str):
 
     transitions: list[tuple[str, str, str]] = list(compress(rows, is_transition))
     del rows
+    if not declared:
+        letters = dict.fromkeys(map(itemgetter(1), transitions))
     if not (
         all(map(state_index.__contains__, map(itemgetter(0), transitions)))
         and all(map(state_index.__contains__, map(itemgetter(2), transitions)))
@@ -357,11 +348,9 @@ def _parse(text: str, kind: str):
     ):
         # A name or a repeat failed the checks above, so this is not the list
         # of forks, which `normalize` reports.
-        i, token, message = _first_defect(transitions, state_index, letters if declared else None)
+        i, token, message = _first_defect(transitions, state_index, letters)
         lineno = next(islice(compress(count(1), is_transition), i, None))
         raise _error_at(text, message, lineno, token or 0)
-    if not declared:
-        letters = dict.fromkeys(map(itemgetter(1), transitions))
 
     raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
     return raw, headers, state_index

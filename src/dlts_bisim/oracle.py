@@ -4,17 +4,15 @@ Everything here works on plain sets and dicts, straight from the defining
 conditions, and deliberately shares no code with `partition` or `bisim`:
 these functions are the ground truth the fast path is tested against.
 `InvariantChecker` reads the engine's loop state in debug runs and holds it
-to the same definitions.
+to the same definitions.  The module imports only `lts` at runtime; the
+random instances live in `gen`.
 """
 
 from __future__ import annotations
 
-import random
-import string
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
-from .lts import Dfa, NormalizedDlts, RawLts, normalize
+from .lts import NormalizedDlts
 
 if TYPE_CHECKING:
     from .partition import RefinablePartition
@@ -59,25 +57,32 @@ def _pre_of(pre_map: dict[int, list[int]], block: Iterable[int]) -> set[int]:
     return out
 
 
+def _preimages_are_unions(
+    pre: list[dict[int, list[int]]],
+    regions: Iterable[Collection[int]],
+    blocks: Sequence[Iterable[int]],
+    block_of: Mapping[int, int] | Sequence[int],
+) -> bool:
+    """Whether each region's preimage under each letter is a union of whole blocks.
+
+    `pre` comes from `_pre_maps`; block b holds the states `blocks[b]`, and
+    `block_of[q]` is the block of state q.
+    """
+    for region in regions:
+        for pre_map in pre:
+            pre_r = _pre_of(pre_map, region)
+            for b in {block_of[q] for q in pre_r}:
+                if not pre_r.issuperset(blocks[b]):
+                    return False
+    return True
+
+
 def is_bisimulation(blocks: PartitionView, T: NormalizedDlts) -> bool:
     """Check the block characterization: every block's preimage, under every
     letter, must be a union of whole blocks."""
     blocks = _partition_view(blocks, T.n)
-    block_of = {}
-    for i, block in enumerate(blocks):
-        for q in block:
-            block_of[q] = i
-    pre = _pre_maps(T)
-    for a in range(T.k):
-        for block in blocks:
-            pre_b = _pre_of(pre[a], block)
-            hit = {block_of[q] for q in pre_b}
-            closure = set()
-            for i in hit:
-                closure |= blocks[i]
-            if not closure <= pre_b:
-                return False
-    return True
+    block_of = {q: i for i, block in enumerate(blocks) for q in block}
+    return _preimages_are_unions(_pre_maps(T), blocks, blocks, block_of)
 
 
 def _split_all(blocks: PartitionView, x: set[int]) -> tuple[PartitionView, bool]:
@@ -133,7 +138,7 @@ class InvariantChecker:
     """
 
     def __init__(self, T: NormalizedDlts, p_init: RefinablePartition):
-        self.T = T
+        self.pre = _pre_maps(T)
         init_blocks = [set(p_init.block_members(b)) for b in range(p_init.block_count)]
         self.coarsest = naive_fixpoint(T, init_blocks)
 
@@ -175,150 +180,9 @@ class InvariantChecker:
 
     def _check_stability(self, p: RefinablePartition, worklist: list[list[int]],
                          in_union: list[bool]) -> None:
-        T = self.T
+        blocks = [p.block_members(b) for b in range(p.block_count)]
         regions = [p.A[l:r] for l, r in worklist]
-        regions.extend(p.block_members(b) for b in range(p.block_count) if not in_union[b])
-        for region in regions:
-            # Per letter: the sources of the transitions into the region.
-            pre: list[set[int]] = [set() for _ in range(T.k)]
-            for q in region:
-                for t in range(T.in_offsets[q], T.in_offsets[q + 1]):
-                    pre[T.in_letter[t]].add(T.in_src[t])
-            for pre_a in pre:
-                for b in {p.block_of[q] for q in pre_a}:
-                    assert set(p.block_members(b)) <= pre_a, (
-                        "a letter preimage of a pending splitter cuts a block"
-                    )
-
-
-@dataclass
-class GenConfig:
-    """Shape of a random deterministic instance; identical seeds give
-    identical instances."""
-
-    n: int
-    k: int
-    density: float
-    seed: int
-    max_blocks: int = 4
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError("density must be in [0, 1]")
-        if self.max_blocks < 1:
-            raise ValueError("max_blocks must be >= 1")
-
-
-def _letter_name(a: int) -> str:
-    if a < len(string.ascii_lowercase):
-        return string.ascii_lowercase[a]
-    return f"l{a}"
-
-
-def _gen_raw(cfg: GenConfig, rng: random.Random) -> RawLts:
-    states = [f"q{i}" for i in range(cfg.n)]
-    letters = [_letter_name(a) for a in range(cfg.k)]
-    transitions = []
-    for q in range(cfg.n):
-        for a in range(cfg.k):
-            # One Bernoulli draw per (state, letter) keeps the result
-            # deterministic by construction, no rejection needed.
-            if rng.random() < cfg.density:
-                dst = rng.randrange(cfg.n)
-                transitions.append((states[q], letters[a], states[dst]))
-    return RawLts(states=states, letters=letters, transitions=transitions)
-
-
-def _gen_partition(n: int, max_blocks: int, rng: random.Random) -> PartitionView:
-    want = rng.randint(1, min(max_blocks, n))
-    assignment = [rng.randrange(want) for _ in range(n)]
-    groups: dict[int, set[int]] = {}
-    for q, g in enumerate(assignment):
-        groups.setdefault(g, set()).add(q)
-    return [groups[g] for g in sorted(groups)]
-
-
-def gen_random_dlts(cfg: GenConfig) -> tuple[NormalizedDlts, PartitionView]:
-    """A seeded random deterministic LTS plus a random initial partition."""
-    rng = random.Random(cfg.seed)
-    T = normalize(_gen_raw(cfg, rng))
-    return T, _gen_partition(cfg.n, cfg.max_blocks, rng)
-
-
-def gen_random_dfa(cfg: GenConfig, final_density: float = 0.5) -> Dfa:
-    """A seeded random deterministic automaton (possibly partial)."""
-    rng = random.Random(cfg.seed)
-    T = normalize(_gen_raw(cfg, rng))
-    initial = rng.randrange(cfg.n)
-    finals = {q for q in range(cfg.n) if rng.random() < final_density}
-    return Dfa(dlts=T, initial=initial, finals=finals)
-
-
-def instance_stream(
-    count: int,
-    n_max: int,
-    k_max: int,
-    density: float | None,
-    seed: int,
-) -> Iterator[tuple[GenConfig, NormalizedDlts, PartitionView]]:
-    """Reproducible stream of random instances below the given size bounds.
-
-    With `density=None` each instance draws from {0.2, 0.5, 0.9}.  The
-    per-instance GenConfig is yielded so a failure can be reproduced from its
-    own seed alone.
-    """
-    master = random.Random(seed)
-    for _ in range(count):
-        cfg = GenConfig(
-            n=master.randint(1, n_max),
-            k=master.randint(1, k_max),
-            density=density if density is not None else master.choice([0.2, 0.5, 0.9]),
-            seed=master.randrange(2**63),
-            max_blocks=master.randint(1, 4),
+        regions.extend(blocks[b] for b in range(p.block_count) if not in_union[b])
+        assert _preimages_are_unions(self.pre, regions, blocks, p.block_of), (
+            "a letter preimage of a pending splitter cuts a block"
         )
-        T, p_init = gen_random_dlts(cfg)
-        yield cfg, T, p_init
-
-
-def _delta(dfa: Dfa) -> tuple[dict[tuple[int, str], int], set[int], int | None]:
-    dlts = dfa.dlts
-    table: dict[tuple[int, str], int] = {}
-    for src, a, dst in dlts.triples():
-        table[(src, dlts.letter_names[a])] = dst
-    return table, set(dfa.finals), dfa.initial
-
-
-def dfa_language_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Decide L(d1) = L(d2) by synchronized search over state pairs.
-
-    Letters are matched by name over the union of the two alphabets; a
-    missing transition behaves as a move into a dead non-final sink (None),
-    so automata whose used alphabets differ are still comparable.
-    """
-    t1, finals1, init1 = _delta(d1)
-    t2, finals2, init2 = _delta(d2)
-    alphabet = sorted({a for _q, a in t1} | {a for _q, a in t2})
-
-    start = (init1, init2)
-    seen = {start}
-    stack = [start]
-    while stack:
-        s1, s2 = stack.pop()
-        f1 = s1 in finals1 if s1 is not None else False
-        f2 = s2 in finals2 if s2 is not None else False
-        if f1 != f2:
-            return False
-        for a in alphabet:
-            n1 = t1.get((s1, a)) if s1 is not None else None
-            n2 = t2.get((s2, a)) if s2 is not None else None
-            if n1 is None and n2 is None:
-                continue  # dead on both sides; nothing to distinguish
-            pair = (n1, n2)
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True

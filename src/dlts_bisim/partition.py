@@ -142,19 +142,3 @@ class RefinablePartition:
         for q, b in enumerate(self.block_of):
             blocks.setdefault(b, []).append(q)
         return list(blocks.values())
-
-    def check_consistency(self) -> None:
-        """Assert the structural invariants; meant for tests and debug runs."""
-        n = len(self.A)
-        assert sorted(self.A) == list(range(n)), "A is not a permutation"
-        assert all(self.A[self.pos[q]] == q for q in range(n)), "pos is not the inverse of A"
-        assert len(self.right) == len(self.marked) == self.block_count, "block lists differ in length"
-        cursor = 0
-        for left, right in sorted(zip(self.left, self.right)):
-            assert left == cursor and right > left, "blocks do not tile the array"
-            cursor = right
-        assert cursor == n, "blocks do not cover the array"
-        assert not any(self.marked), "split cursor left dirty"
-        for b in range(self.block_count):
-            for i in range(self.left[b], self.right[b]):
-                assert self.block_of[self.A[i]] == b, "block_of disagrees with block ranges"

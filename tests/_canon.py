@@ -12,7 +12,7 @@ import types
 from itertools import combinations
 
 import dlts_bisim.bisim
-from dlts_bisim import Dfa, NormalizedDlts, naive_fixpoint
+from dlts_bisim import Dfa, NormalizedDlts, RefinablePartition, naive_fixpoint
 
 SMALLER_SIDE_TEST = "if mid - lo <= hi - mid:"
 LARGER_SIDE_TEST = "if mid - lo > hi - mid:"
@@ -30,6 +30,23 @@ def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:
         else:
             out.append(set(block))
     return out
+
+
+def check_consistency(p: RefinablePartition) -> None:
+    """Assert the structural invariants of a partition's parallel lists."""
+    n = len(p.A)
+    assert sorted(p.A) == list(range(n)), "A is not a permutation"
+    assert all(p.A[p.pos[q]] == q for q in range(n)), "pos is not the inverse of A"
+    assert len(p.right) == len(p.marked) == p.block_count, "block lists differ in length"
+    cursor = 0
+    for left, right in sorted(zip(p.left, p.right)):
+        assert left == cursor and right > left, "blocks do not tile the array"
+        cursor = right
+    assert cursor == n, "blocks do not cover the array"
+    assert not any(p.marked), "split cursor left dirty"
+    for b in range(p.block_count):
+        for i in range(p.left[b], p.right[b]):
+            assert p.block_of[p.A[i]] == b, "block_of disagrees with block ranges"
 
 
 def letter_signature_blocks(T: NormalizedDlts, p_init: list[set[int]]) -> list[set[int]]:
@@ -100,6 +117,40 @@ def dfa_canonical_form(dfa: Dfa):
         queue = next_queue
     finals = tuple(sorted(relabel[q] for q in dfa.finals if q in relabel))
     return (len(relabel), tuple(table), finals)
+
+
+def _delta(dfa: Dfa) -> dict[tuple[int, str], int]:
+    T = dfa.dlts
+    return {(src, T.letter_names[a]): dst for src, a, dst in T.triples()}
+
+
+def dfa_language_equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """Decide L(d1) = L(d2) by synchronized search over state pairs.
+
+    Letters are matched by name over the union of the two alphabets; a
+    missing transition behaves as a move into a dead non-final sink (None),
+    so automata whose used alphabets differ are still comparable.
+    """
+    t1, t2 = _delta(d1), _delta(d2)
+    alphabet = sorted({a for _q, a in t1} | {a for _q, a in t2})
+
+    start = (d1.initial, d2.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        s1, s2 = stack.pop()
+        if (s1 in d1.finals) != (s2 in d2.finals):
+            return False
+        for a in alphabet:
+            n1 = t1.get((s1, a))
+            n2 = t2.get((s2, a))
+            if n1 is None and n2 is None:
+                continue  # dead on both sides; nothing to distinguish
+            pair = (n1, n2)
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def table_filling_minimal_size(dfa: Dfa) -> int:

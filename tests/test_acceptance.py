@@ -15,7 +15,6 @@ from dlts_bisim import (
     ScanStats,
     canonical_view,
     dbisim,
-    dfa_language_equivalent,
     gen_random_dfa,
     gen_random_dlts,
     init_refine,
@@ -29,6 +28,7 @@ from dlts_bisim import (
 from _canon import (
     assert_coarsest,
     dfa_canonical_form,
+    dfa_language_equivalent,
     letter_signature_blocks,
     refines,
     table_filling_minimal_size,

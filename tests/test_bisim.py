@@ -19,7 +19,7 @@ from dlts_bisim import (
     normalize,
 )
 
-from _canon import larger_side_dbisim, letter_signature_blocks, refines
+from _canon import check_consistency, larger_side_dbisim, letter_signature_blocks, refines
 
 
 def _dlts(n, transitions, letters=("a", "b")):
@@ -110,7 +110,7 @@ def test_dbisim_leaves_input_partition_alone():
     p0 = _full(4)
     dbisim(T, p0)
     assert p0.to_canonical() == [[0, 1, 2, 3]]
-    p0.check_consistency()
+    check_consistency(p0)
 
 
 def test_dbisim_fills_stats():
@@ -119,6 +119,28 @@ def test_dbisim_fills_stats():
     dbisim(T, _full(4), stats)
     assert stats.blocks_final == 2
     assert stats.transitions_scanned == sum(stats.per_transition_counts)
+
+
+def test_per_transition_counts_are_pinned(monkeypatch):
+    # Exact counts, not only the bound: each scan of a state counts once
+    # for every transition into it, never for the transitions out of it.
+    T = _chain(16)
+    halves = [set(range(8)), set(range(8, 16))]
+    T_random, p_random = gen_random_dlts(GenConfig(n=24, k=3, density=0.6, seed=3))
+    cases = [
+        (T, [set(range(16))], [1] * 15),
+        (T, halves, [2, 2, 2, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1]),
+        (T_random, p_random,
+         [3, 3, 1, 1, 2, 2, 2, 1, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 0, 1,
+          1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1]),
+    ]
+    for debug in ("0", "1"):
+        monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+        for T_case, p_view, want in cases:
+            stats = ScanStats.detailed(T_case.m) if debug == "0" else ScanStats()
+            dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
+            assert stats.per_transition_counts == want
+            assert stats.transitions_scanned == sum(want)
 
 
 # --- randomized equivalence with the reference ----------------------------
@@ -139,7 +161,7 @@ def test_dbisim_matches_reference_on_seeded_corpus():
         result = dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats)
         got = result.to_canonical()
         assert got == canonical_view(naive_fixpoint(T, p_view)), cfg
-        result.check_consistency()
+        check_consistency(result)
         assert max(stats.per_transition_counts, default=0) <= scan_bound(T.n), cfg
         # containment chain: result refines the pre-refinement refines the input
         pre = init_refine(T, RefinablePartition.from_initial(T.n, p_view)).to_canonical()

@@ -14,7 +14,6 @@ import dlts_bisim
 from dlts_bisim import (
     GenConfig,
     bench_rows,
-    dfa_language_equivalent,
     gen_random_dfa,
     minimize_dfa,
     naive_fixpoint,
@@ -23,7 +22,12 @@ from dlts_bisim import (
 )
 from dlts_bisim.cli import main
 
-from _canon import dfa_canonical_form, larger_side_dbisim, table_filling_minimal_size
+from _canon import (
+    dfa_canonical_form,
+    dfa_language_equivalent,
+    larger_side_dbisim,
+    table_filling_minimal_size,
+)
 
 CYCLE = "dlts 2\nstates: q0 q1\nq0 a q1\nq1 a q0\n"
 

@@ -236,7 +236,9 @@ def test_normalize_idempotent():
         transitions=[("s", "b", "t"), ("t", "a", "s"), ("u", "a", "u")],
     )
     once = normalize(raw)
-    twice = normalize(once.to_raw())
+    names, letters = once.state_names, once.letter_names
+    transitions = [(names[s], letters[a], names[d]) for s, a, d in once.triples()]
+    twice = normalize(RawLts(list(names), list(letters), transitions))
     assert (twice.n, twice.k, twice.m) == (once.n, once.k, once.m)
     assert twice.in_src == once.in_src
     assert twice.in_letter == once.in_letter

@@ -1,15 +1,17 @@
-"""The set-based reference machinery itself."""
+"""The set-based reference machinery and the instance generators themselves."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import dlts_bisim
 from dlts_bisim import (
     Dfa,
     GenConfig,
     RawLts,
     canonical_view,
-    dfa_language_equivalent,
     gen_random_dfa,
     gen_random_dlts,
     is_bisimulation,
@@ -17,7 +19,7 @@ from dlts_bisim import (
     normalize,
 )
 
-from _canon import assert_coarsest, letter_signature_blocks, refines
+from _canon import assert_coarsest, dfa_language_equivalent, letter_signature_blocks, refines
 
 
 def _cycle2():
@@ -143,3 +145,45 @@ def test_language_equivalence_symmetric_spot_checks():
         d2 = gen_random_dfa(GenConfig(n=rng.randint(1, 8), k=2, density=0.6,
                                       seed=rng.randrange(2**32)))
         assert dfa_language_equivalent(d1, d2) == dfa_language_equivalent(d2, d1)
+
+
+_TYPE_CHECKING = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+
+def _runtime_package_imports(tree: ast.AST) -> set[str]:
+    """Package modules a module imports outside `if TYPE_CHECKING:` blocks.
+
+    `from . import x` and `from .x import y` name x; an import of the
+    package root itself is reported as "dlts_bisim".
+    """
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.If) and ast.unparse(node.test) in _TYPE_CHECKING:
+            for child in node.orelse:
+                visit(child)
+            return
+        absolute: list[str] = []
+        if isinstance(node, ast.Import):
+            absolute = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            absolute = [node.module]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        for parts in (name.split(".") for name in absolute):
+            if parts[0] == "dlts_bisim":
+                found.add(parts[1] if len(parts) > 1 else "dlts_bisim")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "gen.py"])
+def test_reference_modules_import_only_lts(module):
+    # The ground truth and the generators must stay independent of the engine.
+    source = (Path(dlts_bisim.__file__).parent / module).read_text()
+    assert _runtime_package_imports(ast.parse(source)) == {"lts"}
