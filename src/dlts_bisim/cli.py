@@ -49,9 +49,9 @@ EXIT_NONDET = 2
 EXIT_MISMATCH = 3
 
 
-def _scan_bound(n: int, m: int) -> int:
-    # floor(log2 n) + 1 scans per transition; n.bit_length() is exact.
-    return m * max(n.bit_length(), 1)
+def _scans_per_transition(n: int) -> int:
+    # floor(log2 n) + 1, the most scans of one transition; n.bit_length() is exact.
+    return max(n.bit_length(), 1)
 
 
 @dataclass
@@ -215,7 +215,7 @@ def bench_rows(
                 "n": T.n,
                 "m": T.m,
                 "transitions_scanned": stats.transitions_scanned,
-                "scan_bound": _scan_bound(T.n, T.m),
+                "scan_bound": T.m * _scans_per_transition(T.n),
                 "seconds": round(elapsed, 6),
             }
         )
@@ -242,7 +242,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     if stats.per_transition_counts is not None:  # allocated by debug runs only
         print(
             f"blocks: {stats.blocks_final}  transitions scanned: {stats.transitions_scanned}"
-            f"  bound: {_scan_bound(T.n, T.m)}",
+            f"  bound: {T.m * _scans_per_transition(T.n)}",
             file=sys.stderr,
         )
     return EXIT_OK
@@ -287,7 +287,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif not _refines(got, p_view):
             failure = "result does not refine the initial partition"
         if failure is None:
-            bound = max(T.n.bit_length(), 1)
+            bound = _scans_per_transition(T.n)
             worst = max(stats.per_transition_counts, default=0)
             if worst > bound:
                 failure = f"a transition was scanned {worst} times (bound {bound})"

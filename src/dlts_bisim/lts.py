@@ -92,7 +92,7 @@ class NormalizedDlts:
         state_names: list[str],
         letter_names: Sequence[str],
     ) -> "NormalizedDlts":
-        """Encode columns that `normalize` has validated, or that are valid by construction.
+        """Encode columns that `_encode` has checked, or that are valid by construction.
 
         Unused letters are dropped, keeping the order of the others, and the
         transitions are sorted by destination, stably.
@@ -179,26 +179,32 @@ def normalize(raw: RawLts) -> NormalizedDlts:
     transitions once, in first-conflict order; LtsError for bad, repeated
     or undeclared names and repeated triples.
     """
-    states = _index_names(raw.states, "state")
-    letters = _index_names(raw.letters, "letter")
-    transitions = raw.transitions
+    states, letters = _index_names(raw.states, "state"), _index_names(raw.letters, "letter")
+    columns, defect = _encode(raw.transitions, states, letters)
+    if isinstance(defect, list):
+        raise NondeterminismError(defect)
+    if defect is not None:
+        i, token, message = defect
+        if token is not None:
+            message += " in transition {} {} {}".format(*raw.transitions[i])
+        raise LtsError(message)
+    return NormalizedDlts.from_columns(len(raw.states), *columns, list(raw.states), raw.letters)
+
+
+def _encode(transitions: Sequence[Sequence[str]], states: dict[str, int], letters: dict[str, int]):
+    """The (source, letter, destination) index columns of `transitions`, and None; or None
+    and `_first_defect`'s result, if a name is undeclared or a (source, letter) pair repeats.
+    """
     try:
         src = list(map(states.__getitem__, map(itemgetter(0), transitions)))
         letter = list(map(letters.__getitem__, map(itemgetter(1), transitions)))
         dst = list(map(states.__getitem__, map(itemgetter(2), transitions)))
     except KeyError:
-        src = None
+        return None, _first_defect(transitions, states, letters)
     # One int key per (source, letter): a repeat is a repeated triple or a fork.
-    if src is None or len(set(map(add, map(mul, src, repeat(len(letters))), letter))) != len(src):
-        defect = _first_defect(transitions, states, letters)
-        if isinstance(defect, list):
-            raise NondeterminismError(defect)
-        i, token, message = defect
-        if token is not None:
-            message += " in transition {} {} {}".format(*transitions[i])
-        raise LtsError(message)
-    n = len(raw.states)
-    return NormalizedDlts.from_columns(n, src, letter, dst, list(raw.states), raw.letters)
+    if len(set(map(add, map(mul, src, repeat(len(letters))), letter))) != len(src):
+        return None, _first_defect(transitions, states, letters)
+    return (src, letter, dst), None
 
 
 def _first_defect(
@@ -270,7 +276,7 @@ def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError
 
 
 def _parse(text: str, kind: str):
-    """The system in `text`, its headers and state index; checks only what needs a position."""
+    """The system in `text`, its headers, state index and `_encode` pair; forks pass."""
     rows = _rows(text)
     first = next(compress(count(), rows), None)
     if first is None:
@@ -326,34 +332,27 @@ def _parse(text: str, kind: str):
         state_names = [str(i) for i in range(n)]
         state_index = dict(zip(state_names, range(n)))
 
-    # Insertion-ordered set of letters: declaration order, else first use.
-    letters: dict[str, None] = {}
-    declared = "letters:" in headers
-    if declared:
+    # Letter indices in declaration order, else in order of first use.
+    letters: dict[str, int] = {}
+    if "letters:" in headers:
         lineno, tokens = headers["letters:"]
         for i in range(1, len(tokens)):
             if tokens[i] in letters:
                 raise _error_at(text, f"duplicate letter name {tokens[i]!r}", lineno, i)
-            letters[tokens[i]] = None
+            letters[tokens[i]] = i - 1
 
     transitions: list[tuple[str, str, str]] = list(compress(rows, is_transition))
     del rows
-    if not declared:
-        letters = dict.fromkeys(map(itemgetter(1), transitions))
-    if not (
-        all(map(state_index.__contains__, map(itemgetter(0), transitions)))
-        and all(map(state_index.__contains__, map(itemgetter(2), transitions)))
-        and (not declared or all(map(letters.__contains__, map(itemgetter(1), transitions))))
-        and len(set(transitions)) == len(transitions)
-    ):
-        # A name or a repeat failed the checks above, so this is not the list
-        # of forks, which `normalize` reports.
-        i, token, message = _first_defect(transitions, state_index, letters)
+    if "letters:" not in headers:
+        letters = dict(zip(dict.fromkeys(map(itemgetter(1), transitions)), count()))
+    columns, defect = _encode(transitions, state_index, letters)
+    if isinstance(defect, tuple):  # an undeclared name or a repeated triple; forks go on
+        i, token, message = defect
         lineno = next(islice(compress(count(1), is_transition), i, None))
         raise _error_at(text, message, lineno, token or 0)
 
     raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
-    return raw, headers, state_index
+    return raw, headers, state_index, (columns, defect)
 
 
 def parse_lts(text: str) -> RawLts:
@@ -362,8 +361,8 @@ def parse_lts(text: str) -> RawLts:
 
 
 def parse_dfa(text: str) -> Dfa:
-    """Parse the `dfa` text format (dlts format plus `initial:`/`finals:`) and normalize it."""
-    raw, headers, state_index = _parse(text, "dfa")
+    """Parse the `dfa` format (dlts plus `initial:`/`finals:`); forks raise after those."""
+    raw, headers, state_index, (columns, forks) = _parse(text, "dfa")
     initial: int | None = None
     if "initial:" in headers:
         lineno, tokens = headers["initial:"]
@@ -382,7 +381,10 @@ def parse_dfa(text: str) -> Dfa:
             if tokens[i] not in state_index:
                 raise _error_at(text, f"undeclared state {tokens[i]!r}", lineno, i)
             finals.add(state_index[tokens[i]])
-    return Dfa(dlts=normalize(raw), initial=initial, finals=finals)
+    if forks:
+        raise NondeterminismError(forks)
+    dlts = NormalizedDlts.from_columns(len(raw.states), *columns, raw.states, raw.letters)
+    return Dfa(dlts=dlts, initial=initial, finals=finals)
 
 
 def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:

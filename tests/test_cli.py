@@ -217,6 +217,11 @@ def test_check_small_run_passes(capsys):
     assert "checked 40 instances: ok" in err
 
 
+@pytest.mark.parametrize("flag, message", [("--n", "n must be >= 1"), ("--k", "k must be >= 1")])
+def test_check_rejects_empty_size_range(capsys, flag, message):
+    assert run(capsys, "check", "--count", "5", flag, "0") == (1, "", f"error: {message}\n")
+
+
 def test_check_mutant_fails_counter_bound(capsys, monkeypatch):
     monkeypatch.setattr("dlts_bisim.cli.dbisim", larger_side_dbisim())
     code, _out, err = run(

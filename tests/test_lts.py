@@ -109,6 +109,36 @@ def test_parse_dfa():
         parse_dfa("dfa 1\nstates: x\n")
 
 
+# (b, y) forks before (a, x) does
+FORKED_DFA = "dfa 3\nstates: a b c\n{}a x b\nb y a\nb y c\na x c\nc x a\n{}"
+
+
+def test_parse_dfa_checks_initial_and_finals_before_forks():
+    for headers, position in (("initial: q\n", (8, 10)), ("initial: a\nfinals: c q\n", (9, 11))):
+        with pytest.raises(LtsParseError) as info:
+            parse_dfa(FORKED_DFA.format("", headers))
+        assert (info.value.line, info.value.column) == position
+        assert "undeclared state 'q'" in str(info.value)
+
+
+def test_parse_dfa_reports_forks_like_normalize():
+    text = FORKED_DFA.format("initial: a\n", "")
+    with pytest.raises(NondeterminismError) as info:
+        parse_dfa(text)
+    with pytest.raises(NondeterminismError) as want:
+        normalize(parse_lts(text.replace("dfa", "dlts", 1).replace("initial: a\n", "")))
+    assert info.value.violations == want.value.violations == [("b", "y"), ("a", "x")]
+
+
+def test_parse_dfa_does_not_call_normalize(monkeypatch):
+    def fail(raw):
+        raise AssertionError("parse_dfa called normalize")
+
+    monkeypatch.setattr(dlts_bisim.lts, "normalize", fail)
+    dfa = parse_dfa("dfa 2\nstates: e o\ninitial: e\nfinals: e\ne a o\no a e\n")
+    assert (dfa.dlts.triples(), dfa.initial, dfa.finals) == ([(1, 0, 0), (0, 0, 1)], 0, {0})
+
+
 def test_parse_empty_dfa_has_no_initial():
     dfa = parse_dfa("dfa 0\n")
     assert dfa.initial is None

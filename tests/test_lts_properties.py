@@ -6,6 +6,7 @@ same inputs.
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,8 @@ def _assert_points_at_token(text, error):
 def test_fuzzed_text_parses_or_raises_a_located_error(case):
     """Any fuzzed body either parses or raises LtsParseError (or, for a dfa,
     NondeterminismError), and a reported column points at the offending token.
+    A parsed dfa's transitions are what `normalize` makes of the same text
+    read as a dlts.
 
     The header count is capped at 64: a hostile header such as
     `dlts 30000000` still allocates memory out of proportion to the input,
@@ -135,11 +138,67 @@ def test_fuzzed_text_parses_or_raises_a_located_error(case):
         if kind == "dlts":
             parse_lts(text)
         else:
-            parse_dfa(text)
+            dfa = parse_dfa(text)
+            assert dfa.dlts == normalize(parse_lts(_as_dlts(text)))
     except NondeterminismError:
         assert kind == "dfa"
     except LtsParseError as error:
         _assert_points_at_token(text, error)
+
+
+def _as_dlts(text):
+    """A dfa text with its `dfa` header word made `dlts` and its `initial:`
+    and `finals:` lines dropped."""
+    lines = ("dlts" + text[len("dfa"):]).splitlines()
+    heads = [line.partition("#")[0].split()[:1] for line in lines]
+    return "\n".join(line for line, head in zip(lines, heads)
+                     if head not in (["initial:"], ["finals:"]))
+
+
+@st.composite
+def dfa_texts(draw):
+    """Dfa texts over default or declared names, with and without `letters:`,
+    whose transitions are mostly deterministic: one in two has a fork or a
+    repeated line, and headers, comments and blank lines fall anywhere."""
+    count = draw(st.integers(1, 3))
+    named = draw(st.booleans())
+    states = ["p", "q:r", "s"][:count] if named else [str(i) for i in range(count)]
+    letters = draw(st.permutations(["x", "y", "z:"]))[: draw(st.integers(1, 3))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(letters)),
+                          unique=True, max_size=6))
+    body = [f"{s} {a} {draw(st.sampled_from(states))}" for s, a in pairs]
+    if pairs and draw(st.booleans()):
+        s, a = draw(st.sampled_from(pairs))
+        body.append(f"{s}  {a}\t{draw(st.sampled_from(states))}  # again")
+    body = draw(st.permutations(body))
+    finals = draw(st.lists(st.sampled_from(states), unique=True, max_size=count))
+    extras = [f"initial: {draw(st.sampled_from(states))}", "finals: " + " ".join(finals),
+              "# comment", ""]
+    if named:
+        extras.append("states: " + " ".join(states))
+    if draw(st.booleans()):
+        extras.append("letters: " + " ".join(letters))
+    for line in extras:
+        body.insert(draw(st.integers(0, len(body))), line)
+    return "\n".join([f"dfa {count}"] + body) + "\n"
+
+
+@PROPERTY
+@given(dfa_texts())
+def test_parsed_dfa_encodes_as_normalize_does(text):
+    """`parse_dfa` encodes without `normalize`; the library path stays its reference."""
+    try:
+        want = normalize(parse_lts(_as_dlts(text)))
+    except NondeterminismError as error:
+        with pytest.raises(NondeterminismError) as info:
+            parse_dfa(text)
+        assert info.value.violations == error.violations
+    except LtsParseError as error:
+        with pytest.raises(LtsParseError, match="duplicate transition"):
+            parse_dfa(text)
+        assert "duplicate transition" in str(error)
+    else:
+        assert parse_dfa(text).dlts == want
 
 
 # ---------------------------------------------------------------------------
