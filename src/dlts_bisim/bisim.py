@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .lts import NormalizedDlts
 from .oracle import InvariantChecker
-from .partition import RefinablePartition
+from .partition import PartitionError, RefinablePartition
 
 DEBUG_ENV = "DLTS_BISIM_DEBUG"
 
@@ -52,8 +52,11 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     Returns a refined copy; `p_init` is not modified.  Afterwards, two states
     share a block iff they shared one before and, for every letter, either
     both or neither has an outgoing transition on it.  This property is what
-    allows the main loop's splitters to be letter-free.
+    allows the main loop's splitters to be letter-free.  Raises
+    PartitionError if `p_init` is not over the n states of `T`.
     """
+    if len(p_init.A) != T.n:
+        raise PartitionError(f"the partition covers {len(p_init.A)} states but the LTS has {T.n}")
     p = p_init.copy()
     sources: list[list[int]] = [[] for _ in range(T.k)]
     for a, src in zip(T.in_letter, T.in_src):
@@ -72,11 +75,15 @@ def dbisim(
     Setting the DLTS_BISIM_DEBUG environment variable to 1 enables the
     internal invariant assertions on inputs up to 512 states (larger ones get
     a one-line notice on stderr instead) and allocates per-transition
-    counters on a given `stats`.
+    counters on a given `stats`.  Raises ValueError if the per-transition
+    counters of `stats` are not one per transition of `T`.
     """
     debug = os.environ.get(DEBUG_ENV, "") == "1"
     if debug and stats is not None and stats.per_transition_counts is None:
         stats.per_transition_counts = [0] * T.m
+    counts = stats.per_transition_counts if stats is not None else None
+    if counts is not None and len(counts) != T.m:
+        raise ValueError(f"{len(counts)} per-transition counters for an LTS with {T.m} transitions")
 
     p = init_refine(T, p_init)
     if p.block_count <= 1:
@@ -93,7 +100,6 @@ def dbisim(
 
     A, block_of, left, right = p.A, p.block_of, p.left, p.right
     in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
-    counts = stats.per_transition_counts if stats is not None else None
     # Counted runs tally scans per state and expand them per transition after
     # the loop: every scan of q visits each incoming transition of q once.
     visits = [0] * T.n if counts is not None else None

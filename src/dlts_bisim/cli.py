@@ -104,12 +104,16 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     the coarsest bisimulation refining the finals/non-finals partition.  An
     empty language yields the canonical empty automaton.  Every step works
     on state indices; each block of the result is named after its lowest
-    useful state.
+    useful state.  Per-transition counters in `stats` are indexed like the
+    transitions of `dfa.dlts`; removed transitions are never scanned.
     """
     started = time.perf_counter()
     T = dfa.dlts
     if stats is None:
         stats = ScanStats()
+    counts = stats.per_transition_counts
+    if counts is not None and len(counts) != T.m:
+        raise ValueError(f"{len(counts)} per-transition counters for a DFA with {T.m} transitions")
 
     def report(final_blocks: int, useful_count: int) -> MinimizeReport:
         return MinimizeReport(
@@ -150,10 +154,17 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
         list(compress(T.state_names, useful)),
         T.letter_names,
     )
+    kept = list(compress(range(T.m), keep)) if counts is not None else None  # sub's order
     del dst, keep
     finals_sub = {renumber[q] for q in dfa.finals if useful[q]}
     blocks = [block for block in (finals_sub, set(range(sub.n)) - finals_sub) if block]
+    if counts is not None:
+        stats.per_transition_counts = [0] * sub.m
     canonical = dbisim(sub, RefinablePartition.from_initial(sub.n, blocks), stats).to_canonical()
+    if counts is not None:
+        for t, c in zip(kept, stats.per_transition_counts):
+            counts[t] += c
+        stats.per_transition_counts = counts
 
     block_of = [0] * sub.n
     is_first = [False] * sub.n
@@ -312,7 +323,10 @@ def _refines(fine: list[list[int]], coarse: list[set[int]]) -> bool:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    tokens = args.sizes.split(",")
+    if not all(tok.isascii() and tok.isdigit() and int(tok) > 0 for tok in tokens):
+        raise ValueError(f"--sizes must be comma-separated positive integers, got {args.sizes!r}")
+    sizes = list(map(int, tokens))
     rows = bench_rows(sizes, args.seed, k=args.k, density=args.density)
     columns = ["n", "m", "transitions_scanned", "scan_bound", "seconds"]
     if args.csv:

@@ -53,7 +53,10 @@ class RawLts:
 
     States and letters are identified by their declaration order; letters
     that label no transition are allowed here and dropped by `normalize`,
-    which is also where the system is validated.
+    which is also where the system is validated.  `parse_lts` also keeps
+    its checked index columns on the instance, with copies of the three
+    lists they encode; `normalize` reuses them while the lists still equal
+    the copies.
     """
 
     states: list[str]
@@ -179,15 +182,17 @@ def normalize(raw: RawLts) -> NormalizedDlts:
     transitions once, in first-conflict order; LtsError for bad, repeated
     or undeclared names and repeated triples.
     """
-    states, letters = _index_names(raw.states, "state"), _index_names(raw.letters, "letter")
-    columns, defect = _encode(raw.transitions, states, letters)
-    if isinstance(defect, list):
-        raise NondeterminismError(defect)
-    if defect is not None:
-        i, token, message = defect
-        if token is not None:
-            message += " in transition {} {} {}".format(*raw.transitions[i])
-        raise LtsError(message)
+    snapshot, columns = getattr(raw, "_parsed", (None, None))
+    if snapshot != (raw.states, raw.letters, raw.transitions):
+        states, letters = _index_names(raw.states, "state"), _index_names(raw.letters, "letter")
+        columns, defect = _encode(raw.transitions, states, letters)
+        if isinstance(defect, list):
+            raise NondeterminismError(defect)
+        if defect is not None:
+            i, token, message = defect
+            if token is not None:
+                message += " in transition {} {} {}".format(*raw.transitions[i])
+            raise LtsError(message)
     return NormalizedDlts.from_columns(len(raw.states), *columns, list(raw.states), raw.letters)
 
 
@@ -357,7 +362,10 @@ def _parse(text: str, kind: str):
 
 def parse_lts(text: str) -> RawLts:
     """Parse the `dlts` text format; diagnostics carry line/column positions."""
-    return _parse(text, "dlts")[0]
+    raw, _headers, _state_index, (columns, _forks) = _parse(text, "dlts")
+    if columns is not None:  # no fork: `normalize` may reuse the checked columns
+        raw._parsed = (list(raw.states), list(raw.letters), list(raw.transitions)), columns
+    return raw
 
 
 def parse_dfa(text: str) -> Dfa:

@@ -61,6 +61,8 @@ class RefinablePartition:
             for q in members:
                 if not 0 <= q < n:
                     raise PartitionError(f"state index {q} out of range 0..{n - 1}")
+                if block_of[q] == len(right):
+                    raise PartitionError(f"state {q} is repeated within block {len(right)}")
                 if block_of[q] != -1:
                     raise PartitionError(f"state {q} appears in two blocks")
                 block_of[q] = len(right)

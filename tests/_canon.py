@@ -1,4 +1,5 @@
-"""Shared test oracles: set-based splitting, signatures, DFA canonical forms.
+"""Shared test oracles: set-based splitting, signatures, DFA canonical forms,
+and `normalize`'s outcome as a comparable value.
 
 Everything here recomputes results from definitions, independently of the
 library's data structures, so tests compare two genuinely different routes.
@@ -12,10 +13,18 @@ import types
 from itertools import combinations
 
 import dlts_bisim.bisim
-from dlts_bisim import Dfa, NormalizedDlts, RefinablePartition, naive_fixpoint
+from dlts_bisim import Dfa, LtsError, NormalizedDlts, RefinablePartition, naive_fixpoint, normalize
 
 SMALLER_SIDE_TEST = "if mid - lo <= hi - mid:"
 LARGER_SIDE_TEST = "if mid - lo > hi - mid:"
+
+
+def normalize_outcome(raw):
+    """`normalize(raw)`, or the type, message and violations of its error."""
+    try:
+        return normalize(raw)
+    except LtsError as error:
+        return type(error), str(error), getattr(error, "violations", None)
 
 
 def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:

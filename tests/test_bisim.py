@@ -2,11 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlts_bisim import (
     GenConfig,
+    PartitionError,
     RawLts,
     RefinablePartition,
     ScanStats,
@@ -238,3 +240,24 @@ def test_empty_and_tiny_systems():
     assert dbisim(T, _full(0)).to_canonical() == []
     T1 = _dlts(1, [], letters=())
     assert dbisim(T1, _full(1)).to_canonical() == [[0]]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_dbisim_rejects_a_partition_over_another_state_count(n):
+    T = _chain(3)  # a -x-> b -x-> c: three singletons over the right count
+    assert dbisim(T, _full(3)).to_canonical() == [[0], [1], [2]]
+    with pytest.raises(PartitionError, match=f"covers {n} states but the LTS has 3"):
+        init_refine(T, _full(n))
+    stats = ScanStats()
+    with pytest.raises(PartitionError, match=f"covers {n} states but the LTS has 3"):
+        dbisim(T, _full(n), stats)
+    assert stats == ScanStats()
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_dbisim_rejects_counters_for_another_transition_count(m):
+    T = _chain(3)
+    stats = ScanStats.detailed(m)
+    with pytest.raises(ValueError, match=f"{m} per-transition counters for an LTS with 2 "):
+        dbisim(T, RefinablePartition.from_initial(3, [{0, 2}, {1}]), stats)
+    assert stats == ScanStats.detailed(m)  # rejected before any work

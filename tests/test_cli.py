@@ -13,6 +13,7 @@ import pytest
 import dlts_bisim
 from dlts_bisim import (
     GenConfig,
+    ScanStats,
     bench_rows,
     gen_random_dfa,
     minimize_dfa,
@@ -166,6 +167,18 @@ def test_minimize_drops_unreachable_state(tmp_path, capsys):
     assert "useless states removed: 1" in err
 
 
+def test_minimize_counts_scans_per_input_transition():
+    # ghost's transition comes first in storage order and is removed
+    dfa = parse_dfa("dfa 3\nstates: s0 sf ghost\ninitial: s0\nfinals: sf\n"
+                    "ghost a sf\ns0 a sf\nsf a sf\n")
+    stats = ScanStats.detailed(dfa.dlts.m)
+    minimize_dfa(dfa, stats)
+    assert stats.per_transition_counts == [0, 1, 1]
+    assert stats.transitions_scanned == 2
+    with pytest.raises(ValueError, match="2 per-transition counters for a DFA with 3 transitions"):
+        minimize_dfa(dfa, ScanStats.detailed(2))
+
+
 def test_minimize_empty_language(tmp_path, capsys):
     path = tmp_path / "empty.dfa"
     path.write_text("dfa 2\nstates: s t\ninitial: s\ns a t\nt a s\n")  # no finals
@@ -264,6 +277,14 @@ def test_bench_work_counts_are_pinned(capsys):
     ]
 
 
+@pytest.mark.parametrize("sizes", ["1,x", "", "64,", "0", "-4", "+8", "1.5", "٣"])
+def test_bench_rejects_bad_sizes(capsys, sizes):
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --sizes must be comma-separated positive integers, got {sizes!r}\n"
+
+
 def test_bench_rows_respect_scan_bound():
     for row in bench_rows([128, 256], seed=1, k=2, density=1.0):
         assert row["transitions_scanned"] <= row["scan_bound"]
@@ -300,8 +321,18 @@ def test_python_dash_m_runs_cli():
     assert len(parse_lts(done.stdout).states) == 5
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_snippet_runs(capsys):
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    snippet = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[[0, 1]]\n"
+
+
 def test_public_api_is_documented():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     undocumented = [name for name in dlts_bisim.__all__ if not re.search(rf"\b{name}\b", readme)]
     assert undocumented == []
     assert all(hasattr(dlts_bisim, name) for name in dlts_bisim.__all__)

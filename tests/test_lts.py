@@ -1,5 +1,6 @@
 """Parsing, validation, and the normalized encoding."""
 
+import dataclasses
 import random
 import sys
 
@@ -20,6 +21,8 @@ from dlts_bisim import (
     parse_lts,
     parse_partition,
 )
+
+from _canon import normalize_outcome
 
 
 def test_parse_empty_transition_section():
@@ -137,6 +140,73 @@ def test_parse_dfa_does_not_call_normalize(monkeypatch):
     monkeypatch.setattr(dlts_bisim.lts, "normalize", fail)
     dfa = parse_dfa("dfa 2\nstates: e o\ninitial: e\nfinals: e\ne a o\no a e\n")
     assert (dfa.dlts.triples(), dfa.initial, dfa.finals) == ([(1, 0, 0), (0, 0, 1)], 0, {0})
+
+
+def _full_path(raw):
+    """What `normalize` makes of `raw`'s values alone, without parsed columns."""
+    return normalize_outcome(RawLts(list(raw.states), list(raw.letters), list(raw.transitions)))
+
+
+def _append_undeclared(raw):
+    raw.transitions.append(("p", "w", "q"))
+    return raw
+
+
+def _rename_state(raw):
+    raw.states[0] = "a b"
+    return raw
+
+
+def _reverse_letters(raw):
+    raw.letters.reverse()
+    return raw
+
+
+def _replace_transitions(raw):
+    return dataclasses.replace(raw, transitions=[("q", "x", "p"), ("q", "x", "q")])
+
+
+@pytest.mark.parametrize("edit, want", [
+    (_append_undeclared, (LtsError, "undeclared letter 'w' in transition p w q", None)),
+    (_rename_state, (LtsError, "state name 'a b' is empty, has whitespace or `#`, or ends in `:`",
+                     None)),
+    (_reverse_letters, ["p", "q"]),
+    (_replace_transitions, (NondeterminismError,
+                            "nondeterministic: state 'q' has several transitions on letter 'x'",
+                            [("q", "x")])),
+])
+def test_normalize_sees_edits_made_after_parse_lts(edit, want):
+    """Any edit of a parsed `RawLts` gives what the full validation gives."""
+    raw = edit(parse_lts("dlts 2\nstates: p q\nletters: x y\np x q\nq y p\n"))
+    got = normalize_outcome(raw)
+    assert got == _full_path(raw)
+    if isinstance(want, list):
+        assert (got.state_names, got.letter_names) == (want, ["y", "x"])
+        assert got.triples() == [(1, 0, 0), (0, 1, 1)]
+    else:
+        assert got == want
+
+
+def test_normalize_reuses_the_parsed_columns(monkeypatch):
+    raw = parse_lts("dlts 3\nstates: a b c\na x b\nb x c\nc y a\n")
+    want = _full_path(raw)
+
+    def fail(*args):
+        raise AssertionError("normalize encoded the parsed names again")
+
+    monkeypatch.setattr(dlts_bisim.lts, "_encode", fail)
+    first = normalize(raw)
+    assert first == want
+    first.in_src.clear()
+    first.state_names.clear()
+    assert normalize(raw) == want  # a fresh result each call
+    triples = [("a", "x", "b"), ("b", "x", "c"), ("c", "y", "a")]
+    assert raw == RawLts(["a", "b", "c"], ["x", "y"], triples)
+    assert [f.name for f in dataclasses.fields(raw)] == ["states", "letters", "transitions"]
+    assert repr(raw) == (
+        "RawLts(states=['a', 'b', 'c'], letters=['x', 'y'], "
+        "transitions=[('a', 'x', 'b'), ('b', 'x', 'c'), ('c', 'y', 'a')])"
+    )
 
 
 def test_parse_empty_dfa_has_no_initial():

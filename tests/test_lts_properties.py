@@ -23,6 +23,8 @@ from dlts_bisim import (
     parse_lts,
 )
 
+from _canon import normalize_outcome
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
 # Valid names: non-empty, no whitespace, no `#`; a state name may not end in `:`.
@@ -355,3 +357,54 @@ def test_fuzzed_text_reports_the_first_defective_transition_line(case):
         if not late:
             return  # a header or shape error comes before any transition check
     assert _first_defective_transition_line(text) is None
+
+
+# ---------------------------------------------------------------------------
+# `normalize` reuses the columns `parse_lts` has checked, while the lists
+# they encode are unchanged.
+
+# Edits in place; each is a no-op where the list it edits is empty.
+def _swap_states(raw):
+    raw.states.reverse()
+
+
+def _rename_state(raw):
+    raw.states[:1] = [name + "'" for name in raw.states[:1]]
+
+
+def _reverse_letters(raw):
+    raw.letters.reverse()
+
+
+def _drop_transition(raw):
+    del raw.transitions[-1:]
+
+
+def _repeat_transition(raw):
+    raw.transitions.extend(raw.transitions[:1])
+
+
+def _reverse_transition(raw):
+    raw.transitions[:1] = [(dst, letter, src) for src, letter, dst in raw.transitions[:1]]
+
+
+_EDITS = [None, _swap_states, _rename_state, _reverse_letters, _drop_transition,
+          _repeat_transition, _reverse_transition]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(fuzzed_texts(), dfa_texts().map(lambda text: ("dfa", text))),
+       st.sampled_from(_EDITS))
+def test_normalize_of_parsed_text_equals_the_full_validation(case, edit):
+    """Whether or not the parsed lists were edited in place, `normalize` gives
+    what it gives for a `RawLts` rebuilt from their values, which carries no
+    parsed columns: the same system, or the same error."""
+    kind, text = case
+    try:
+        raw = parse_lts(_as_dlts(text) if kind == "dfa" else text)
+    except LtsParseError:
+        return
+    if edit is not None:
+        edit(raw)
+    rebuilt = RawLts(list(raw.states), list(raw.letters), list(raw.transitions))
+    assert normalize_outcome(raw) == normalize_outcome(rebuilt)

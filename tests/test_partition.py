@@ -43,6 +43,10 @@ def test_from_initial_singletons():
 def test_from_initial_rejects_bad_partitions():
     with pytest.raises(PartitionError, match="two blocks"):
         RefinablePartition.from_initial(3, [{0, 1}, {1, 2}])
+    with pytest.raises(PartitionError, match="state 0 is repeated within block 0"):
+        RefinablePartition.from_initial(2, [[0, 0, 1]])
+    with pytest.raises(PartitionError, match="state 1 is repeated within block 1"):
+        RefinablePartition.from_initial(3, [[0], [2, 1, 1]])
     with pytest.raises(PartitionError, match="not covered"):
         RefinablePartition.from_initial(3, [{0, 1}])
     with pytest.raises(PartitionError, match="empty block"):
