@@ -3,10 +3,12 @@
 The entry point is `dbisim`: starting from an initial partition it returns
 the coarsest partition that refines it and is a bisimulation, in
 O(m log n) time and O(k + m + n) space.  The worklist holds splitter ranges
-over the partition's state array; each iteration detaches one block from a
-range and scans the incoming transitions of the *smaller* side, which is
-what caps the number of times any single transition is scanned at
-floor(log2 n) + 1.
+over the partition's state array, as two int stacks; each iteration
+detaches one block from a range and scans the incoming transitions of the
+*smaller* side, which is what caps the number of times any single
+transition is scanned at floor(log2 n) + 1.  The sources found are bucketed
+by letter, and one `split` call per iteration splits by all the buckets and
+pushes the ranges that become pending.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     sources: list[list[int]] = [[] for _ in range(T.k)]
     for a, src in zip(T.in_letter, T.in_src):
         sources[a].append(src)
-    for xs in sources:
-        p.split(xs)
+    # Every block counts as inside a pending range, so no range is pushed.
+    p.split(sources, range(T.k), [True] * p.block_count, [], [])
     return p
 
 
@@ -98,15 +100,16 @@ def dbisim(
         print(f"{DEBUG_ENV}: invariant checks skipped, n={T.n} > {_DEBUG_ASSERT_MAX_N}",
               file=sys.stderr)
 
-    A, block_of, left, right = p.A, p.block_of, p.left, p.right
+    A, block_of, right, split = p.A, p.block_of, p.right, p.split
     in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
     # Counted runs tally scans per state and expand them per transition after
     # the loop: every scan of q visits each incoming transition of q once.
     visits = [0] * T.n if counts is not None else None
-    # Pending splitters: disjoint [l, r] ranges over A, each spanning at least
-    # two whole blocks; popped LIFO.  in_union[b] says whether block b lies
-    # inside one of them; every block starts inside the full range.
-    worklist = [[0, T.n]]
+    # Pending splitters: disjoint ranges [los[i], his[i]) over A, each
+    # spanning at least two whole blocks; popped LIFO.  in_union[b] says
+    # whether block b lies inside one of them; every block starts inside the
+    # full range.
+    los, his = [0], [T.n]
     in_union = [True] * p.block_count
     # Per-letter sources of the scanned side; only touched letters get reset.
     buckets: list[list[int]] = [[] for _ in range(T.k)]
@@ -114,23 +117,23 @@ def dbisim(
     scanned = 0
     split_calls = 0
 
-    while worklist:
+    while los:
         if checker is not None:
-            checker.check(p, worklist, in_union, buckets, touched)
+            checker.check(p, list(zip(los, his)), in_union, buckets, touched)
 
-        entry = worklist[-1]
-        lo, hi = entry
+        lo, hi = los[-1], his[-1]
         # Detach the leftmost block, which keeps the rest of the range contiguous.
         b = block_of[A[lo]]
         mid = right[b]
         nxt = block_of[A[mid]]
         if right[nxt] == hi:
-            # Exactly two blocks: the entry is spent, both blocks leave the
+            # Exactly two blocks: the range is spent, both blocks leave the
             # splitter union (they may re-enter later, once split).
-            worklist.pop()
+            los.pop()
+            his.pop()
             in_union[nxt] = False
         else:
-            entry[0] = mid
+            los[-1] = mid
         in_union[b] = False
 
         if mid - lo <= hi - mid:
@@ -152,21 +155,12 @@ def dbisim(
                     touched.append(a)
                 bucket.append(in_src[t])
 
-        for a in touched:
-            split_calls += 1
-            for old, fresh in p.split(buckets[a]):
-                # The fresh id is len(in_union): split hands ids out in order.
-                if not in_union[old]:
-                    # The pre-split range re-enters the worklist as one piece:
-                    # it now spans (at least) the two parts.
-                    worklist.append([left[fresh], right[old]])
-                    in_union[old] = True
-                in_union.append(True)
-            buckets[a].clear()
+        split_calls += len(touched)
+        split(buckets, touched, in_union, los, his)
         touched.clear()
 
     if checker is not None:
-        checker.check(p, worklist, in_union, buckets, touched)
+        checker.check(p, list(zip(los, his)), in_union, buckets, touched)
     if visits is not None:
         for q, v in enumerate(visits):
             for t in range(in_off[q], in_off[q + 1]):

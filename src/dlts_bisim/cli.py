@@ -19,9 +19,10 @@ import csv
 import random
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import and_
+from itertools import accumulate, compress, repeat
+from operator import and_, floordiv, mod
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -143,19 +144,22 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
         return _empty_dfa(), report(0, sum(useful))
 
     # Renumbering the useful states in their original order is monotone, so
-    # the kept transitions stay sorted by destination.
+    # the kept transitions stay sorted by destination: those into useful
+    # state q start after the kept ones before in_off[q].
     renumber = list(accumulate(useful, initial=0))  # useful states before each state
     keep = list(map(and_, map(useful.__getitem__, in_src), map(useful.__getitem__, dst)))
-    sub = NormalizedDlts.from_columns(
+    kept_before = list(accumulate(keep, initial=0))  # kept transitions before each transition
+    sub_dst = list(map(renumber.__getitem__, compress(dst, keep)))
+    sub = NormalizedDlts.from_sorted(
         renumber[-1],
         list(map(renumber.__getitem__, compress(in_src, keep))),
         list(compress(T.in_letter, keep)),
-        list(map(renumber.__getitem__, compress(dst, keep))),
+        [*map(kept_before.__getitem__, compress(in_off, useful)), kept_before[-1]],
         list(compress(T.state_names, useful)),
         T.letter_names,
     )
     kept = list(compress(range(T.m), keep)) if counts is not None else None  # sub's order
-    del dst, keep
+    del dst, keep, kept_before
     finals_sub = {renumber[q] for q in dfa.finals if useful[q]}
     blocks = [block for block in (finals_sub, set(range(sub.n)) - finals_sub) if block]
     if counts is not None:
@@ -172,22 +176,22 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
         is_first[members[0]] = True
         for q in members:
             block_of[q] = i
-    # Each block moves like its first member.  The quotient's transitions go
-    # in (destination, source, letter) order, which the stable destination
-    # sort keeps.
+    # Each block moves like its first member.  One sort of packed int keys
+    # puts the quotient's transitions in (destination, source, letter) order;
+    # the keys of destination d start at d * stride.
     rep = list(map(is_first.__getitem__, sub.in_src))
-    q_src = list(map(block_of.__getitem__, compress(sub.in_src, rep)))
-    q_letter = list(compress(sub.in_letter, rep))
-    q_dst = list(map(block_of.__getitem__, compress(sub.destinations(), rep)))
+    q_src = map(block_of.__getitem__, compress(sub.in_src, rep))
+    q_letter = compress(sub.in_letter, rep)
+    q_dst = map(block_of.__getitem__, compress(sub_dst, rep))
     nb, k = len(canonical), sub.k
-    rank = [(d * nb + s) * k + a for s, a, d in zip(q_src, q_letter, q_dst)]
-    order = sorted(range(len(rank)), key=rank.__getitem__)
+    stride = nb * k
+    keys = sorted([(d * nb + s) * k + a for s, a, d in zip(q_src, q_letter, q_dst)])
     result = Dfa(
-        dlts=NormalizedDlts.from_columns(
+        dlts=NormalizedDlts.from_sorted(
             nb,
-            list(map(q_src.__getitem__, order)),
-            list(map(q_letter.__getitem__, order)),
-            list(map(q_dst.__getitem__, order)),
+            list(map(mod, map(floordiv, keys, repeat(k)), repeat(nb))),
+            list(map(mod, keys, repeat(k))),
+            [bisect_left(keys, d * stride) for d in range(nb + 1)],
             [sub.state_names[members[0]] for members in canonical],
             sub.letter_names,
         ),

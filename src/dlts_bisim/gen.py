@@ -94,8 +94,11 @@ def instance_stream(
 
     With `density=None` each instance draws from {0.2, 0.5, 0.9}.  The
     per-instance GenConfig is yielded so a failure can be reproduced from its
-    own seed alone.  Bounds below 1 raise ValueError before anything is drawn.
+    own seed alone.  A negative count, or bounds below 1, raise ValueError
+    before anything is drawn.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if n_max < 1:
         raise ValueError("n must be >= 1")
     if k_max < 1:

@@ -97,19 +97,37 @@ class NormalizedDlts:
     ) -> "NormalizedDlts":
         """Encode columns that `_encode` has checked, or that are valid by construction.
 
-        Unused letters are dropped, keeping the order of the others, and the
-        transitions are sorted by destination, stably.
+        The transitions are sorted by destination, stably; then `from_sorted`
+        encodes them.
         """
         order = sorted(range(len(dst)), key=dst.__getitem__)
         in_src = list(map(src.__getitem__, order))
         in_letter = list(map(letter.__getitem__, order))
         del order
-        used = set(in_letter)
-        is_used = list(map(used.__contains__, range(len(letter_names))))
-        new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
-        in_letter = list(map(new_letter.__getitem__, in_letter))
         per_dst = Counter(dst)
         in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
+        return cls.from_sorted(n, in_src, in_letter, in_offsets, state_names, letter_names)
+
+    @classmethod
+    def from_sorted(
+        cls,
+        n: int,
+        in_src: list[int],
+        in_letter: list[int],
+        in_offsets: list[int],
+        state_names: list[str],
+        letter_names: Sequence[str],
+    ) -> "NormalizedDlts":
+        """Encode valid columns that are already sorted by destination, with their offsets.
+
+        Unused letters are dropped, keeping the order of the others.  The
+        result may keep the given lists as its own.
+        """
+        used = set(in_letter)
+        is_used = list(map(used.__contains__, range(len(letter_names))))
+        if len(used) < len(letter_names):
+            new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
+            in_letter = list(map(new_letter.__getitem__, in_letter))
         kept = list(compress(letter_names, is_used))
         return cls(n, len(kept), len(in_src), in_src, in_letter, in_offsets, state_names, kept)
 

@@ -128,8 +128,9 @@ class InvariantChecker:
 
     Checks, at every loop head and once after the loop:
       * the letter buckets are empty;
-      * worklist entries are disjoint and each is a union of >= 2 whole
-        blocks, and the per-block flags mirror membership in their union;
+      * the worklist's (left, right) ranges are disjoint and each is a
+        union of >= 2 whole blocks, and the per-block flags mirror
+        membership in their union;
       * the current partition is still refined by the coarsest bisimulation
         inside the initial partition (hence contains every bisimulation
         inside it);
@@ -142,18 +143,18 @@ class InvariantChecker:
         init_blocks = [set(p_init.block_members(b)) for b in range(p_init.block_count)]
         self.coarsest = naive_fixpoint(T, init_blocks)
 
-    def check(self, p: RefinablePartition, worklist: list[list[int]], in_union: list[bool],
-              buckets: list[list[int]], touched: list[int]) -> None:
+    def check(self, p: RefinablePartition, worklist: Sequence[tuple[int, int]],
+              in_union: list[bool], buckets: list[list[int]], touched: list[int]) -> None:
         assert not touched and not any(buckets), "letter buckets dirty"
         self._check_worklist_shape(p, worklist, in_union)
         self._check_contains_all_bisimulations(p)
         self._check_stability(p, worklist, in_union)
 
-    def _check_worklist_shape(self, p: RefinablePartition, worklist: list[list[int]],
+    def _check_worklist_shape(self, p: RefinablePartition, worklist: Sequence[tuple[int, int]],
                               in_union: list[bool]) -> None:
         covered = [False] * len(p.A)
         previous_right = None
-        for left, right in sorted(tuple(e) for e in worklist):
+        for left, right in sorted(worklist):
             assert previous_right is None or left >= previous_right, "worklist ranges overlap"
             previous_right = right
             cursor = left
@@ -178,7 +179,7 @@ class InvariantChecker:
             ids = {p.block_of[q] for q in block}
             assert len(ids) == 1, "partition separated two bisimilar states"
 
-    def _check_stability(self, p: RefinablePartition, worklist: list[list[int]],
+    def _check_stability(self, p: RefinablePartition, worklist: Sequence[tuple[int, int]],
                          in_union: list[bool]) -> None:
         blocks = [p.block_members(b) for b in range(p.block_count)]
         regions = [p.A[l:r] for l, r in worklist]

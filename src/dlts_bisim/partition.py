@@ -4,12 +4,14 @@ All states live in one permutation array; the states of a block occupy a
 contiguous subarray, so a block is fully described by a [left, right) index
 pair.  Splitting swaps hit states to the left end of their block and moves
 the boundary, which keeps every previously recorded [left, right) range valid
-as a set of states even while the blocks inside it split further.
+as a set of states even while the blocks inside it split further.  One split
+call takes several sets (one bucket per letter) and records each split in
+the caller's pending-range stacks, so it allocates nothing per split.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class PartitionError(ValueError):
@@ -28,9 +30,9 @@ class RefinablePartition:
             during an ongoing split call; 0 whenever no split is in progress.
 
     Block ids are never reused, and an existing id keeps designating (a
-    shrinking part of) the same states, which is what lets split callers
-    skip re-registration.  Single-writer: callers must not mutate
-    concurrently.
+    shrinking part of) the same states, which is what lets a pending range
+    stay registered while the blocks inside it split.  Single-writer:
+    callers must not mutate concurrently.
     """
 
     def __init__(self, order: list[int], position: list[int], block_of: list[int],
@@ -85,49 +87,70 @@ class RefinablePartition:
             list(self.A), list(self.pos), list(self.block_of), list(self.left), list(self.right)
         )
 
-    def split(self, xs: Iterable[int]) -> list[tuple[int, int]]:
-        """Split every block that meets `xs` without being contained in it.
+    def split(self, buckets: Sequence[list[int]], letters: Iterable[int], in_union: list[bool],
+              los: list[int], his: list[int]) -> None:
+        """Split by `buckets[a]` for each letter a of `letters` in turn, emptying those buckets.
 
-        Returns one (old, fresh) id pair per split block, fresh ids in
-        ascending order.  The part inside `xs` ends up on the left of the
-        block's subarray and gets the fresh id; the part outside keeps the
-        old id.  The block's range before the split, which the two parts tile
-        exactly, is [left[fresh], right[old]).  Duplicates in `xs` are
-        harmless; cost is O(|xs|) element moves.
+        For each bucket, every block that meets it without lying inside it
+        splits: the part inside moves to the left end of the block's
+        subarray and gets the next fresh id, so fresh ids ascend in the
+        order the bucket first meets their blocks; the part outside keeps
+        the old id.  The block's range before the split, which the two parts
+        tile exactly, is [left[fresh], right[old]).
+
+        `in_union` flags the blocks that lie inside a pending splitter range;
+        the ranges are the int stacks `los`/`his`.  A split of an unflagged
+        block pushes its pre-split range and flags the old id; the fresh id
+        is always appended flagged.  A later bucket sees the flags and ranges
+        that an earlier one left.  A state repeated in a bucket moves once;
+        a singleton block is skipped before any swap, as it cannot split.
+        Cost is O(total bucket length) element moves.
         """
         A, pos, block_of = self.A, self.pos, self.block_of
         left, right, marked = self.left, self.right, self.marked
-        touched: list[int] = []
-        for x in xs:
-            b = block_of[x]
-            i = pos[x]
-            boundary = left[b] + marked[b]
-            if i < boundary:
-                continue  # already marked by an earlier occurrence in xs
-            if boundary == left[b]:
-                touched.append(b)
-            y = A[boundary]
-            A[boundary] = x
-            A[i] = y
-            pos[x] = boundary
-            pos[y] = i
-            marked[b] += 1
-
-        pairs: list[tuple[int, int]] = []
-        for b in touched:
-            mid = left[b] + marked[b]
-            marked[b] = 0
-            if mid == right[b]:
-                continue  # block lies entirely inside xs: not split
-            fresh = len(left)
-            left.append(left[b])
-            right.append(mid)
-            marked.append(0)
-            for i in range(left[b], mid):
-                block_of[A[i]] = fresh
-            left[b] = mid
-            pairs.append((b, fresh))
-        return pairs
+        hit: list[int] = []  # blocks hit by the current bucket, in order
+        for a in letters:
+            bucket = buckets[a]
+            for x in bucket:
+                b = block_of[x]
+                count = marked[b]
+                boundary = left[b] + count
+                i = pos[x]
+                if i < boundary:
+                    continue  # already marked by an earlier occurrence of x
+                if not count:
+                    if right[b] == boundary + 1:
+                        continue  # a singleton block
+                    hit.append(b)
+                y = A[boundary]
+                A[boundary] = x
+                A[i] = y
+                pos[x] = boundary
+                pos[y] = i
+                marked[b] = count + 1
+            bucket.clear()
+            for b in hit:
+                lo = left[b]
+                mid = lo + marked[b]
+                marked[b] = 0
+                hi = right[b]
+                if mid == hi:
+                    continue  # the block lies inside the bucket: not split
+                fresh = len(left)
+                left.append(lo)
+                right.append(mid)
+                marked.append(0)
+                for i in range(lo, mid):
+                    block_of[A[i]] = fresh
+                left[b] = mid
+                if not in_union[b]:
+                    # The pre-split range becomes one pending range: it now
+                    # spans the two parts.
+                    los.append(lo)
+                    his.append(hi)
+                    in_union[b] = True
+                in_union.append(True)
+            hit.clear()
 
     def block_members(self, b: int) -> list[int]:
         """The block's states in array order, O(size)."""

@@ -41,6 +41,31 @@ def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:
     return out
 
 
+def split_tracking_ids(blocks: list[set[int]], flags: list[bool], bucket) -> list[set[int]]:
+    """Set-based reference for one bucket of the array split, with block ids and flags.
+
+    `blocks[b]` holds the states of block b and `flags[b]` its splitter-union
+    flag; both are updated in place.  Blocks split in the order the bucket
+    first meets them: the part inside gets the next id and a set flag, and
+    an unflagged block gets flagged.  Returns the pre-split state sets of
+    the unflagged blocks that split, in order.
+    """
+    x = set(bucket)
+    id_of = {q: b for b, block in enumerate(blocks) for q in block}
+    pushed: list[set[int]] = []
+    for b in dict.fromkeys(id_of[q] for q in bucket):
+        inside = blocks[b] & x
+        if inside == blocks[b]:
+            continue
+        if not flags[b]:
+            pushed.append(set(blocks[b]))
+            flags[b] = True
+        blocks[b] = blocks[b] - inside
+        blocks.append(inside)
+        flags.append(True)
+    return pushed
+
+
 def check_consistency(p: RefinablePartition) -> None:
     """Assert the structural invariants of a partition's parallel lists."""
     n = len(p.A)

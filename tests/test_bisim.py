@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dlts_bisim import (
     GenConfig,
+    NormalizedDlts,
     PartitionError,
     RawLts,
     RefinablePartition,
@@ -107,6 +108,18 @@ def test_dbisim_letter_signature_split(monkeypatch):
     assert dbisim(T, _full(4)).to_canonical() == [[0, 1, 2], [3]]
 
 
+def test_dbisim_moves_a_repeated_source_once():
+    # A hand-built nondeterministic encoding: q0 has two a-transitions into
+    # the scanned side {q1, q2}, so q0 lands in the a-bucket twice.  That
+    # side's preimage {q0} must split q0 alone off {q0, q3, q4}.
+    T = NormalizedDlts(n=5, k=1, m=2, in_src=[0, 0], in_letter=[0, 0],
+                       in_offsets=[0, 0, 1, 2, 2, 2],
+                       state_names=[f"q{i}" for i in range(5)], letter_names=["a"])
+    p = dbisim(T, RefinablePartition.from_initial(5, [{0, 3, 4}, {1, 2}]))
+    check_consistency(p)
+    assert p.to_canonical() == [[0], [1, 2], [3, 4]]
+
+
 def test_dbisim_leaves_input_partition_alone():
     T = _dlts(4, [(0, "a", 1), (1, "a", 2), (2, "a", 0), (3, "b", 3)])
     p0 = _full(4)
@@ -124,25 +137,34 @@ def test_dbisim_fills_stats():
 
 
 def test_per_transition_counts_are_pinned(monkeypatch):
-    # Exact counts, not only the bound: each scan of a state counts once
-    # for every transition into it, never for the transitions out of it.
+    # The whole outcome, not only the bound: exact counts (each scan of a
+    # state counts once for every transition into it, never for the
+    # transitions out of it), split calls, final blocks and the final layout.
     T = _chain(16)
     halves = [set(range(8)), set(range(8, 16))]
     T_random, p_random = gen_random_dlts(GenConfig(n=24, k=3, density=0.6, seed=3))
     cases = [
-        (T, [set(range(16))], [1] * 15),
-        (T, halves, [2, 2, 2, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1]),
+        (T, [set(range(16))], [1] * 15, 15, 16,
+         [14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15],
+         [1, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 0]),
+        (T, halves, [2, 2, 2, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 15, 16,
+         [6, 5, 4, 3, 2, 1, 0, 7, 14, 13, 12, 11, 10, 9, 8, 15],
+         [3, 9, 8, 7, 6, 5, 4, 0, 2, 15, 14, 13, 12, 11, 10, 1]),
         (T_random, p_random,
          [3, 3, 1, 1, 2, 2, 2, 1, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 0, 1,
-          1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1]),
+          1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1], 26, 21,
+         [0, 4, 19, 2, 10, 21, 20, 5, 23, 1, 18, 11, 13, 22, 17, 14, 16, 8, 7, 15, 3, 9, 6, 12],
+         [17, 16, 18, 8, 7, 14, 0, 11, 9, 3, 4, 15, 0, 15, 1, 5, 12, 20, 6, 13, 2, 19, 20, 10]),
     ]
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
-        for T_case, p_view, want in cases:
+        for T_case, p_view, want, split_calls, blocks, A, block_of in cases:
             stats = ScanStats.detailed(T_case.m) if debug == "0" else ScanStats()
-            dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
+            p = dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
             assert stats.per_transition_counts == want
             assert stats.transitions_scanned == sum(want)
+            assert (stats.split_calls, stats.blocks_final) == (split_calls, blocks)
+            assert (p.A, p.block_of) == (A, block_of)
 
 
 # --- randomized equivalence with the reference ----------------------------

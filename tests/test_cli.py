@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, reports, minimization."""
 
 import csv
+import hashlib
 import io
 import os
 import re
@@ -179,6 +180,31 @@ def test_minimize_counts_scans_per_input_transition():
         minimize_dfa(dfa, ScanStats.detailed(2))
 
 
+@pytest.mark.parametrize("n, k, density, seed, out_sha256, err_sha256", [
+    (30, 2, 0.5, 8, "baa3c8e0a3651af6fb727ee893b51cd2b1e57d3b22ec3ea6096aa0110f8ef9c0",
+     "d0471259f5171ace17132506df971e082008a7a72b335ee3579db67988702a56"),
+    (60, 3, 0.4, 3, "cc383f0d81cf57df85bc1350a35aa49d0b771cad683a618cfaffb2eb48fff5df",
+     "985c51a8efdc1f8ef5209fd8c0a3a7f411d9e6af15cdff35feb38ad8de9bdb06"),
+    (200, 4, 0.3, 0, "0440f570a2a6475bbd1aa4899d935599cce74b118af31dfab5c47b81d225164c",
+     "d4ce0aa9f27a1fdbee9e55813ef87ac32e579a4bafa04e168082f72d758d5dc3"),
+])
+def test_minimize_output_is_pinned(tmp_path, capsys, n, k, density, seed, out_sha256, err_sha256):
+    # Byte for byte, with the wall-time value masked: the automaton text,
+    # transition order included, and every report line.
+    code, text, _ = run(capsys, "gen", "--dfa", "--n", str(n), "--k", str(k),
+                        "--density", str(density), "--seed", str(seed))
+    path = tmp_path / "gen.dfa"
+    path.write_text(text)
+    code, out, err = run(capsys, "minimize-dfa", str(path))
+    assert code == 0
+    useless = int(re.search(r"useless states removed: (\d+)", err).group(1))
+    blocks = int(re.search(r"final blocks: (\d+)", err).group(1))
+    assert useless > 0 and blocks < n - useless  # both trimming and merging happen
+    masked = re.sub(r"wall time: .*", "wall time: <masked>", err)
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
+    assert hashlib.sha256(masked.encode()).hexdigest() == err_sha256
+
+
 def test_minimize_empty_language(tmp_path, capsys):
     path = tmp_path / "empty.dfa"
     path.write_text("dfa 2\nstates: s t\ninitial: s\ns a t\nt a s\n")  # no finals
@@ -233,6 +259,10 @@ def test_check_small_run_passes(capsys):
 @pytest.mark.parametrize("flag, message", [("--n", "n must be >= 1"), ("--k", "k must be >= 1")])
 def test_check_rejects_empty_size_range(capsys, flag, message):
     assert run(capsys, "check", "--count", "5", flag, "0") == (1, "", f"error: {message}\n")
+
+
+def test_check_rejects_a_negative_count(capsys):
+    assert run(capsys, "check", "--count", "-1") == (1, "", "error: count must be >= 0\n")
 
 
 def test_check_mutant_fails_counter_bound(capsys, monkeypatch):

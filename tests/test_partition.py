@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dlts_bisim import PartitionError, RefinablePartition
 
-from _canon import check_consistency, refines, split_sets
+from _canon import check_consistency, refines, split_sets, split_tracking_ids
 
 
 def canonical_sets(blocks):
@@ -55,55 +55,97 @@ def test_from_initial_rejects_bad_partitions():
         RefinablePartition.from_initial(2, [{0, 5}, {1}])
 
 
+def split(p, *buckets, in_union=None):
+    """One split call by `buckets`, letters in order, every block outside the
+    splitter union unless `in_union` says otherwise; returns the pushed ranges."""
+    if in_union is None:
+        in_union = [False] * p.block_count
+    lists = [list(bucket) for bucket in buckets]
+    los, his = [], []
+    p.split(lists, range(len(lists)), in_union, los, his)
+    assert not any(lists), "buckets not emptied"
+    assert len(in_union) == p.block_count
+    return list(zip(los, his))
+
+
 def test_split_empty_is_noop():
     p = RefinablePartition.from_initial(3, [{0, 1, 2}])
-    assert p.split([]) == []
+    assert split(p, []) == []
+    assert p.block_count == 1
     assert p.to_canonical() == [[0, 1, 2]]
 
 
 def test_split_singleton_out_of_full_block():
     p = RefinablePartition.from_initial(3, [{0, 1, 2}])
-    pairs = p.split([0])
+    in_union = [False]
+    assert split(p, [0], in_union=in_union) == [(0, 3)]  # the pre-split block covered everything
     assert p.to_canonical() == [[0], [1, 2]]
-    assert pairs == [(0, 1)]
-    old, fresh = pairs[0]
-    assert (p.left[fresh], p.right[old]) == (0, 3)  # the pre-split block covered everything
-    assert sorted(p.block_members(fresh)) == [0]
-    assert sorted(p.block_members(old)) == [1, 2]
+    assert in_union == [True, True]
+    assert p.block_members(1) == [0]  # the fresh id holds the part inside the bucket
+    assert sorted(p.block_members(0)) == [1, 2]
 
 
 def test_split_skips_contained_blocks():
     # Expected values fixed by the set-based reference split.
     assert canonical_sets(split_sets([{0, 1}, {2, 3}], [0, 1, 2])) == [[0, 1], [2], [3]]
     p = RefinablePartition.from_initial(4, [{0, 1}, {2, 3}])
-    pairs = p.split([0, 1, 2])
+    in_union = [False, False]
+    assert split(p, [0, 1, 2], in_union=in_union) == [(2, 4)]
     assert p.to_canonical() == [[0, 1], [2], [3]]
-    assert len(pairs) == 1
-    old, fresh = pairs[0]
-    assert (p.left[fresh], p.right[old]) == (2, 4)
+    assert in_union == [False, True, True]  # the contained block stays outside
+    assert p.block_members(2) == [2]
 
 
 def test_split_tolerates_duplicates():
     p = RefinablePartition.from_initial(4, [{0, 1, 2, 3}])
     A = counting(p)
-    pairs = p.split([1, 1, 2, 1])
+    assert split(p, [1, 1, 2, 1]) == [(0, 4)]
     assert p.to_canonical() == [[0, 3], [1, 2]]
-    assert len(pairs) == 1
     assert A.writes <= 2 * 2  # one swap (two writes) per distinct hit state
+    check_consistency(p)
+
+
+def test_split_skips_singleton_blocks_without_moves():
+    p = RefinablePartition.from_initial(3, [{0}, {1, 2}])
+    A = counting(p)
+    assert split(p, [0, 0, 2]) == [(1, 3)]
+    assert p.to_canonical() == [[0], [1], [2]]
+    assert A.writes == 2  # the swap that moves state 2; block {0} is never touched
+    check_consistency(p)
 
 
 def test_split_conserves_members():
     p = RefinablePartition.from_initial(5, [{0, 1, 2, 3, 4}])
-    ((old, fresh),) = p.split([1, 3])
-    joined = sorted(p.block_members(fresh) + p.block_members(old))
+    split(p, [1, 3])
+    joined = sorted(p.block_members(1) + p.block_members(0))
     assert joined == [0, 1, 2, 3, 4]
 
 
 def test_split_twice_by_same_set_is_stable():
     p = RefinablePartition.from_initial(6, [{0, 1, 2}, {3, 4, 5}])
     xs = [0, 3, 4]
-    assert p.split(xs) != []
-    assert p.split(xs) == []
+    assert split(p, xs) != []
+    assert split(p, xs) == []
+    assert p.block_count == 4
+
+
+def test_split_of_a_flagged_block_pushes_nothing():
+    p = RefinablePartition.from_initial(4, [{0, 1}, {2, 3}])
+    in_union = [True, False]
+    assert split(p, [0, 2], in_union=in_union) == [(2, 4)]
+    assert in_union == [True, True, True, True]
+    assert [p.block_members(b) for b in (2, 3)] == [[0], [2]]  # fresh ids in bucket order
+
+
+def test_split_later_bucket_sees_earlier_splits():
+    p = RefinablePartition.from_initial(4, [{0, 1, 2, 3}])
+    in_union = [False]
+    # The first bucket splits {0, 1} off as block 1 and pushes the whole
+    # range; the second splits block 1 again and block 0, pushing nothing.
+    assert split(p, [0, 1], [1, 2], in_union=in_union) == [(0, 4)]
+    assert [p.block_members(b) for b in range(4)] == [[3], [0], [1], [2]]
+    assert in_union == [True] * 4
+    check_consistency(p)
 
 
 def test_block_members_in_array_order():
@@ -122,49 +164,62 @@ def test_to_canonical():
 def test_copy_is_independent():
     p = RefinablePartition.from_initial(4, [{0, 1, 2, 3}])
     q = p.copy()
-    q.split([0, 1])
+    split(q, [0, 1])
     assert p.to_canonical() == [[0, 1, 2, 3]]
     assert q.to_canonical() == [[0, 1], [2, 3]]
 
 
 @st.composite
-def partitions_and_split_sequences(draw):
+def partitions_and_split_calls(draw):
     n = draw(st.integers(min_value=1, max_value=30))
     assignment = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     groups: dict[int, set[int]] = {}
     for q, g in enumerate(assignment):
         groups.setdefault(g, set()).add(q)
     blocks = [groups[g] for g in sorted(groups)]
-    splits = draw(
-        st.lists(
-            st.lists(st.integers(0, n - 1), min_size=0, max_size=n + 4),
-            min_size=0,
-            max_size=5,
-        )
-    )
-    return n, blocks, splits
+    calls = []
+    for _ in range(draw(st.integers(0, 5))):
+        buckets = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=0, max_size=n + 4), min_size=1, max_size=3
+        ))
+        order = draw(st.permutations(range(len(buckets))))
+        letters = order[: draw(st.integers(0, len(order)))]
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))  # n >= block count
+        calls.append((buckets, letters, flags))
+    return n, blocks, calls
 
 
-@given(partitions_and_split_sequences())
+@given(partitions_and_split_calls())
 @settings(max_examples=120, deadline=None)
 def test_split_matches_set_reference(case):
-    n, blocks, splits = case
+    n, blocks, calls = case
     p = RefinablePartition.from_initial(n, [set(b) for b in blocks])
     A = counting(p)
-    reference = [set(b) for b in blocks]
-    for xs in splits:
-        before = canonical_sets(reference)
+    reference = [set(b) for b in blocks]  # block id -> states
+    for buckets, letters, flags in calls:
+        before = [set(b) for b in reference]
         writes_before = A.writes
-        pairs = p.split(xs)
-        reference = split_sets(reference, xs)
+        in_union = flags[: p.block_count]
+        want_flags = list(in_union)
+        lists = [list(bucket) for bucket in buckets]
+        los, his = [], []
+        p.split(lists, letters, in_union, los, his)
+        pushed, sets = [], [set(b) for b in before]
+        for a in letters:
+            pushed += split_tracking_ids(reference, want_flags, buckets[a])
+            sets = split_sets(sets, buckets[a])
 
         check_consistency(p)
-        assert p.to_canonical() == canonical_sets(reference)
-        assert len(pairs) == len(reference) - len(before)
-        assert A.writes - writes_before <= 2 * len(set(xs))
+        assert p.to_canonical() == canonical_sets(sets)
+        # ids: old ids keep the part outside, fresh ids ascend in the order met
+        assert [set(p.block_members(b)) for b in range(p.block_count)] == reference
+        assert in_union == want_flags
+        # each pushed range [left[fresh], right[old]) covers exactly the pre-split block
+        assert [set(p.A[lo:hi]) for lo, hi in zip(los, his)] == pushed
+        assert [lists[a] for a in letters] == [[] for _ in letters]
+        assert [lists[a] for a in range(len(buckets)) if a not in letters] == [
+            buckets[a] for a in range(len(buckets)) if a not in letters
+        ]
+        assert A.writes - writes_before <= 2 * sum(len(set(buckets[a])) for a in letters)
         # refinement monotonicity: every new block sits inside one old block
-        assert refines(p.to_canonical(), [set(b) for b in before])
-        # the pre-split range [left[fresh], right[old]) covers exactly both parts
-        for old, fresh in pairs:
-            parts = sorted(p.block_members(fresh) + p.block_members(old))
-            assert sorted(p.A[p.left[fresh] : p.right[old]]) == parts
+        assert refines(p.to_canonical(), before)
