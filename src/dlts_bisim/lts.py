@@ -5,8 +5,10 @@ deterministic LTS in which the alphabet is restricted to letters that
 actually label a transition and the transitions are held as parallel
 source and letter columns sorted by destination, so that the incoming
 transitions of a state form one contiguous slice.  Text and names are
-turned into these columns a whole column at a time; the per-item loops
-run only to locate the first error.
+turned into index columns a whole column at a time; a per-item loop over
+the names runs only to locate the first error.  Encoding then groups the
+transitions by destination in one stable counting-sort pass: O(m + n)
+time, two columns of length m and one slot array of length n.
 """
 
 from __future__ import annotations
@@ -97,15 +99,29 @@ class NormalizedDlts:
     ) -> "NormalizedDlts":
         """Encode columns that `_encode` has checked, or that are valid by construction.
 
-        The transitions are sorted by destination, stably; then `from_sorted`
-        encodes them.
+        The transitions are grouped by destination in one stable counting-sort
+        pass, so each incoming slice keeps input order; then `from_sorted`
+        encodes them.  This takes O(m + n) time, the two sorted columns of
+        length m and one slot array of length n.  Raises LtsError if the
+        columns differ in length or a destination is outside 0..n-1.
         """
-        order = sorted(range(len(dst)), key=dst.__getitem__)
-        in_src = list(map(src.__getitem__, order))
-        in_letter = list(map(letter.__getitem__, order))
-        del order
+        m = len(dst)
+        if not len(src) == len(letter) == m:
+            raise LtsError(f"columns of {len(src)}, {len(letter)} and {m} transitions")
         per_dst = Counter(dst)
         in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
+        del per_dst
+        if in_offsets[-1] != m:  # the offsets count only destinations in 0..n-1
+            bad = next(d for d in dst if d not in range(n))
+            raise LtsError(f"destination state index {bad!r} out of range")
+        in_src = [0] * m
+        in_letter = [0] * m
+        slot = in_offsets[:-1]  # the next free position of each destination
+        for s, a, d in zip(src, letter, dst):
+            t = slot[d]
+            slot[d] = t + 1
+            in_src[t] = s
+            in_letter[t] = a
         return cls.from_sorted(n, in_src, in_letter, in_offsets, state_names, letter_names)
 
     @classmethod

@@ -12,6 +12,7 @@ from dlts_bisim import (
     LtsError,
     LtsParseError,
     NondeterminismError,
+    NormalizedDlts,
     RawLts,
     format_dfa,
     format_dlts,
@@ -365,6 +366,54 @@ def test_incoming_slices_match_brute_force():
             got = {(T.state_names[T.in_src[t]], T.letter_names[T.in_letter[t]]) for t in incoming}
             want = {(s, a) for s, a, d in transitions if d == T.state_names[q]}
             assert got == want
+
+
+def _grouped_by_sort(n, src, letter, dst, state_names, letter_names):
+    """The reference encoding: a stable comparison sort by destination."""
+    order = sorted(range(len(dst)), key=dst.__getitem__)
+    offsets = [0] * (n + 1)
+    for d in dst:
+        offsets[d + 1] += 1
+    for q in range(n):
+        offsets[q + 1] += offsets[q]
+    in_src = [src[t] for t in order]
+    in_letter = [letter[t] for t in order]
+    return NormalizedDlts.from_sorted(n, in_src, in_letter, offsets, state_names, letter_names)
+
+
+def _random_columns(rng):
+    """Deterministic columns in shuffled order; some letters and states go unused."""
+    n, k = rng.randint(1, 30), rng.randint(1, 6)
+    pairs = [(s, a) for s in range(n) for a in range(k) if rng.random() < 0.4]
+    rng.shuffle(pairs)
+    targets = rng.sample(range(n), rng.randint(1, n))  # few targets: repeated destinations
+    dst = [rng.choice(targets) for _ in pairs]
+    src, letter = [s for s, _ in pairs], [a for _, a in pairs]
+    return n, src, letter, dst, [f"q{i}" for i in range(n)], [f"a{i}" for i in range(k)]
+
+
+def test_from_columns_groups_by_destination_stably():
+    rng = random.Random(11)
+    cases = [(0, [], [], [], [], []), (3, [], [], [], ["x", "y", "z"], ["a"])]
+    cases += [_random_columns(rng) for _ in range(300)]
+    shared_slices = 0
+    for case in cases:
+        got = NormalizedDlts.from_columns(*case)
+        assert got == _grouped_by_sort(*case), case
+        offsets = got.in_offsets
+        shared_slices += sum(offsets[q + 1] - offsets[q] >= 2 for q in range(got.n))
+    assert shared_slices > 1000  # an unstable placement has room to show
+
+
+@pytest.mark.parametrize("src, dst, message", [
+    ([0, 1], [-1, 0], "destination state index -1 out of range"),
+    ([0, 1], [0, 2], "destination state index 2 out of range"),
+    ([1], [0, 1], "columns of 1, 2 and 2 transitions"),
+])
+def test_from_columns_rejects_bad_columns(src, dst, message):
+    # without the checks, one transition is lost, misplaced or made up
+    with pytest.raises(LtsError, match=message):
+        NormalizedDlts.from_columns(2, src, [0, 0], dst, ["a", "b"], ["x", "y"])
 
 
 def _complete_two_letter(n, name=str):
