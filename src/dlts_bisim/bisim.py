@@ -33,9 +33,9 @@ class ScanStats:
     """Work counters for one refinement run.
 
     `transitions_scanned` counts every visit of an incoming transition during
-    splitter-side scans.  `per_transition_counts`, when allocated, tracks the
-    same per transition index; each entry stays <= floor(log2 n) + 1 because
-    a state's enclosing splitter side at least halves between visits.
+    splitter-side scans.  `per_transition_counts`, made only by `detailed`,
+    tracks the same per transition index: at most floor(log2 n) + 1 per
+    entry, as a state's enclosing splitter side at least halves between visits.
     """
 
     transitions_scanned: int = 0
@@ -46,6 +46,11 @@ class ScanStats:
     @classmethod
     def detailed(cls, m: int) -> "ScanStats":
         return cls(per_transition_counts=[0] * m)
+
+
+def debug_enabled() -> bool:
+    """Whether DLTS_BISIM_DEBUG=1 asks for the engine's invariant checks."""
+    return os.environ.get(DEBUG_ENV, "") == "1"
 
 
 def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinablePartition:
@@ -73,26 +78,22 @@ def dbisim(
 ) -> RefinablePartition:
     """Coarsest bisimulation over `T` refining `p_init`, as a new partition.
 
-    `p_init` is left untouched.  Counters accumulate into `stats` when given.
-    Setting the DLTS_BISIM_DEBUG environment variable to 1 enables the
-    internal invariant assertions on inputs up to 512 states (larger ones get
-    a one-line notice on stderr instead) and allocates per-transition
-    counters on a given `stats`.  Raises ValueError if the per-transition
-    counters of `stats` are not one per transition of `T`.
+    `p_init` is left untouched.  Counters accumulate into `stats` when given,
+    per transition too if it comes from `ScanStats.detailed` (ValueError if
+    not one per transition of `T`).  DLTS_BISIM_DEBUG=1 turns on invariant
+    checks for n <= 512, and a one-line notice on stderr when it skips them.
     """
-    debug = os.environ.get(DEBUG_ENV, "") == "1"
-    if debug and stats is not None and stats.per_transition_counts is None:
-        stats.per_transition_counts = [0] * T.m
-    counts = stats.per_transition_counts if stats is not None else None
+    stats = ScanStats() if stats is None else stats
+    counts = stats.per_transition_counts
     if counts is not None and len(counts) != T.m:
         raise ValueError(f"{len(counts)} per-transition counters for an LTS with {T.m} transitions")
 
     p = init_refine(T, p_init)
     if p.block_count <= 1:
-        if stats is not None:
-            stats.blocks_final = p.block_count
+        stats.blocks_final = p.block_count
         return p
 
+    debug = debug_enabled()
     checker = None
     if debug and T.n <= _DEBUG_ASSERT_MAX_N:
         checker = InvariantChecker(T, p_init)
@@ -165,8 +166,7 @@ def dbisim(
         for q, v in enumerate(visits):
             for t in range(in_off[q], in_off[q + 1]):
                 counts[t] += v
-    if stats is not None:
-        stats.transitions_scanned += scanned
-        stats.split_calls += split_calls
-        stats.blocks_final = p.block_count
+    stats.transitions_scanned += scanned
+    stats.split_calls += split_calls
+    stats.blocks_final = p.block_count
     return p

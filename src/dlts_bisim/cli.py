@@ -26,7 +26,7 @@ from operator import and_, floordiv, mod
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bisim import ScanStats, dbisim, init_refine
+from .bisim import ScanStats, dbisim, debug_enabled, init_refine
 from .lts import (
     Dfa,
     LtsError,
@@ -254,7 +254,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     stats = ScanStats()
     result = dbisim(T, p_init, stats)
     sys.stdout.write(format_partition(result.to_canonical(), T.state_names))
-    if stats.per_transition_counts is not None:  # allocated by debug runs only
+    if debug_enabled():
         print(
             f"blocks: {stats.blocks_final}  transitions scanned: {stats.transitions_scanned}"
             f"  bound: {T.m * _scans_per_transition(T.n)}",
@@ -265,7 +265,6 @@ def cmd_bisim(args: argparse.Namespace) -> int:
 
 def cmd_minimize_dfa(args: argparse.Namespace) -> int:
     dfa = parse_dfa(_read(args.file))
-    # under the debug env var, dbisim itself allocates per-transition counters
     minimal, report = minimize_dfa(dfa)
     sys.stdout.write(format_dfa(minimal))
     for line in report.summary_lines():

@@ -94,15 +94,12 @@ def instance_stream(
 
     With `density=None` each instance draws from {0.2, 0.5, 0.9}.  The
     per-instance GenConfig is yielded so a failure can be reproduced from its
-    own seed alone.  A negative count, or bounds below 1, raise ValueError
-    before anything is drawn.
+    own seed alone.  A negative count, or bounds that `GenConfig` rejects,
+    raise ValueError before anything is drawn.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if n_max < 1:
-        raise ValueError("n must be >= 1")
-    if k_max < 1:
-        raise ValueError("k must be >= 1")
+    GenConfig(n=n_max, k=k_max, density=0.5 if density is None else density, seed=seed)
     master = random.Random(seed)
     for _ in range(count):
         cfg = GenConfig(

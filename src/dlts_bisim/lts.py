@@ -103,11 +103,18 @@ class NormalizedDlts:
         pass, so each incoming slice keeps input order; then `from_sorted`
         encodes them.  This takes O(m + n) time, the two sorted columns of
         length m and one slot array of length n.  Raises LtsError if the
-        columns differ in length or a destination is outside 0..n-1.
+        columns differ in length, a source or destination is outside 0..n-1,
+        or a letter is outside 0..len(letter_names)-1.
         """
         m = len(dst)
         if not len(src) == len(letter) == m:
             raise LtsError(f"columns of {len(src)}, {len(letter)} and {m} transitions")
+        if m and (min(src) < 0 or max(src) >= n):
+            bad = next(s for s in src if s not in range(n))
+            raise LtsError(f"source state index {bad!r} out of range")
+        if not set(letter).issubset(range(len(letter_names))):
+            bad = next(a for a in letter if a not in range(len(letter_names)))
+            raise LtsError(f"letter index {bad!r} out of range")
         per_dst = Counter(dst)
         in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
         del per_dst

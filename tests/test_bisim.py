@@ -159,7 +159,7 @@ def test_per_transition_counts_are_pinned(monkeypatch):
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
         for T_case, p_view, want, split_calls, blocks, A, block_of in cases:
-            stats = ScanStats.detailed(T_case.m) if debug == "0" else ScanStats()
+            stats = ScanStats.detailed(T_case.m)
             p = dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
             assert stats.per_transition_counts == want
             assert stats.transitions_scanned == sum(want)
@@ -222,12 +222,16 @@ def test_debug_assertions_hold_on_small_instances(monkeypatch):
         dbisim(T, RefinablePartition.from_initial(T.n, p_view))
 
 
-def test_debug_mode_follows_environment(monkeypatch):
-    T = _dlts(4, [(0, "a", 1), (1, "a", 2), (2, "a", 0), (3, "b", 3)])
-    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
-    stats = ScanStats()
-    dbisim(T, _full(4), stats)
-    assert stats.per_transition_counts is not None  # allocated by debug mode
+def test_debug_mode_follows_environment(monkeypatch, capsys):
+    # The switch turns on the checks (or the notice that skips them) and
+    # nothing else: a plain ScanStats gets no per-transition counters.
+    for debug, notices in (("0", 0), ("1", 1)):
+        monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+        stats = ScanStats()
+        dbisim(_chain(513), _full(513), stats)
+        assert capsys.readouterr().err.count("skipped") == notices
+        assert stats.per_transition_counts is None
+        assert stats.transitions_scanned > 0
 
 
 def test_debug_mode_reports_skipped_checks(monkeypatch, capsys):

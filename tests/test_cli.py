@@ -180,6 +180,34 @@ def test_minimize_counts_scans_per_input_transition():
         minimize_dfa(dfa, ScanStats.detailed(2))
 
 
+def test_minimize_under_debug_keeps_plain_stats_plain(monkeypatch):
+    # Two useless states leave a trimmed automaton of 3 transitions out of
+    # 6: counters for it must not land on the caller's ScanStats, or the
+    # second call rejects them as the wrong length for the input.
+    dfa = parse_dfa("dfa 5\ninitial: 0\nfinals: 2\n"
+                    "0 a 1\n1 a 2\n2 a 2\n3 a 0\n1 b 4\n4 a 4\n")
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    stats = ScanStats()
+    minimize_dfa(dfa, stats)
+    scanned = stats.transitions_scanned
+    minimize_dfa(dfa, stats)
+    assert stats.per_transition_counts is None
+    assert stats.transitions_scanned == 2 * scanned > 0
+
+
+def test_debug_switch_changes_no_result(monkeypatch):
+    dfa = gen_random_dfa(GenConfig(n=60, k=3, density=0.6, seed=5))
+    seen = []
+    for debug in ("0", "1"):
+        monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+        rows = [{c: v for c, v in row.items() if c != "seconds"}
+                for row in bench_rows([16, 64], seed=0)]
+        stats = ScanStats.detailed(dfa.dlts.m)
+        minimal, _report = minimize_dfa(dfa, stats)
+        seen.append((rows, stats, minimal))
+    assert seen[0] == seen[1]
+
+
 @pytest.mark.parametrize("n, k, density, seed, out_sha256, err_sha256", [
     (30, 2, 0.5, 8, "baa3c8e0a3651af6fb727ee893b51cd2b1e57d3b22ec3ea6096aa0110f8ef9c0",
      "d0471259f5171ace17132506df971e082008a7a72b335ee3579db67988702a56"),
@@ -259,6 +287,11 @@ def test_check_small_run_passes(capsys):
 @pytest.mark.parametrize("flag, message", [("--n", "n must be >= 1"), ("--k", "k must be >= 1")])
 def test_check_rejects_empty_size_range(capsys, flag, message):
     assert run(capsys, "check", "--count", "5", flag, "0") == (1, "", f"error: {message}\n")
+
+
+def test_check_rejects_a_bad_density_before_drawing(capsys):
+    assert run(capsys, "check", "--count", "0", "--density", "2") == (
+        1, "", "error: density must be in [0, 1]\n")
 
 
 def test_check_rejects_a_negative_count(capsys):

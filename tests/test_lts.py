@@ -409,11 +409,21 @@ def test_from_columns_groups_by_destination_stably():
     ([0, 1], [-1, 0], "destination state index -1 out of range"),
     ([0, 1], [0, 2], "destination state index 2 out of range"),
     ([1], [0, 1], "columns of 1, 2 and 2 transitions"),
+    ([5, 1], [0, 1], "source state index 5 out of range"),
+    ([-1, 1], [0, 1], "source state index -1 out of range"),
 ])
 def test_from_columns_rejects_bad_columns(src, dst, message):
-    # without the checks, one transition is lost, misplaced or made up
+    # without the checks, one transition is lost, misplaced, made up or
+    # leaves from a state that does not exist (-1 would read as state 1)
     with pytest.raises(LtsError, match=message):
         NormalizedDlts.from_columns(2, src, [0, 0], dst, ["a", "b"], ["x", "y"])
+
+
+@pytest.mark.parametrize("letter, bad", [([0, 3], 3), ([0, 2], 2), ([-1, 0], -1)])
+def test_from_columns_rejects_out_of_range_letters(letter, bad):
+    # a letter index past letter_names, or a negative one, names no letter
+    with pytest.raises(LtsError, match=f"letter index {bad} out of range"):
+        NormalizedDlts.from_columns(2, [0, 1], letter, [0, 1], ["a", "b"], ["x", "y"])
 
 
 def _complete_two_letter(n, name=str):

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,13 +151,15 @@ def test_language_equivalence_symmetric_spot_checks():
 _TYPE_CHECKING = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
-def _runtime_package_imports(tree: ast.AST) -> set[str]:
-    """Package modules a module imports outside `if TYPE_CHECKING:` blocks.
+def _runtime_imports(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Modules a module imports outside `if TYPE_CHECKING:` blocks.
 
-    `from . import x` and `from .x import y` name x; an import of the
-    package root itself is reported as "dlts_bisim".
+    Returns the package modules, then the top-level names of all other
+    modules.  `from . import x` and `from .x import y` name package module x;
+    an import of the package root itself is reported as "dlts_bisim".
     """
     found: set[str] = set()
+    outside: set[str] = set()
 
     def visit(node: ast.AST) -> None:
         if isinstance(node, ast.If) and ast.unparse(node.test) in _TYPE_CHECKING:
@@ -175,15 +178,27 @@ def _runtime_package_imports(tree: ast.AST) -> set[str]:
         for parts in (name.split(".") for name in absolute):
             if parts[0] == "dlts_bisim":
                 found.add(parts[1] if len(parts) > 1 else "dlts_bisim")
+            else:
+                outside.add(parts[0])
         for child in ast.iter_child_nodes(node):
             visit(child)
 
     visit(tree)
-    return found
+    return found, outside
 
 
 @pytest.mark.parametrize("module", ["oracle.py", "gen.py"])
 def test_reference_modules_import_only_lts(module):
     # The ground truth and the generators must stay independent of the engine.
     source = (Path(dlts_bisim.__file__).parent / module).read_text()
-    assert _runtime_package_imports(ast.parse(source)) == {"lts"}
+    assert _runtime_imports(ast.parse(source))[0] == {"lts"}
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The package has no runtime dependencies; only the tests use pytest
+    # and hypothesis.
+    modules = sorted(Path(dlts_bisim.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        outside = _runtime_imports(ast.parse(path.read_text()))[1]
+        assert outside - sys.stdlib_module_names == set(), path.name
