@@ -9,15 +9,20 @@ turned into index columns a whole column at a time; a per-item loop over
 the names runs only to locate the first error.  Encoding then groups the
 transitions by destination in one stable counting-sort pass: O(m + n)
 time, two columns of length m and one slot array of length n.
+
+Beyond its result, the parser holds the line strings of one piece of the
+text, about 64 K characters, at a time.  The determinism check marks one
+byte per (state, letter) cell when there are at most 8 cells per
+transition, and otherwise keeps a hash set of the m (source, letter) keys.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul, setitem, sub
 from typing import Container, Iterable, Sequence
 
 
@@ -97,7 +102,7 @@ class NormalizedDlts:
         state_names: list[str],
         letter_names: Sequence[str],
     ) -> "NormalizedDlts":
-        """Encode columns that `_encode` has checked, or that are valid by construction.
+        """Encode (source, letter, destination) index columns.
 
         The transitions are grouped by destination in one stable counting-sort
         pass, so each incoming slice keeps input order; then `from_sorted`
@@ -115,6 +120,20 @@ class NormalizedDlts:
         if not set(letter).issubset(range(len(letter_names))):
             bad = next(a for a in letter if a not in range(len(letter_names)))
             raise LtsError(f"letter index {bad!r} out of range")
+        return cls._from_valid_columns(n, src, letter, dst, state_names, letter_names)
+
+    @classmethod
+    def _from_valid_columns(
+        cls,
+        n: int,
+        src: Sequence[int],
+        letter: Sequence[int],
+        dst: Sequence[int],
+        state_names: list[str],
+        letter_names: Sequence[str],
+    ) -> "NormalizedDlts":
+        """`from_columns` without its length, source and letter checks, for `_encode`'s columns."""
+        m = len(dst)
         per_dst = Counter(dst)
         in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
         del per_dst
@@ -234,7 +253,9 @@ def normalize(raw: RawLts) -> NormalizedDlts:
             if token is not None:
                 message += " in transition {} {} {}".format(*raw.transitions[i])
             raise LtsError(message)
-    return NormalizedDlts.from_columns(len(raw.states), *columns, list(raw.states), raw.letters)
+    return NormalizedDlts._from_valid_columns(
+        len(raw.states), *columns, list(raw.states), raw.letters
+    )
 
 
 def _encode(transitions: Sequence[Sequence[str]], states: dict[str, int], letters: dict[str, int]):
@@ -248,7 +269,17 @@ def _encode(transitions: Sequence[Sequence[str]], states: dict[str, int], letter
     except KeyError:
         return None, _first_defect(transitions, states, letters)
     # One int key per (source, letter): a repeat is a repeated triple or a fork.
-    if len(set(map(add, map(mul, src, repeat(len(letters))), letter))) != len(src):
+    # The keys are counted as marked cells of an n-by-k byte table when it
+    # takes at most 8 bytes per transition, else as a set.
+    cells = len(states) * len(letters)
+    keys = map(add, map(mul, src, repeat(len(letters))), letter)
+    if cells <= 8 * len(src):
+        seen = bytearray(cells)
+        deque(map(setitem, repeat(seen), keys, repeat(1)), 0)
+        distinct = cells - seen.count(0)
+    else:
+        distinct = len(set(keys))
+    if distinct != len(src):
         return None, _first_defect(transitions, states, letters)
     return (src, letter, dst), None
 
@@ -303,12 +334,29 @@ _DLTS_HEADERS = ("states:", "letters:")
 _DFA_HEADERS = _DLTS_HEADERS + ("initial:", "finals:")
 
 
+# `_rows` splits a text into lines one piece of at least this many
+# characters at a time, so that only one piece's line strings are alive
+# beside the rows.
+_PIECE = 1 << 16
+
+
 def _rows(text: str) -> list[tuple[str, ...]]:
-    """The tokens of each line of `text`, comments cut, one tuple per line."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    return list(map(tuple, map(str.split, lines)))
+    """The tokens of each line of `text`, comments cut, one tuple per line.
+
+    Each piece ends just after a "\\n", which ends a line for `splitlines`
+    whether or not a "\\r" precedes it, so the rows are those of the whole text.
+    """
+    rows: list[tuple[str, ...]] = []
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        piece = text[start:stop]
+        lines = piece.splitlines()
+        if "#" in piece:
+            lines = [line.partition("#")[0] for line in lines]
+        rows.extend(map(tuple, map(str.split, lines)))
+        start = stop
+    return rows
 
 
 def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError:
@@ -432,7 +480,7 @@ def parse_dfa(text: str) -> Dfa:
             finals.add(state_index[tokens[i]])
     if forks:
         raise NondeterminismError(forks)
-    dlts = NormalizedDlts.from_columns(len(raw.states), *columns, raw.states, raw.letters)
+    dlts = NormalizedDlts._from_valid_columns(len(raw.states), *columns, raw.states, raw.letters)
     return Dfa(dlts=dlts, initial=initial, finals=finals)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -509,3 +510,116 @@ def test_parse_partition():
 def test_format_partition():
     assert format_partition([[0, 2], [1]], ["x", "y", "z"]) == "x z\ny\n"
     assert format_partition([], []) == ""
+
+
+def _rows_at_once(text):
+    """The one-shot tokenizer that the piecewise `_rows` must match."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(map(tuple, map(str.split, lines)))
+
+
+_LINES = ["0 a 1", "", "   ", "# note", "q x p  # why", "\xa0p\u2003b q", "#", "a#b c"]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n", "\r\n\r\n"]
+
+
+def _line_soup(rng):
+    parts = []
+    for _ in range(rng.randrange(12)):
+        parts += [rng.choice(_LINES), rng.choice(_BREAKS)]
+    if parts and rng.random() < 0.5:
+        parts.pop()  # no final line break
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("piece", range(1, 13))
+def test_rows_match_one_shot_across_piece_boundaries(monkeypatch, piece):
+    monkeypatch.setattr(dlts_bisim.lts, "_PIECE", piece)
+    rng = random.Random(piece)
+    texts = ["", "\n", "\r\n", "a\r\n\r\nb", "x y\r\n" * 8, "ab\r\n" * 8 + "c", "1 2\r\n3 #\r\n4"]
+    texts += [_line_soup(rng) for _ in range(150)]
+    for text in texts:
+        assert dlts_bisim.lts._rows(text) == _rows_at_once(text), repr(text)
+
+
+def test_rows_of_a_text_longer_than_one_piece():
+    rng = random.Random(3)
+    lines = ["# many pieces", "dlts 8000", ""]
+    lines += [f"{q} {rng.choice('ab')} {rng.randrange(8000)}  # {q}" for q in range(8000)]
+    text = "\r\n".join(lines)
+    assert len(text) > 2 * dlts_bisim.lts._PIECE
+    assert dlts_bisim.lts._rows(text) == _rows_at_once(text)
+    raw = parse_lts(text)
+    assert raw.transitions == [tuple(line.partition("#")[0].split()) for line in lines[3:]]
+
+
+def _cell_table_sizes(monkeypatch):
+    """The size of each `bytearray` that `lts` makes from now on, as a growing list."""
+    sizes = []
+
+    def counting(size):
+        sizes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(dlts_bisim.lts, "bytearray", counting, raising=False)
+    return sizes
+
+
+# Two transitions on one letter: with 16 states, the 16 cells are at most 8
+# per transition and the bitmap counts them; with 17 states, a set counts
+# the keys.
+@pytest.mark.parametrize("n, cells", [(16, [16]), (17, [])])
+def test_determinism_check_on_both_sides_of_the_bitmap(monkeypatch, n, cells):
+    sizes = _cell_table_sizes(monkeypatch)
+    states = [str(q) for q in range(n)]
+    repeat, fork = [("0", "x", "1"), ("0", "x", "1")], [("0", "x", "0"), ("0", "x", "1")]
+
+    with pytest.raises(LtsParseError) as info:
+        parse_lts(f"dlts {n}\n0 x 1\n  0 x 1\n")
+    assert (str(info.value), info.value.line, info.value.column) == (
+        "line 3, column 3: duplicate transition 0 x 1", 3, 3)
+    with pytest.raises(LtsError) as info:
+        normalize(RawLts(states, ["x"], repeat))
+    assert type(info.value) is LtsError and str(info.value) == "duplicate transition 0 x 1"
+    assert sizes == cells * 2
+
+    raw = parse_lts(f"dlts {n}\n0 x 0\n0 x 1\n")
+    assert raw.transitions == fork
+    for system in (raw, RawLts(states, ["x"], fork)):
+        with pytest.raises(NondeterminismError) as info:
+            normalize(system)
+        assert info.value.violations == [("0", "x")]
+        assert str(info.value) == "nondeterministic: state '0' has several transitions on letter 'x'"
+    with pytest.raises(NondeterminismError):
+        parse_dfa(f"dfa {n}\ninitial: 0\n0 x 0\n0 x 1\n")
+    assert sizes == cells * 6
+
+    sizes.clear()
+    good = normalize(parse_lts(f"dlts {n}\n0 x 1\n1 x 0\n"))
+    assert (good.n, good.m, good.triples()) == (n, 2, [(1, 0, 0), (0, 0, 1)])
+    assert sizes == cells
+
+
+def test_hostile_header_takes_no_cell_table(monkeypatch):
+    sizes = _cell_table_sizes(monkeypatch)
+    dlts = normalize(parse_lts("dlts 1000000\n999999 a 0\n"))
+    assert (dlts.n, dlts.k, dlts.m, dlts.in_src) == (1000000, 1, 1, [999999])
+    assert sizes == []
+
+
+def test_parse_peak_memory_stays_near_its_result():
+    rng = random.Random(5)
+    n = 10000
+    lines = [f"dlts {n}"] + [f"{q} {a} {rng.randrange(n)}" for q in range(n) for a in "ab"]
+    text = "\n".join(lines) + "\n"
+    assert len(text) >= 200_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        raw = parse_lts(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(raw.transitions) == 2 * n
+    assert peak - before <= 1.1 * (kept - before), (peak - before, kept - before)
