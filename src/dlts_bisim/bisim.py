@@ -33,9 +33,12 @@ class ScanStats:
     """Work counters for one refinement run.
 
     `transitions_scanned` counts every visit of an incoming transition during
-    splitter-side scans.  `per_transition_counts`, made only by `detailed`,
-    tracks the same per transition index: at most floor(log2 n) + 1 per
-    entry, as a state's enclosing splitter side at least halves between visits.
+    splitter-side scans.  `split_calls` counts letter buckets: one per letter
+    an iteration's scan touches; all of an iteration's buckets go to one
+    `split` call.  `blocks_final` is the block count of the result.
+    `per_transition_counts`, made only by `detailed`, tracks the scans per
+    transition index: at most floor(log2 n) + 1 per entry, as a state's
+    enclosing splitter side at least halves between visits.
     """
 
     transitions_scanned: int = 0

@@ -240,7 +240,7 @@ def bench_rows(
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LtsError(f"cannot read {path}: {exc}") from exc
 
 

@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, itemgetter, mul, setitem, sub
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class LtsError(Exception):
@@ -210,27 +210,23 @@ class Dfa:
         return self.dlts.n
 
 
-# Names must survive a trip through the text format: one token, no comment
-# sign, and no state name that would read as a header word at a line start.
-_NAME_RULES = {
-    "state": (re.compile(r"[^\s#]*[^\s#:]"), "is empty, has whitespace or `#`, or ends in `:`"),
-    "letter": (re.compile(r"[^\s#]+"), "is empty or has whitespace or `#`"),
-}
+def _broken_rule(names: Sequence[str], what: str) -> str | None:
+    """How some name of `names` breaks the rules for a `what` name, or None.
+
+    Names must survive a trip through the text format: one token, no comment
+    sign, and no state name that would read as a header word at a line start.
+    The names are checked joined, so a whole list costs about one Python step.
+    """
+    run = "".join(names)  # one token if no name is empty or holds whitespace
+    if names and (not all(names) or "#" in run or run.split(None, 1) != [run]):
+        return "is empty or has whitespace or `#`"
+    if what == "state" and ": " in " ".join(names) + " ":
+        return "ends in `:`"
+    return None
 
 
-def _index_names(names: Sequence[str], what: str) -> dict[str, int]:
-    rule, rule_text = _NAME_RULES[what]
-    index = dict(zip(names, range(len(names))))
-    if len(index) == len(names) and all(map(rule.fullmatch, names)):
-        return index
-    seen: set[str] = set()
-    for name in names:  # the first bad name, in declaration order
-        if not rule.fullmatch(name):
-            raise LtsError(f"{what} name {name!r} {rule_text}")
-        if name in seen:
-            raise LtsError(f"duplicate {what} name {name!r}")
-        seen.add(name)
-    raise AssertionError("unreachable: the bulk check failed on good names")
+def _names_ok(names: Sequence[str], index: dict[str, int], what: str) -> bool:
+    return len(index) == len(names) and _broken_rule(names, what) is None
 
 
 def normalize(raw: RawLts) -> NormalizedDlts:
@@ -244,12 +240,11 @@ def normalize(raw: RawLts) -> NormalizedDlts:
     """
     snapshot, columns = getattr(raw, "_parsed", (None, None))
     if snapshot != (raw.states, raw.letters, raw.transitions):
-        states, letters = _index_names(raw.states, "state"), _index_names(raw.letters, "letter")
-        columns, defect = _encode(raw.transitions, states, letters)
+        _state_index, columns, defect = _encode(raw.states, raw.letters, raw.transitions)
         if isinstance(defect, list):
             raise NondeterminismError(defect)
         if defect is not None:
-            i, token, message = defect
+            _where, i, token, message = defect
             if token is not None:
                 message += " in transition {} {} {}".format(*raw.transitions[i])
             raise LtsError(message)
@@ -258,16 +253,21 @@ def normalize(raw: RawLts) -> NormalizedDlts:
     )
 
 
-def _encode(transitions: Sequence[Sequence[str]], states: dict[str, int], letters: dict[str, int]):
-    """The (source, letter, destination) index columns of `transitions`, and None; or None
-    and `_first_defect`'s result, if a name is undeclared or a (source, letter) pair repeats.
-    """
+def _encode(states: Sequence[str], letters: Sequence[str], transitions: Sequence[Sequence[str]]):
+    """The state index; then the (source, letter, destination) index columns of `transitions`
+    and None, or None and `_first_defect`'s result if a name is bad or undeclared or a
+    (source, letter) repeats."""
+    state_index = dict(zip(states, count()))
+    letter_index = dict(zip(letters, count()))
+    system = (states, letters, transitions, state_index, letter_index)
+    if not (_names_ok(states, state_index, "state") and _names_ok(letters, letter_index, "letter")):
+        return state_index, None, _first_defect(*system)
     try:
-        src = list(map(states.__getitem__, map(itemgetter(0), transitions)))
-        letter = list(map(letters.__getitem__, map(itemgetter(1), transitions)))
-        dst = list(map(states.__getitem__, map(itemgetter(2), transitions)))
+        src = list(map(state_index.__getitem__, map(itemgetter(0), transitions)))
+        letter = list(map(letter_index.__getitem__, map(itemgetter(1), transitions)))
+        dst = list(map(state_index.__getitem__, map(itemgetter(2), transitions)))
     except KeyError:
-        return None, _first_defect(transitions, states, letters)
+        return state_index, None, _first_defect(*system)
     # One int key per (source, letter): a repeat is a repeated triple or a fork.
     # The keys are counted as marked cells of an n-by-k byte table when it
     # takes at most 8 bytes per transition, else as a set.
@@ -280,34 +280,38 @@ def _encode(transitions: Sequence[Sequence[str]], states: dict[str, int], letter
     else:
         distinct = len(set(keys))
     if distinct != len(src):
-        return None, _first_defect(transitions, states, letters)
-    return (src, letter, dst), None
+        return state_index, None, _first_defect(*system)
+    return state_index, (src, letter, dst), None
 
 
-def _first_defect(
-    transitions: Sequence[Sequence[str]],
-    states: Container[str],
-    letters: Container[str],
-) -> tuple[int, int | None, str] | list[tuple[str, str]]:
-    """The first undeclared name or repeated triple of `transitions`, in input order.
-
-    Returns (transition index, index of the undeclared token, message); the
-    token index is None for a repeated triple.  Forks do not stop the scan:
-    without such a defect, the result is the list of (state, letter) pairs
-    with two or more destinations, each once, in first-conflict order.
-    """
+def _first_defect(states, letters, transitions, state_index, letter_index):
+    """The first defect among the state names, letter names and transitions, in that order,
+    as (where, index, token, message): `where` 0, 1 or 2 picks the list, `index` the item,
+    and `token` an undeclared name's place in its transition, else None.  Forks do not stop
+    the scan: without a defect, the result is the forked (state, letter) pairs, once each,
+    in first-conflict order."""
+    for where, names, what in ((0, states, "state"), (1, letters, "letter")):
+        if _names_ok(names, (state_index, letter_index)[where], what):
+            continue
+        named: set[str] = set()
+        for i, name in enumerate(names):
+            if rule := _broken_rule([name], what):
+                return where, i, None, f"{what} name {name!r} {rule}"
+            if name in named:
+                return where, i, None, f"duplicate {what} name {name!r}"
+            named.add(name)
     seen: set[tuple[str, str, str]] = set()
     first_dst: dict[tuple[str, str], str] = {}
     forked: dict[tuple[str, str], None] = {}  # insertion-ordered set
     for i, (src, letter, dst) in enumerate(transitions):
-        if src not in states:
-            return i, 0, f"undeclared state {src!r}"
-        if dst not in states:
-            return i, 2, f"undeclared state {dst!r}"
-        if letter not in letters:
-            return i, 1, f"undeclared letter {letter!r}"
+        if src not in state_index:
+            return 2, i, 0, f"undeclared state {src!r}"
+        if dst not in state_index:
+            return 2, i, 2, f"undeclared state {dst!r}"
+        if letter not in letter_index:
+            return 2, i, 1, f"undeclared letter {letter!r}"
         if (src, letter, dst) in seen:
-            return i, None, f"duplicate transition {src} {letter} {dst}"
+            return 2, i, None, f"duplicate transition {src} {letter} {dst}"
         seen.add((src, letter, dst))
         if first_dst.setdefault((src, letter), dst) != dst:
             forked[(src, letter)] = None
@@ -324,9 +328,8 @@ def _first_defect(
 #   finals: <name> <name> ...        dfa only, optional
 #   <src> <letter> <dst>             one transition per line
 #
-# `#` starts a comment; blank lines are ignored.  A name is any token
-# without `#`; a state name must not end in `:`, or its transition lines
-# would read as headers.
+# `#` starts a comment; blank lines are ignored.  `_broken_rule` says which
+# tokens are names.
 
 _TOKEN = re.compile(r"\S+")
 
@@ -334,29 +337,34 @@ _DLTS_HEADERS = ("states:", "letters:")
 _DFA_HEADERS = _DLTS_HEADERS + ("initial:", "finals:")
 
 
-# `_rows` splits a text into lines one piece of at least this many
-# characters at a time, so that only one piece's line strings are alive
-# beside the rows.
 _PIECE = 1 << 16
 
 
-def _rows(text: str) -> list[tuple[str, ...]]:
-    """The tokens of each line of `text`, comments cut, one tuple per line.
-
-    Each piece ends just after a "\\n", which ends a line for `splitlines`
-    whether or not a "\\r" precedes it, so the rows are those of the whole text.
-    """
-    rows: list[tuple[str, ...]] = []
+def _pieces(text: str) -> Iterator[str]:
+    """`text` cut after a "\\n" every `_PIECE` or more characters, so that only one piece's
+    line strings are alive at a time.  A "\\n" ends a line for `splitlines` whether or not
+    a "\\r" precedes it, so no line is cut."""
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _PIECE - 1) + 1 or len(text)
-        piece = text[start:stop]
+        yield text[start:stop]
+        start = stop
+
+
+def _rows(text: str) -> list[tuple[str, ...]]:
+    """The tokens of each line of `text`, comments cut, one tuple per line."""
+    rows: list[tuple[str, ...]] = []
+    for piece in _pieces(text):
         lines = piece.splitlines()
         if "#" in piece:
             lines = [line.partition("#")[0] for line in lines]
         rows.extend(map(tuple, map(str.split, lines)))
-        start = stop
     return rows
+
+
+def _line(text: str, lineno: int) -> str:
+    """Line `lineno` of `text`, counted from 1 as `splitlines` counts."""
+    return next(islice(chain.from_iterable(map(str.splitlines, _pieces(text))), lineno - 1, None))
 
 
 def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError:
@@ -364,7 +372,7 @@ def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError
 
     `str.split` and `_TOKEN` split at the same characters.
     """
-    line = text.splitlines()[lineno - 1].partition("#")[0]
+    line = _line(text, lineno).partition("#")[0]
     match = next(islice(_TOKEN.finditer(line), index, None))
     return LtsParseError(message, lineno, match.start() + 1)
 
@@ -413,39 +421,27 @@ def _parse(text: str, kind: str):
         lineno, tokens = headers["states:"]
         state_names = list(tokens[1:])
         if len(state_names) != n:
-            raise LtsParseError(
-                f"`states:` lists {len(state_names)} names but the header declares {n}", lineno
-            )
-        state_index: dict[str, int] = {}
-        for i, name in enumerate(state_names):
-            if name.endswith(":"):
-                raise _error_at(text, f"state name {name!r} ends in `:`", lineno, i + 1)
-            if state_index.setdefault(name, i) != i:
-                raise _error_at(text, f"duplicate state name {name!r}", lineno, i + 1)
+            message = f"`states:` lists {len(state_names)} names but the header declares {n}"
+            raise LtsParseError(message, lineno)
     else:
         state_names = [str(i) for i in range(n)]
-        state_index = dict(zip(state_names, range(n)))
-
-    # Letter indices in declaration order, else in order of first use.
-    letters: dict[str, int] = {}
-    if "letters:" in headers:
-        lineno, tokens = headers["letters:"]
-        for i in range(1, len(tokens)):
-            if tokens[i] in letters:
-                raise _error_at(text, f"duplicate letter name {tokens[i]!r}", lineno, i)
-            letters[tokens[i]] = i - 1
-
     transitions: list[tuple[str, str, str]] = list(compress(rows, is_transition))
     del rows
-    if "letters:" not in headers:
-        letters = dict(zip(dict.fromkeys(map(itemgetter(1), transitions)), count()))
-    columns, defect = _encode(transitions, state_index, letters)
-    if isinstance(defect, tuple):  # an undeclared name or a repeated triple; forks go on
-        i, token, message = defect
-        lineno = next(islice(compress(count(1), is_transition), i, None))
-        raise _error_at(text, message, lineno, token or 0)
+    # Letters in declaration order, else in order of first use.
+    if "letters:" in headers:
+        letter_names = list(headers["letters:"][1][1:])
+    else:
+        letter_names = list(dict.fromkeys(map(itemgetter(1), transitions)))
 
-    raw = RawLts(states=state_names, letters=list(letters), transitions=transitions)
+    state_index, columns, defect = _encode(state_names, letter_names, transitions)
+    if isinstance(defect, tuple):  # a bad name or a repeated triple; forks go on
+        where, i, token, message = defect
+        if where == 2:
+            lineno = next(islice(compress(count(1), is_transition), i, None))
+            raise _error_at(text, message, lineno, token or 0)
+        raise _error_at(text, message, headers[_DLTS_HEADERS[where]][0], i + 1)
+
+    raw = RawLts(states=state_names, letters=letter_names, transitions=transitions)
     return raw, headers, state_index, (columns, defect)
 
 
@@ -460,28 +456,22 @@ def parse_lts(text: str) -> RawLts:
 def parse_dfa(text: str) -> Dfa:
     """Parse the `dfa` format (dlts plus `initial:`/`finals:`); forks raise after those."""
     raw, headers, state_index, (columns, forks) = _parse(text, "dfa")
-    initial: int | None = None
-    if "initial:" in headers:
-        lineno, tokens = headers["initial:"]
-        if len(tokens) != 2:
-            raise LtsParseError("`initial:` takes exactly one state name", lineno)
-        if tokens[1] not in state_index:
-            raise _error_at(text, f"undeclared state {tokens[1]!r}", lineno, 1)
-        initial = state_index[tokens[1]]
-    elif raw.states:
+    lineno, tokens = headers.get("initial:", (None, ()))
+    if tokens and len(tokens) != 2:
+        raise LtsParseError("`initial:` takes exactly one state name", lineno)
+    if not tokens and raw.states:
         raise LtsParseError("missing `initial:` line")
-
-    finals: set[int] = set()
-    if "finals:" in headers:
-        lineno, tokens = headers["finals:"]
+    named: dict[str, list[int]] = {}  # the states of the `initial:` and `finals:` lines
+    for word in ("initial:", "finals:"):
+        lineno, tokens = headers.get(word, (None, ()))
         for i in range(1, len(tokens)):
             if tokens[i] not in state_index:
                 raise _error_at(text, f"undeclared state {tokens[i]!r}", lineno, i)
-            finals.add(state_index[tokens[i]])
+        named[word] = list(map(state_index.__getitem__, tokens[1:]))
     if forks:
         raise NondeterminismError(forks)
     dlts = NormalizedDlts._from_valid_columns(len(raw.states), *columns, raw.states, raw.letters)
-    return Dfa(dlts=dlts, initial=initial, finals=finals)
+    return Dfa(dlts=dlts, initial=next(iter(named["initial:"]), None), finals=set(named["finals:"]))
 
 
 def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:

@@ -14,6 +14,7 @@ import pytest
 import dlts_bisim
 from dlts_bisim import (
     GenConfig,
+    LtsError,
     ScanStats,
     bench_rows,
     gen_random_dfa,
@@ -22,7 +23,7 @@ from dlts_bisim import (
     parse_dfa,
     parse_lts,
 )
-from dlts_bisim.cli import main
+from dlts_bisim.cli import _read, main
 
 from _canon import (
     dfa_canonical_form,
@@ -110,6 +111,16 @@ def test_missing_file_exits_1(capsys):
     code, _out, err = run(capsys, "bisim", "/nonexistent/file.dlts")
     assert code == 1
     assert "cannot read" in err
+
+
+def test_undecodable_file_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.dlts"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "bisim", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode"), err
+    with pytest.raises(LtsError, match="cannot read"):
+        _read(str(path))
 
 
 def test_nondeterministic_input_exits_2(tmp_path, capsys):

@@ -207,15 +207,16 @@ def test_parsed_dfa_encodes_as_normalize_does(text):
 # Error contract: the first defect in input order decides the error.
 
 _RULE_TEXT = {
-    "state": "is empty, has whitespace or `#`, or ends in `:`",
-    "letter": "is empty or has whitespace or `#`",
+    "token": "is empty or has whitespace or `#`",
+    "colon": "ends in `:`",
 }
 
 
-def _good_name(name, what):
+def _broken_rule(name, what):
+    """The `_RULE_TEXT` key of the rule that `name` breaks, or None."""
     if not name or any(c.isspace() or c == "#" for c in name):
-        return False
-    return what == "letter" or not name.endswith(":")
+        return "token"
+    return "colon" if what == "state" and name.endswith(":") else None
 
 
 def _normalize_outcome(raw):
@@ -229,8 +230,9 @@ def _normalize_outcome(raw):
     for what, names in (("state", raw.states), ("letter", raw.letters)):
         seen = set()
         for name in names:
-            if not _good_name(name, what):
-                return LtsError, f"{what} name {name!r} {_RULE_TEXT[what]}"
+            rule = _broken_rule(name, what)
+            if rule is not None:
+                return LtsError, f"{what} name {name!r} {_RULE_TEXT[rule]}"
             if name in seen:
                 return LtsError, f"duplicate {what} name {name!r}"
             seen.add(name)
@@ -300,6 +302,51 @@ def test_normalize_raises_the_first_error_in_input_order(raw):
         names = T.state_names
         named = {(names[s], T.letter_names[a], names[d]) for s, a, d in T.triples()}
         assert named == set(raw.transitions) and T.m == len(raw.transitions)
+
+
+@st.composite
+def declared_names(draw):
+    """A `dlts` text whose only lines are its `states:` and `letters:` headers,
+    in either order, with the lists they declare; the lists sometimes repeat
+    a name or hold a state name ending in `:`.  Returns (text, states,
+    letters, the line and token columns of each header)."""
+    states = draw(st.lists(st.sampled_from(["a", "b", "q0", "b:", "states:"]), max_size=4))
+    letters = draw(st.lists(st.sampled_from(["x", "y", "z", "x:"]), max_size=3))
+    words = ["states:"] + (["letters:"] if letters or draw(st.booleans()) else [])
+    lines = [f"dlts {len(states)}"] + draw(st.lists(st.sampled_from(["", "# note"]), max_size=1))
+    at = {}
+    for word in draw(st.permutations(words)):
+        line, columns = word, []
+        for name in states if word == "states:" else letters:
+            line += draw(st.sampled_from(_SPACES))
+            columns.append(len(line) + 1)
+            line += name
+        lines.append(line + draw(st.sampled_from(["", " ", "  # end"])))
+        at[word] = (len(lines), columns)
+    return "\n".join(lines) + "\n", states, letters, at
+
+
+@settings(PROPERTY, max_examples=300)
+@given(declared_names())
+def test_parser_and_normalize_judge_declared_names_alike(case):
+    """A bad or repeated declared name makes `parse_lts` raise at its header
+    line and column with exactly the message `normalize` gives for the same
+    lists; without one, both accept."""
+    text, states, letters, at = case
+    try:
+        want = normalize(RawLts(states, letters, []))
+    except LtsError as error:
+        assert type(error) is LtsError
+        lists = (("states:", "state", states), ("letters:", "letter", letters))
+        word, i = next((word, i) for word, what, names in lists for i, name in enumerate(names)
+                       if _broken_rule(name, what) or name in names[:i])
+        lineno, columns = at[word]
+        with pytest.raises(LtsParseError) as info:
+            parse_lts(text)
+        assert (info.value.line, info.value.column) == (lineno, columns[i])
+        assert str(info.value) == f"line {lineno}, column {columns[i]}: {error}"
+    else:
+        assert normalize(parse_lts(text)) == want
 
 
 def _first_defective_transition_line(text):
