@@ -6,8 +6,8 @@ Ships with a set-based reference implementation, seeded instance generators,
 and a DFA minimizer built on the same engine.
 """
 
-from .bisim import DEBUG_ENV, ScanStats, dbisim, init_refine
-from .cli import MinimizeReport, bench_rows, main, minimize_dfa
+from .bisim import ScanStats, dbisim, init_refine
+from .cli import MinimizeReport, minimize_dfa
 from .gen import GenConfig, gen_random_dfa, gen_random_dlts, instance_stream
 from .lts import (
     Dfa,
@@ -29,8 +29,8 @@ from .partition import PartitionError, RefinablePartition
 
 __version__ = "0.1.0"
 
-# The API that README.md documents.  The other names imported above stay
-# importable from the package; the tests and the benchmark use some of them.
+# The API that README.md documents.  The other names imported above are
+# documented under README's "Modules" and stay importable from the package.
 __all__ = [
     "Dfa",
     "LtsError",

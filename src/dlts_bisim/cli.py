@@ -32,6 +32,7 @@ from .lts import (
     LtsError,
     NondeterminismError,
     NormalizedDlts,
+    RawLts,
     format_dfa,
     format_dlts,
     format_partition,
@@ -94,7 +95,7 @@ def _closure(n: int, roots: Iterable[int], step: Callable[[int], Iterable[int]])
 
 
 def _empty_dfa() -> Dfa:
-    return Dfa(dlts=NormalizedDlts.from_columns(0, [], [], [], [], []), initial=None, finals=set())
+    return Dfa(dlts=normalize(RawLts([], [], [])), initial=None, finals=set())
 
 
 def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, MinimizeReport]:
@@ -150,8 +151,7 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     keep = list(map(and_, map(useful.__getitem__, in_src), map(useful.__getitem__, dst)))
     kept_before = list(accumulate(keep, initial=0))  # kept transitions before each transition
     sub_dst = list(map(renumber.__getitem__, compress(dst, keep)))
-    sub = NormalizedDlts.from_sorted(
-        renumber[-1],
+    sub = NormalizedDlts._from_sorted(
         list(map(renumber.__getitem__, compress(in_src, keep))),
         list(compress(T.in_letter, keep)),
         [*map(kept_before.__getitem__, compress(in_off, useful)), kept_before[-1]],
@@ -187,8 +187,7 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     stride = nb * k
     keys = sorted([(d * nb + s) * k + a for s, a, d in zip(q_src, q_letter, q_dst)])
     result = Dfa(
-        dlts=NormalizedDlts.from_sorted(
-            nb,
+        dlts=NormalizedDlts._from_sorted(
             list(map(mod, map(floordiv, keys, repeat(k)), repeat(nb))),
             list(map(mod, keys, repeat(k))),
             [bisect_left(keys, d * stride) for d in range(nb + 1)],

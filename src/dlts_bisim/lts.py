@@ -4,8 +4,9 @@ The refinement engine works on a dense, index-based encoding of a
 deterministic LTS in which the alphabet is restricted to letters that
 actually label a transition and the transitions are held as parallel
 source and letter columns sorted by destination, so that the incoming
-transitions of a state form one contiguous slice.  Text and names are
-turned into index columns a whole column at a time; a per-item loop over
+transitions of a state form one contiguous slice.  `normalize` and
+`parse_dfa` check every rule through one resolver, `_encode`, which turns
+names into index columns a whole column at a time; a per-item loop over
 the names runs only to locate the first error.  Encoding then groups the
 transitions by destination in one stable counting-sort pass: O(m + n)
 time, two columns of length m and one slot array of length n.
@@ -81,6 +82,8 @@ class NormalizedDlts:
     in_offsets[q] <= t < in_offsets[q + 1].  Letter indices cover only
     letters that label at least one transition, so k <= m.  Instances are
     immutable after construction and safe to share between threads.
+
+    Only `normalize` and `parse_dfa` check names; the constructor trusts its fields.
     """
 
     n: int
@@ -93,47 +96,22 @@ class NormalizedDlts:
     letter_names: list[str]
 
     @classmethod
-    def from_columns(
+    def _from_columns(
         cls,
-        n: int,
         src: Sequence[int],
         letter: Sequence[int],
         dst: Sequence[int],
         state_names: list[str],
         letter_names: Sequence[str],
     ) -> "NormalizedDlts":
-        """Encode (source, letter, destination) index columns.
+        """Encode `_encode`'s (source, letter, destination) index columns.
 
         The transitions are grouped by destination in one stable counting-sort
-        pass, so each incoming slice keeps input order; then `from_sorted`
-        encodes them.  This takes O(m + n) time, the two sorted columns of
-        length m and one slot array of length n.  Raises LtsError if the
-        columns differ in length, a source or destination is outside 0..n-1,
-        or a letter is outside 0..len(letter_names)-1.
+        pass, so each incoming slice keeps input order, and `_from_sorted`
+        encodes them: O(m + n) time, two columns of length m and one slot
+        array of length n.  Raises LtsError if a destination is outside 0..n-1.
         """
-        m = len(dst)
-        if not len(src) == len(letter) == m:
-            raise LtsError(f"columns of {len(src)}, {len(letter)} and {m} transitions")
-        if m and (min(src) < 0 or max(src) >= n):
-            bad = next(s for s in src if s not in range(n))
-            raise LtsError(f"source state index {bad!r} out of range")
-        if not set(letter).issubset(range(len(letter_names))):
-            bad = next(a for a in letter if a not in range(len(letter_names)))
-            raise LtsError(f"letter index {bad!r} out of range")
-        return cls._from_valid_columns(n, src, letter, dst, state_names, letter_names)
-
-    @classmethod
-    def _from_valid_columns(
-        cls,
-        n: int,
-        src: Sequence[int],
-        letter: Sequence[int],
-        dst: Sequence[int],
-        state_names: list[str],
-        letter_names: Sequence[str],
-    ) -> "NormalizedDlts":
-        """`from_columns` without its length, source and letter checks, for `_encode`'s columns."""
-        m = len(dst)
+        n, m = len(state_names), len(dst)
         per_dst = Counter(dst)
         in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
         del per_dst
@@ -148,12 +126,11 @@ class NormalizedDlts:
             slot[d] = t + 1
             in_src[t] = s
             in_letter[t] = a
-        return cls.from_sorted(n, in_src, in_letter, in_offsets, state_names, letter_names)
+        return cls._from_sorted(in_src, in_letter, in_offsets, state_names, letter_names)
 
     @classmethod
-    def from_sorted(
+    def _from_sorted(
         cls,
-        n: int,
         in_src: list[int],
         in_letter: list[int],
         in_offsets: list[int],
@@ -171,7 +148,8 @@ class NormalizedDlts:
             new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
             in_letter = list(map(new_letter.__getitem__, in_letter))
         kept = list(compress(letter_names, is_used))
-        return cls(n, len(kept), len(in_src), in_src, in_letter, in_offsets, state_names, kept)
+        n, k, m = len(state_names), len(kept), len(in_src)
+        return cls(n, k, m, in_src, in_letter, in_offsets, state_names, kept)
 
     def destinations(self) -> list[int]:
         """The destination of each transition, expanded from `in_offsets`."""
@@ -248,9 +226,7 @@ def normalize(raw: RawLts) -> NormalizedDlts:
             if token is not None:
                 message += " in transition {} {} {}".format(*raw.transitions[i])
             raise LtsError(message)
-    return NormalizedDlts._from_valid_columns(
-        len(raw.states), *columns, list(raw.states), raw.letters
-    )
+    return NormalizedDlts._from_columns(*columns, list(raw.states), raw.letters)
 
 
 def _encode(states: Sequence[str], letters: Sequence[str], transitions: Sequence[Sequence[str]]):
@@ -470,7 +446,7 @@ def parse_dfa(text: str) -> Dfa:
         named[word] = list(map(state_index.__getitem__, tokens[1:]))
     if forks:
         raise NondeterminismError(forks)
-    dlts = NormalizedDlts._from_valid_columns(len(raw.states), *columns, raw.states, raw.letters)
+    dlts = NormalizedDlts._from_columns(*columns, raw.states, raw.letters)
     return Dfa(dlts=dlts, initial=next(iter(named["initial:"]), None), finals=set(named["finals:"]))
 
 

@@ -15,7 +15,7 @@ the refinement does close to the most work the O(m log n) bound allows:
 
 from __future__ import annotations
 
-from dlts_bisim import NormalizedDlts
+from dlts_bisim import NormalizedDlts, RawLts, normalize
 
 
 def fibonacci_word(length: int) -> str:
@@ -55,9 +55,9 @@ def de_bruijn_word(order: int) -> str:
 def cyclic_automaton(word: str) -> tuple[NormalizedDlts, list[list[int]]]:
     """The unary cycle over `word`, and its start partition: finals, then non-finals."""
     n = len(word)
-    successor = [(i + 1) % n for i in range(n)]
     names = list(map(str, range(n)))
-    dlts = NormalizedDlts.from_columns(n, range(n), [0] * n, successor, names, ["a"])
+    cycle = [(names[i], "a", names[(i + 1) % n]) for i in range(n)]
+    dlts = normalize(RawLts(names, ["a"], cycle))
     finals = [i for i, c in enumerate(word) if c == "b"]
     others = [i for i, c in enumerate(word) if c != "b"]
     return dlts, [block for block in (finals, others) if block]

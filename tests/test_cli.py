@@ -15,15 +15,15 @@ import dlts_bisim
 from dlts_bisim import (
     GenConfig,
     LtsError,
+    RefinablePartition,
     ScanStats,
-    bench_rows,
     gen_random_dfa,
     minimize_dfa,
     naive_fixpoint,
     parse_dfa,
     parse_lts,
 )
-from dlts_bisim.cli import _read, main
+from dlts_bisim.cli import _read, bench_rows, main
 
 from _canon import (
     dfa_canonical_form,
@@ -282,6 +282,11 @@ def test_gen_output_parses_and_is_deterministic(capsys):
     assert code == 0
     parse_dfa(dfa_out)
 
+    # letters after `z` are named by index: the 27th is `l26`
+    code, out, _ = run(capsys, "gen", "--n", "3", "--k", "27", "--density", "1", "--seed", "4")
+    assert code == 0
+    assert parse_lts(out).letters[26] == "l26"
+
 
 def test_check_count_zero_trivially_passes(capsys):
     code, _out, err = run(capsys, "check", "--count", "0")
@@ -318,6 +323,31 @@ def test_check_mutant_fails_counter_bound(capsys, monkeypatch):
     )
     assert code == 3
     assert "scanned" in err and "seed=" in err  # reproducer seed printed
+
+
+def _discrete(T, _blocks):
+    return [{q} for q in range(T.n)]
+
+
+_from_initial = RefinablePartition.from_initial  # as it is before any patch
+
+
+@pytest.mark.parametrize("fakes, message", [
+    ({"naive_fixpoint": _discrete}, "partition differs from the set-based fixpoint"),
+    ({"is_bisimulation": lambda _blocks, _T: False}, "result is not a bisimulation"),
+    ({"init_refine": lambda T, _p: _from_initial(T.n, _discrete(T, None))},
+     "result does not refine the letter-signature pre-refinement"),
+    # the engine and the fixpoint both start from one block, so they agree
+    ({"naive_fixpoint": lambda T, _p: naive_fixpoint(T, [set(range(T.n))]),
+      "RefinablePartition.from_initial": staticmethod(lambda n, _p: _from_initial(n, [range(n)]))},
+     "result does not refine the initial partition"),
+])
+def test_check_reports_each_mismatch(capsys, monkeypatch, fakes, message):
+    for name, fake in fakes.items():
+        monkeypatch.setattr(f"dlts_bisim.cli.{name}", fake)
+    code, _out, err = run(capsys, "check", "--count", "20", "--n", "6", "--seed", "0")
+    assert code == 3
+    assert message in err and "seed=" in err
 
 
 def test_bench_single_size_csv(capsys):
@@ -410,3 +440,9 @@ def test_public_api_is_documented():
     undocumented = [name for name in dlts_bisim.__all__ if not re.search(rf"\b{name}\b", readme)]
     assert undocumented == []
     assert all(hasattr(dlts_bisim, name) for name in dlts_bisim.__all__)
+    # a public classmethod is a way in too: each is documented, or private
+    classes = [c for c in map(vars(dlts_bisim).get, dlts_bisim.__all__) if isinstance(c, type)]
+    ways_in = [f"{c.__name__}.{name}" for c in classes for name, member in vars(c).items()
+               if isinstance(member, classmethod) and not name.startswith("_")]
+    assert {"RefinablePartition.from_initial", "ScanStats.detailed"} <= set(ways_in)
+    assert [way for way in ways_in if not re.search(rf"\b{way.split('.')[1]}\b", readme)] == []

@@ -41,6 +41,16 @@ def test_is_bisimulation_rejects_missing_move():
     assert not is_bisimulation([{0, 1}, {2}], T)
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([{0, 1}, set()], "empty block"),
+    ([{0, 1}, {1}], "overlapping blocks"),
+    ([{0}], "blocks do not cover the state range"),
+])
+def test_is_bisimulation_rejects_a_non_partition(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        is_bisimulation(blocks, _cycle2())
+
+
 def test_naive_fixpoint_singletons_unchanged():
     T = _cycle2()
     assert canonical_view(naive_fixpoint(T, [{0}, {1}])) == [[0], [1]]
@@ -102,6 +112,8 @@ def test_gen_config_validation():
         GenConfig(n=1, k=0, density=0.5, seed=0)
     with pytest.raises(ValueError):
         GenConfig(n=1, k=1, density=1.5, seed=0)
+    with pytest.raises(ValueError, match="max_blocks must be >= 1"):
+        GenConfig(n=1, k=1, density=0.5, seed=0, max_blocks=0)
 
 
 def _dfa(text_states, initial, finals, transitions, letters):
