@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq
 
 from .lts import NormalizedDlts
 from .oracle import InvariantChecker
@@ -64,15 +66,25 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     both or neither has an outgoing transition on it.  This property is what
     allows the main loop's splitters to be letter-free.  Raises
     PartitionError if `p_init` is not over the n states of `T`.
+
+    The copy is split by each letter's sources in letter order.  On a
+    complete DLTS (m = n * k) every letter's sources are all n states, so
+    each pass splits nothing and only reorders every block's states into
+    the sources' order; one pass with the last letter's sources then leaves
+    the same arrays as the k passes, and holds one n-entry list instead of
+    k buckets.
     """
     if len(p_init.A) != T.n:
         raise PartitionError(f"the partition covers {len(p_init.A)} states but the LTS has {T.n}")
     p = p_init.copy()
-    sources: list[list[int]] = [[] for _ in range(T.k)]
-    for a, src in zip(T.in_letter, T.in_src):
-        sources[a].append(src)
+    if T.k and T.m == T.n * T.k:
+        sources = [list(compress(T.in_src, map(eq, T.in_letter, repeat(T.k - 1))))]
+    else:
+        sources = [[] for _ in range(T.k)]
+        for a, src in zip(T.in_letter, T.in_src):
+            sources[a].append(src)
     # Every block counts as inside a pending range, so no range is pushed.
-    p.split(sources, range(T.k), [True] * p.block_count, [], [])
+    p.split(sources, range(len(sources)), [True] * p.block_count, [], [])
     return p
 
 

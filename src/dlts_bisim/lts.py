@@ -23,7 +23,7 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, itemgetter, mul, setitem, sub
+from operator import add, eq, itemgetter, mul, not_, setitem, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -236,28 +236,36 @@ def _encode(states: Sequence[str], letters: Sequence[str], transitions: Sequence
     state_index = dict(zip(states, count()))
     letter_index = dict(zip(letters, count()))
     system = (states, letters, transitions, state_index, letter_index)
-    if not (_names_ok(states, state_index, "state") and _names_ok(letters, letter_index, "letter")):
+    columns = None
+    if _names_ok(states, state_index, "state") and _names_ok(letters, letter_index, "letter"):
+        columns = _resolve(transitions, state_index, letter_index)
+        if columns is not None and _repeats(columns[0], columns[1], len(states), len(letters)):
+            columns = None  # not held while `_first_defect` scans
+    if columns is None:
         return state_index, None, _first_defect(*system)
+    return state_index, columns, None
+
+
+def _resolve(transitions, state_index, letter_index):
+    """The (source, letter, destination) index columns, or None if a name is undeclared."""
     try:
-        src = list(map(state_index.__getitem__, map(itemgetter(0), transitions)))
-        letter = list(map(letter_index.__getitem__, map(itemgetter(1), transitions)))
-        dst = list(map(state_index.__getitem__, map(itemgetter(2), transitions)))
+        return tuple(list(map(index.__getitem__, map(itemgetter(token), transitions)))
+                     for token, index in ((0, state_index), (1, letter_index), (2, state_index)))
     except KeyError:
-        return state_index, None, _first_defect(*system)
-    # One int key per (source, letter): a repeat is a repeated triple or a fork.
-    # The keys are counted as marked cells of an n-by-k byte table when it
-    # takes at most 8 bytes per transition, else as a set.
-    cells = len(states) * len(letters)
-    keys = map(add, map(mul, src, repeat(len(letters))), letter)
+        return None
+
+
+def _repeats(src: list[int], letter: list[int], n: int, k: int) -> bool:
+    """Whether some (source, letter) pair repeats: a repeated triple or a fork.  The int keys
+    `src * k + letter` are counted as marked cells of an n-by-k byte table when it takes at
+    most 8 bytes per transition, else as a set."""
+    keys = map(add, map(mul, src, repeat(k)), letter)
+    cells = n * k
     if cells <= 8 * len(src):
         seen = bytearray(cells)
         deque(map(setitem, repeat(seen), keys, repeat(1)), 0)
-        distinct = cells - seen.count(0)
-    else:
-        distinct = len(set(keys))
-    if distinct != len(src):
-        return state_index, None, _first_defect(*system)
-    return state_index, (src, letter, dst), None
+        return cells - seen.count(0) != len(src)
+    return len(set(keys)) != len(src)
 
 
 def _first_defect(states, letters, transitions, state_index, letter_index):
@@ -265,7 +273,10 @@ def _first_defect(states, letters, transitions, state_index, letter_index):
     as (where, index, token, message): `where` 0, 1 or 2 picks the list, `index` the item,
     and `token` an undeclared name's place in its transition, else None.  Forks do not stop
     the scan: without a defect, the result is the forked (state, letter) pairs, once each,
-    in first-conflict order."""
+    in first-conflict order.
+
+    The first undeclared name is found a column at a time; repeats and forks are then
+    found on the `src * k + letter` int keys of the transitions before it."""
     for where, names, what in ((0, states, "state"), (1, letters, "letter")):
         if _names_ok(names, (state_index, letter_index)[where], what):
             continue
@@ -276,22 +287,49 @@ def _first_defect(states, letters, transitions, state_index, letter_index):
             if name in named:
                 return where, i, None, f"duplicate {what} name {name!r}"
             named.add(name)
-    seen: set[tuple[str, str, str]] = set()
-    first_dst: dict[tuple[str, str], str] = {}
-    forked: dict[tuple[str, str], None] = {}  # insertion-ordered set
-    for i, (src, letter, dst) in enumerate(transitions):
-        if src not in state_index:
-            return 2, i, 0, f"undeclared state {src!r}"
-        if dst not in state_index:
-            return 2, i, 2, f"undeclared state {dst!r}"
-        if letter not in letter_index:
-            return 2, i, 1, f"undeclared letter {letter!r}"
-        if (src, letter, dst) in seen:
-            return 2, i, None, f"duplicate transition {src} {letter} {dst}"
-        seen.add((src, letter, dst))
-        if first_dst.setdefault((src, letter), dst) != dst:
-            forked[(src, letter)] = None
-    return list(forked)
+    # The first transition with an undeclared name; at one transition, the
+    # source is reported before the destination and the destination before the letter.
+    undeclared = None
+    stop = len(transitions)
+    for token, index, what in ((0, state_index, "state"), (2, state_index, "state"),
+                               (1, letter_index, "letter")):
+        names = map(itemgetter(token), islice(transitions, stop))
+        i = next(compress(count(), map(not_, map(index.__contains__, names))), None)
+        if i is not None:
+            undeclared, stop = (i, token, what), i
+
+    k = len(letters)
+
+    def keys() -> Iterator[int]:  # one per transition before `stop`
+        sources = map(state_index.__getitem__, map(itemgetter(0), islice(transitions, stop)))
+        letter = map(letter_index.__getitem__, map(itemgetter(1), islice(transitions, stop)))
+        return map(add, map(mul, sources, repeat(k)), letter)
+
+    # The keys that occur more than once, adjacent once sorted.
+    ordered = sorted(keys())
+    repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+    del ordered
+    # Each repeated key's first destination, then the later (key, destination)
+    # pairs as int keys; forked keys in first-conflict order.
+    first_dst: dict[int, str] = {}
+    later: set[int] = set()
+    forked: dict[int, None] = {}
+    for i, key, dst in zip(count(), keys(), map(itemgetter(2), transitions)):
+        if key not in repeated:
+            continue
+        known = first_dst.get(key)
+        if known is None:
+            first_dst[key] = dst
+            continue
+        pair = key * len(states) + state_index[dst]
+        if known == dst or pair in later:
+            return 2, i, None, "duplicate transition {} {} {}".format(*transitions[i])
+        later.add(pair)
+        forked[key] = None
+    if undeclared is not None:
+        i, token, what = undeclared
+        return 2, i, token, f"undeclared {what} {transitions[i][token]!r}"
+    return [(states[key // k], letters[key % k]) for key in forked]
 
 
 # ---------------------------------------------------------------------------

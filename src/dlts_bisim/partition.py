@@ -104,6 +104,9 @@ class RefinablePartition:
         is always appended flagged.  A later bucket sees the flags and ranges
         that an earlier one left.  A state repeated in a bucket moves once;
         a singleton block is skipped before any swap, as it cannot split.
+        A state's position is read only when the state may move, and
+        compared with the block's marked prefix only when that prefix is
+        not empty, since a block's first hit cannot be a repeat.
         Cost is O(total bucket length) element moves.
         """
         A, pos, block_of = self.A, self.pos, self.block_of
@@ -115,13 +118,16 @@ class RefinablePartition:
                 b = block_of[x]
                 count = marked[b]
                 boundary = left[b] + count
-                i = pos[x]
-                if i < boundary:
-                    continue  # already marked by an earlier occurrence of x
-                if not count:
+                if count:
+                    i = pos[x]
+                    if i < boundary:
+                        continue  # already marked by an earlier occurrence of x
+                else:
+                    # A block's first hit cannot be a repeat.
                     if right[b] == boundary + 1:
                         continue  # a singleton block
                     hit.append(b)
+                    i = pos[x]
                 y = A[boundary]
                 A[boundary] = x
                 A[i] = y

@@ -95,6 +95,23 @@ def letter_signature_blocks(T: NormalizedDlts, p_init: list[set[int]]) -> list[s
     return list(groups.values())
 
 
+def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition) -> RefinablePartition:
+    """Pre-refinement the long way: a copy of `p` split by each letter's
+    sources in turn, in letter order, one `split` call per letter."""
+    q = p.copy()
+    buckets: list[list[int]] = [[] for _ in range(T.k)]
+    for a, src in zip(T.in_letter, T.in_src):
+        buckets[a].append(src)
+    for a in range(T.k):
+        q.split(buckets, [a], [True] * q.block_count, [], [])
+    return q
+
+
+def partition_arrays(p: RefinablePartition) -> tuple[list[int], ...]:
+    """All six of a partition's int lists, for exact comparison."""
+    return p.A, p.pos, p.block_of, p.left, p.right, p.marked
+
+
 def refines(fine, coarse) -> bool:
     """Every block of `fine` lies inside a single block of `coarse`."""
     container: dict[int, int] = {}

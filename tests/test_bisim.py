@@ -22,7 +22,14 @@ from dlts_bisim import (
     normalize,
 )
 
-from _canon import check_consistency, larger_side_dbisim, letter_signature_blocks, refines
+from _canon import (
+    check_consistency,
+    init_refine_by_every_letter,
+    larger_side_dbisim,
+    letter_signature_blocks,
+    partition_arrays,
+    refines,
+)
 
 
 def _dlts(n, transitions, letters=("a", "b")):
@@ -72,6 +79,38 @@ def test_init_refine_does_not_touch_input():
     p0 = _full(2)
     init_refine(T, p0)
     assert p0.to_canonical() == [[0, 1]]
+
+
+@st.composite
+def complete_dlts_and_blocks(draw):
+    """A complete DLTS (every state has every letter), its transitions in a
+    shuffled order, and a block number for each state."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    cells = draw(st.permutations(range(n * k)))
+    states = [f"q{i}" for i in range(n)]
+    letters = [f"a{j}" for j in range(k)]
+    transitions = [(states[c // k], letters[c % k], states[dst[c]]) for c in cells]
+    T = normalize(RawLts(states, letters, transitions))
+    blocks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return T, blocks
+
+
+@given(complete_dlts_and_blocks())
+@settings(max_examples=60, deadline=None)
+def test_init_refine_on_complete_dlts_equals_every_letter_split(case):
+    T, blocks = case
+    assert T.m == T.n * T.k
+    groups: dict[int, set[int]] = {}
+    for q, b in enumerate(blocks):
+        groups.setdefault(b, set()).add(q)
+    p = RefinablePartition.from_initial(T.n, groups.values())
+    # From a laid-out initial partition, and from a refined one whose block
+    # ids are out of position order.
+    for start in (p, dbisim(T, p)):
+        want = partition_arrays(init_refine_by_every_letter(T, start))
+        assert partition_arrays(init_refine(T, start)) == want
 
 
 # --- dbisim on the pinned examples ---------------------------------------
@@ -143,6 +182,10 @@ def test_per_transition_counts_are_pinned(monkeypatch):
     T = _chain(16)
     halves = [set(range(8)), set(range(8, 16))]
     T_random, p_random = gen_random_dlts(GenConfig(n=24, k=3, density=0.6, seed=3))
+    # Complete (m = n * k): pre-refinement takes its one-pass route.
+    T_complete, _ = gen_random_dlts(GenConfig(n=24, k=2, density=1.0, seed=4))
+    order = random.Random(4).sample(range(24), 24)
+    random_halves = [set(order[:12]), set(order[12:])]
     cases = [
         (T, [set(range(16))], [1] * 15, 15, 16,
          [14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15],
@@ -155,6 +198,11 @@ def test_per_transition_counts_are_pinned(monkeypatch):
           1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1], 26, 21,
          [0, 4, 19, 2, 10, 21, 20, 5, 23, 1, 18, 11, 13, 22, 17, 14, 16, 8, 7, 15, 3, 9, 6, 12],
          [17, 16, 18, 8, 7, 14, 0, 11, 9, 3, 4, 15, 0, 15, 1, 5, 12, 20, 6, 13, 2, 19, 20, 10]),
+        (T_complete, random_halves,
+         [2, 2, 2, 1, 1, 3, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3,
+          1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 3, 1, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1], 28, 23,
+         [4, 9, 0, 2, 18, 3, 8, 7, 12, 17, 15, 6, 5, 10, 1, 20, 23, 22, 21, 14, 19, 13, 16, 11],
+         [5, 12, 15, 16, 8, 14, 0, 22, 16, 9, 10, 1, 3, 19, 20, 17, 21, 7, 13, 6, 4, 2, 11, 18]),
     ]
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)

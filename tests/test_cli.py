@@ -370,14 +370,23 @@ def test_bench_table_output(capsys):
 def test_bench_work_counts_are_pinned(capsys):
     """The engine's work on a fixed ladder: a change to the encoding or the
     loop that scans a transition more or less often shows up here."""
-    code, out, _err = run(capsys, "bench", "--sizes", "1024,4096,16384", "--seed", "0", "--csv")
-    assert code == 0
     columns = ("n", "m", "transitions_scanned", "scan_bound")
-    rows = [tuple(int(row[c]) for c in columns) for row in csv.DictReader(io.StringIO(out))]
-    assert rows == [
+
+    def ladder(*options):
+        code, out, _err = run(capsys, "bench", *options, "--seed", "0", "--csv")
+        assert code == 0
+        return [tuple(int(row[c]) for c in columns) for row in csv.DictReader(io.StringIO(out))]
+
+    # Complete instances (the default k=2, density 1.0): one pre-refinement pass.
+    assert ladder("--sizes", "1024,4096,16384") == [
         (1024, 2048, 4094, 22528),
         (4096, 8192, 16781, 106496),
         (16384, 32768, 69098, 491520),
+    ]
+    # Partial instances: one pre-refinement bucket per letter.
+    assert ladder("--sizes", "1024,4096", "--k", "3", "--density", "0.5") == [
+        (1024, 1578, 2193, 17358),
+        (4096, 6181, 9043, 80353),
     ]
 
 

@@ -627,3 +627,31 @@ def test_parse_peak_memory_stays_near_its_result():
         tracemalloc.stop()
     assert len(raw.transitions) == 2 * n
     assert peak - before <= 1.1 * (kept - before), (peak - before, kept - before)
+
+
+def test_late_repeat_error_peaks_near_the_success_path():
+    # The last line repeats an earlier transition, so the error path finds
+    # repeats after every name has resolved.
+    rng = random.Random(6)
+    n = 17000
+    lines = [f"dlts {n}"] + [f"{q} {a} {rng.randrange(n)}" for q in range(n) for a in "abc"]
+    good = "\n".join(lines) + "\n"
+    assert len(lines) - 1 >= 50_000
+    errors = []
+
+    def traced_peak(text):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                parse_lts(text)
+            except LtsParseError as error:
+                errors.append(str(error))
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    success = traced_peak(good)
+    failure = traced_peak(good + lines[9] + "\n")
+    assert errors == [f"line {len(lines) + 1}, column 1: duplicate transition {lines[9]}"]
+    assert failure <= 1.3 * success, (failure, success)
