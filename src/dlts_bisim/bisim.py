@@ -7,8 +7,10 @@ over the partition's state array, as two int stacks; each iteration
 detaches one block from a range and scans the incoming transitions of the
 *smaller* side, which is what caps the number of times any single
 transition is scanned at floor(log2 n) + 1.  The sources found are bucketed
-by letter, and one `split` call per iteration splits by all the buckets and
-pushes the ranges that become pending.
+by letter, except those whose block is already a single state (the
+partition's `settled` flags), which no split can move; one `split` call per
+iteration that fills a bucket splits by all the buckets and pushes the
+ranges that become pending.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ class ScanStats:
     """Work counters for one refinement run.
 
     `transitions_scanned` counts every visit of an incoming transition during
-    splitter-side scans.  `split_calls` counts letter buckets: one per letter
-    an iteration's scan touches; all of an iteration's buckets go to one
-    `split` call.  `blocks_final` is the block count of the result.
+    splitter-side scans, settled sources included.  `split_calls` counts the
+    letter buckets handed to `split`: one per letter that has a source
+    outside a one-state block in an iteration's scan; all of an iteration's
+    buckets go to one `split` call, and an iteration that fills none makes
+    no call.  `blocks_final` is the block count of the result.
     `per_transition_counts`, made only by `detailed`, tracks the scans per
     transition index: at most floor(log2 n) + 1 per entry, as a state's
     enclosing splitter side at least halves between visits.
@@ -116,7 +120,7 @@ def dbisim(
         print(f"{DEBUG_ENV}: invariant checks skipped, n={T.n} > {_DEBUG_ASSERT_MAX_N}",
               file=sys.stderr)
 
-    A, block_of, right, split = p.A, p.block_of, p.right, p.split
+    A, block_of, right, settled, split = p.A, p.block_of, p.right, p.settled, p.split
     in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
     # Counted runs tally scans per state and expand them per transition after
     # the loop: every scan of q visits each incoming transition of q once.
@@ -160,20 +164,25 @@ def dbisim(
             for q in side:
                 visits[q] += 1
         # Each source lands in its letter's bucket at most once, because the
-        # LTS is deterministic.
+        # LTS is deterministic.  A source in a one-state block cannot split,
+        # so it is counted as scanned but not bucketed.
         for q in side:
             start, stop = in_off[q], in_off[q + 1]
             scanned += stop - start
             for t in range(start, stop):
+                x = in_src[t]
+                if settled[x]:
+                    continue
                 a = in_letter[t]
                 bucket = buckets[a]
                 if not bucket:
                     touched.append(a)
-                bucket.append(in_src[t])
+                bucket.append(x)
 
-        split_calls += len(touched)
-        split(buckets, touched, in_union, los, his)
-        touched.clear()
+        if touched:
+            split_calls += len(touched)
+            split(buckets, touched, in_union, los, his)
+            touched.clear()
 
     if checker is not None:
         checker.check(p, list(zip(los, his)), in_union, buckets, touched)

@@ -58,7 +58,12 @@ def _scans_per_transition(n: int) -> int:
 
 @dataclass
 class MinimizeReport:
-    """Sizes and work counters for one minimization run."""
+    """Sizes and work counters for one minimization run.
+
+    `transitions_scanned` and `split_calls` are the `ScanStats` counters of
+    the refinement: "split calls" counts the letter buckets handed to
+    `split`, which leave out sources already in a one-state block.
+    """
 
     n: int
     k: int

@@ -21,10 +21,12 @@ class PartitionError(ValueError):
 class RefinablePartition:
     """Partition of the states 0..n-1 supporting only refinement.
 
-    All state is kept in parallel int lists:
+    All state is kept in flat arrays, int lists except for `settled`:
         A: the state permutation; each block is a contiguous slice of it.
         pos: inverse permutation (state -> index in A).
         block_of: state -> id of its block.
+        settled: a bytearray, state -> 1 exactly when the state's block has
+            one state, so a caller can skip a state that no split can move.
         left, right: block id -> bounds of its slice A[left:right].
         marked: block id -> states already swapped to the block's left end
             during an ongoing split call; 0 whenever no split is in progress.
@@ -36,13 +38,14 @@ class RefinablePartition:
     """
 
     def __init__(self, order: list[int], position: list[int], block_of: list[int],
-                 left: list[int], right: list[int]):
+                 left: list[int], right: list[int], settled: bytearray):
         self.A = order
         self.pos = position
         self.block_of = block_of
         self.left = left
         self.right = right
         self.marked = [0] * len(left)
+        self.settled = settled
 
     @classmethod
     def from_initial(cls, n: int, initial_blocks: Iterable[Iterable[int]]) -> "RefinablePartition":
@@ -53,6 +56,7 @@ class RefinablePartition:
         """
         order: list[int] = []
         block_of = [-1] * n
+        settled = bytearray(n)
         left: list[int] = []
         right: list[int] = []
         for members in initial_blocks:
@@ -70,13 +74,15 @@ class RefinablePartition:
                 block_of[q] = len(right)
                 order.append(q)
             right.append(len(order))
+            if len(members) == 1:
+                settled[members[0]] = 1
         if len(order) != n:
             missing = block_of.index(-1)
             raise PartitionError(f"state {missing} is not covered by any block")
         position = [0] * n
         for i, q in enumerate(order):
             position[q] = i
-        return cls(order, position, block_of, left, right)
+        return cls(order, position, block_of, left, right, settled)
 
     @property
     def block_count(self) -> int:
@@ -84,7 +90,8 @@ class RefinablePartition:
 
     def copy(self) -> "RefinablePartition":
         return RefinablePartition(
-            list(self.A), list(self.pos), list(self.block_of), list(self.left), list(self.right)
+            list(self.A), list(self.pos), list(self.block_of), list(self.left), list(self.right),
+            bytearray(self.settled),
         )
 
     def split(self, buckets: Sequence[list[int]], letters: Iterable[int], in_union: list[bool],
@@ -104,13 +111,14 @@ class RefinablePartition:
         is always appended flagged.  A later bucket sees the flags and ranges
         that an earlier one left.  A state repeated in a bucket moves once;
         a singleton block is skipped before any swap, as it cannot split.
+        Each one-state part a split creates gets its state's `settled` flag.
         A state's position is read only when the state may move, and
         compared with the block's marked prefix only when that prefix is
         not empty, since a block's first hit cannot be a repeat.
         Cost is O(total bucket length) element moves.
         """
         A, pos, block_of = self.A, self.pos, self.block_of
-        left, right, marked = self.left, self.right, self.marked
+        left, right, marked, settled = self.left, self.right, self.marked, self.settled
         hit: list[int] = []  # blocks hit by the current bucket, in order
         for a in letters:
             bucket = buckets[a]
@@ -149,6 +157,10 @@ class RefinablePartition:
                 for i in range(lo, mid):
                     block_of[A[i]] = fresh
                 left[b] = mid
+                if mid - lo == 1:
+                    settled[A[lo]] = 1
+                if hi - mid == 1:
+                    settled[A[mid]] = 1
                 if not in_union[b]:
                     # The pre-split range becomes one pending range: it now
                     # spans the two parts.

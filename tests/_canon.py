@@ -78,6 +78,8 @@ def check_consistency(p: RefinablePartition) -> None:
         cursor = right
     assert cursor == n, "blocks do not cover the array"
     assert not any(p.marked), "split cursor left dirty"
+    assert p.settled == bytearray(p.right[b] - p.left[b] == 1 for b in p.block_of), \
+        "settled flags disagree with one-state blocks"
     for b in range(p.block_count):
         for i in range(p.left[b], p.right[b]):
             assert p.block_of[p.A[i]] == b, "block_of disagrees with block ranges"
@@ -107,9 +109,9 @@ def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition) -> Ref
     return q
 
 
-def partition_arrays(p: RefinablePartition) -> tuple[list[int], ...]:
-    """All six of a partition's int lists, for exact comparison."""
-    return p.A, p.pos, p.block_of, p.left, p.right, p.marked
+def partition_arrays(p: RefinablePartition) -> tuple:
+    """All seven of a partition's flat arrays, for exact comparison."""
+    return p.A, p.pos, p.block_of, p.settled, p.left, p.right, p.marked
 
 
 def refines(fine, coarse) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlts_bisim.bisim
 from dlts_bisim import (
     GenConfig,
     NormalizedDlts,
@@ -187,20 +188,20 @@ def test_per_transition_counts_are_pinned(monkeypatch):
     order = random.Random(4).sample(range(24), 24)
     random_halves = [set(order[:12]), set(order[12:])]
     cases = [
-        (T, [set(range(16))], [1] * 15, 15, 16,
+        (T, [set(range(16))], [1] * 15, 14, 16,
          [14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15],
          [1, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 0]),
-        (T, halves, [2, 2, 2, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 15, 16,
+        (T, halves, [2, 2, 2, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 13, 16,
          [6, 5, 4, 3, 2, 1, 0, 7, 14, 13, 12, 11, 10, 9, 8, 15],
          [3, 9, 8, 7, 6, 5, 4, 0, 2, 15, 14, 13, 12, 11, 10, 1]),
         (T_random, p_random,
          [3, 3, 1, 1, 2, 2, 2, 1, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 0, 1,
-          1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1], 26, 21,
+          1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1], 8, 21,
          [0, 4, 19, 2, 10, 21, 20, 5, 23, 1, 18, 11, 13, 22, 17, 14, 16, 8, 7, 15, 3, 9, 6, 12],
          [17, 16, 18, 8, 7, 14, 0, 11, 9, 3, 4, 15, 0, 15, 1, 5, 12, 20, 6, 13, 2, 19, 20, 10]),
         (T_complete, random_halves,
          [2, 2, 2, 1, 1, 3, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3,
-          1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 3, 1, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1], 28, 23,
+          1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 3, 1, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1], 15, 23,
          [4, 9, 0, 2, 18, 3, 8, 7, 12, 17, 15, 6, 5, 10, 1, 20, 23, 22, 21, 14, 19, 13, 16, 11],
          [5, 12, 15, 16, 8, 14, 0, 22, 16, 9, 10, 1, 3, 19, 20, 17, 21, 7, 13, 6, 4, 2, 11, 18]),
     ]
@@ -213,6 +214,48 @@ def test_per_transition_counts_are_pinned(monkeypatch):
             assert stats.transitions_scanned == sum(want)
             assert (stats.split_calls, stats.blocks_final) == (split_calls, blocks)
             assert (p.A, p.block_of) == (A, block_of)
+
+
+def test_loop_buckets_no_settled_source(monkeypatch):
+    # A source in a one-state block cannot split, so the loop leaves it out
+    # of the buckets, and an iteration whose sources are all settled makes
+    # no split call.  Loop heads are counted through the debug checker hook.
+    heads = []
+
+    class CountingChecker:
+        def __init__(self, T, p_init):
+            pass
+
+        def check(self, *args):
+            heads.append(None)
+
+    calls = []
+    original = RefinablePartition.split
+
+    def recording_split(self, buckets, letters, in_union, los, his):
+        letters = list(letters)
+        calls.append([list(buckets[a]) for a in letters])
+        assert not any(self.settled[x] for a in letters for x in buckets[a])
+        return original(self, buckets, letters, in_union, los, his)
+
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    monkeypatch.setattr(dlts_bisim.bisim, "InvariantChecker", CountingChecker)
+    monkeypatch.setattr(RefinablePartition, "split", recording_split)
+    T_complete, _ = gen_random_dlts(GenConfig(n=48, k=2, density=1.0, seed=7))
+    order = random.Random(7).sample(range(48), 48)
+    for T_case, p_view in [(_chain(16), [set(range(16))]),
+                           (T_complete, [set(order[:24]), set(order[24:])])]:
+        heads.clear()
+        calls.clear()
+        stats = ScanStats()
+        result = dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
+        check_consistency(result)
+        assert result.to_canonical() == canonical_view(naive_fixpoint(T_case, p_view))
+        iterations = len(heads) - 1  # the checker also runs once after the loop
+        loop_calls = calls[1:]  # the first call is the pre-refinement's
+        assert all(any(buckets) for buckets in loop_calls)
+        assert sum(map(len, loop_calls)) == stats.split_calls
+        assert 0 < len(loop_calls) < iterations
 
 
 # --- randomized equivalence with the reference ----------------------------

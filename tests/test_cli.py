@@ -221,11 +221,11 @@ def test_debug_switch_changes_no_result(monkeypatch):
 
 @pytest.mark.parametrize("n, k, density, seed, out_sha256, err_sha256", [
     (30, 2, 0.5, 8, "baa3c8e0a3651af6fb727ee893b51cd2b1e57d3b22ec3ea6096aa0110f8ef9c0",
-     "d0471259f5171ace17132506df971e082008a7a72b335ee3579db67988702a56"),
+     "9aeb0e13156adad6fd8582b19fb504ee613f19c20e9dae9a8c069057c1f77ba2"),
     (60, 3, 0.4, 3, "cc383f0d81cf57df85bc1350a35aa49d0b771cad683a618cfaffb2eb48fff5df",
-     "985c51a8efdc1f8ef5209fd8c0a3a7f411d9e6af15cdff35feb38ad8de9bdb06"),
+     "a756bf8f964df4493c586a4e857250ea8700b008bc0f3abc44467a74a327c8fc"),
     (200, 4, 0.3, 0, "0440f570a2a6475bbd1aa4899d935599cce74b118af31dfab5c47b81d225164c",
-     "d4ce0aa9f27a1fdbee9e55813ef87ac32e579a4bafa04e168082f72d758d5dc3"),
+     "7e3ba8ed9a4d2bda109bcebf6a62f66baa331b747fee936608682cf8b3743905"),
 ])
 def test_minimize_output_is_pinned(tmp_path, capsys, n, k, density, seed, out_sha256, err_sha256):
     # Byte for byte, with the wall-time value masked: the automaton text,
@@ -383,10 +383,13 @@ def test_bench_work_counts_are_pinned(capsys):
         (4096, 8192, 16781, 106496),
         (16384, 32768, 69098, 491520),
     ]
-    # Partial instances: one pre-refinement bucket per letter.
+    # Partial instances: one pre-refinement bucket per letter.  The loop
+    # buckets no source in a one-state block, so a letter whose first source
+    # in an iteration is settled joins that iteration's touched-letter order
+    # later; that order moves the 4096 row's scans (9043 before the filter).
     assert ladder("--sizes", "1024,4096", "--k", "3", "--density", "0.5") == [
         (1024, 1578, 2193, 17358),
-        (4096, 6181, 9043, 80353),
+        (4096, 6181, 9049, 80353),
     ]
 
 

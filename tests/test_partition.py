@@ -162,11 +162,17 @@ def test_to_canonical():
 
 
 def test_copy_is_independent():
-    p = RefinablePartition.from_initial(4, [{0, 1, 2, 3}])
+    p = RefinablePartition.from_initial(5, [{0, 1, 2, 3}, {4}])
     q = p.copy()
-    split(q, [0, 1])
-    assert p.to_canonical() == [[0, 1, 2, 3]]
-    assert q.to_canonical() == [[0, 1], [2, 3]]
+    split(q, [0, 1], [2])
+    assert p.to_canonical() == [[0, 1, 2, 3], [4]]
+    assert q.to_canonical() == [[0, 1], [2], [3], [4]]
+    # Both one-state parts of the second split get flagged, the two-state
+    # part does not, and the original keeps its own flags.
+    assert p.settled == bytearray([0, 0, 0, 0, 1])
+    assert q.settled == bytearray([0, 0, 1, 1, 1])
+    check_consistency(p)
+    check_consistency(q)
 
 
 @st.composite
