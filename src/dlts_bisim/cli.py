@@ -249,7 +249,7 @@ def _read(path: str) -> str:
 
 
 def cmd_bisim(args: argparse.Namespace) -> int:
-    T = normalize(parse_lts(_read(args.file)))
+    T = parse_lts(_read(args.file))
     if args.partition:
         blocks = parse_partition(_read(args.partition), T.state_names)
     else:

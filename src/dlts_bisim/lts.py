@@ -4,16 +4,16 @@ The refinement engine works on a dense, index-based encoding of a
 deterministic LTS in which the alphabet is restricted to letters that
 actually label a transition and the transitions are held as parallel
 source and letter columns sorted by destination, so that the incoming
-transitions of a state form one contiguous slice.  `normalize` and
-`parse_dfa` check every rule through one resolver, `_encode`, which turns
-names into index columns a whole column at a time; a per-item loop over
-the names runs only to locate the first error.  Encoding then groups the
-transitions by destination in one stable counting-sort pass: O(m + n)
+transitions of a state form one contiguous slice.  `parse_lts`, `parse_dfa`
+and `normalize` check every rule through one resolver, `_encode`, which
+turns names into index columns a whole column at a time; a per-item loop
+over the names runs only to locate the first error.  Encoding then groups
+the transitions by destination in one stable counting-sort pass: O(m + n)
 time, two columns of length m and one slot array of length n.
 
-Beyond its result, the parser holds the line strings of one piece of the
-text, about 64 K characters, at a time.  The determinism check marks one
-byte per (state, letter) cell when there are at most 8 cells per
+The parsers hold the line strings of one 64 K piece of the text at a time,
+and their rows die before the counting sort.  The determinism check marks
+one byte per (state, letter) cell when there are at most 8 cells per
 transition, and otherwise keeps a hash set of the m (source, letter) keys.
 """
 
@@ -57,14 +57,11 @@ class NondeterminismError(LtsError):
 
 @dataclass
 class RawLts:
-    """A labelled transition system over named states and letters.
+    """A labelled transition system over named states and letters, built in memory.
 
     States and letters are identified by their declaration order; letters
     that label no transition are allowed here and dropped by `normalize`,
-    which is also where the system is validated.  `parse_lts` also keeps
-    its checked index columns on the instance, with copies of the three
-    lists they encode; `normalize` reuses them while the lists still equal
-    the copies.
+    which is also where the system is validated.
     """
 
     states: list[str]
@@ -83,7 +80,7 @@ class NormalizedDlts:
     letters that label at least one transition, so k <= m.  Instances are
     immutable after construction and safe to share between threads.
 
-    Only `normalize` and `parse_dfa` check names; the constructor trusts its fields.
+    Only the parsers and `normalize` check names; the constructor trusts its fields.
     """
 
     n: int
@@ -207,26 +204,31 @@ def _names_ok(names: Sequence[str], index: dict[str, int], what: str) -> bool:
     return len(index) == len(names) and _broken_rule(names, what) is None
 
 
-def normalize(raw: RawLts) -> NormalizedDlts:
+def normalize(raw: RawLts | NormalizedDlts) -> NormalizedDlts:
     """Validate `raw` and encode it: used-only alphabet, destination-sorted transitions.
 
     States without any incident transition are retained: the index space is
     identical to the declaration order of `raw.states`.  Raises
     NondeterminismError, listing each (state, letter) pair with two outgoing
     transitions once, in first-conflict order; LtsError for bad, repeated
-    or undeclared names and repeated triples.
+    or undeclared names and repeated triples.  A `NormalizedDlts` is returned as is.
     """
-    snapshot, columns = getattr(raw, "_parsed", (None, None))
-    if snapshot != (raw.states, raw.letters, raw.transitions):
-        _state_index, columns, defect = _encode(raw.states, raw.letters, raw.transitions)
-        if isinstance(defect, list):
-            raise NondeterminismError(defect)
-        if defect is not None:
-            _where, i, token, message = defect
-            if token is not None:
-                message += " in transition {} {} {}".format(*raw.transitions[i])
-            raise LtsError(message)
-    return NormalizedDlts._from_columns(*columns, list(raw.states), raw.letters)
+    if isinstance(raw, NormalizedDlts):
+        return raw
+    _state_index, columns, defect = _encode(raw.states, raw.letters, raw.transitions)
+    if isinstance(defect, tuple):
+        _where, i, token, message = defect
+        if token is not None:
+            message += " in transition {} {} {}".format(*raw.transitions[i])
+        raise LtsError(message)
+    return _encoded(list(raw.states), raw.letters, columns, defect)
+
+
+def _encoded(state_names: list[str], letter_names: Sequence[str], columns, forks) -> NormalizedDlts:
+    """`_encode`'s columns as a `NormalizedDlts`, or its forks as NondeterminismError."""
+    if forks:
+        raise NondeterminismError(forks)
+    return NormalizedDlts._from_columns(*columns, state_names, letter_names)
 
 
 def _encode(states: Sequence[str], letters: Sequence[str], transitions: Sequence[Sequence[str]]):
@@ -392,7 +394,7 @@ def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError
 
 
 def _parse(text: str, kind: str):
-    """The system in `text`, its headers, state index and `_encode` pair; forks pass."""
+    """The headers, state index and `_encoded` arguments of `text`; only forks do not raise."""
     rows = _rows(text)
     first = next(compress(count(), rows), None)
     if first is None:
@@ -455,25 +457,23 @@ def _parse(text: str, kind: str):
             raise _error_at(text, message, lineno, token or 0)
         raise _error_at(text, message, headers[_DLTS_HEADERS[where]][0], i + 1)
 
-    raw = RawLts(states=state_names, letters=letter_names, transitions=transitions)
-    return raw, headers, state_index, (columns, defect)
+    return headers, state_index, (state_names, letter_names, columns, defect)
 
 
-def parse_lts(text: str) -> RawLts:
-    """Parse the `dlts` text format; diagnostics carry line/column positions."""
-    raw, _headers, _state_index, (columns, _forks) = _parse(text, "dlts")
-    if columns is not None:  # no fork: `normalize` may reuse the checked columns
-        raw._parsed = (list(raw.states), list(raw.letters), list(raw.transitions)), columns
-    return raw
+def parse_lts(text: str) -> NormalizedDlts:
+    """Parse and encode the `dlts` text format; diagnostics carry line/column positions,
+    and forks raise NondeterminismError as in `normalize`."""
+    _headers, _state_index, encoding = _parse(text, "dlts")
+    return _encoded(*encoding)
 
 
 def parse_dfa(text: str) -> Dfa:
     """Parse the `dfa` format (dlts plus `initial:`/`finals:`); forks raise after those."""
-    raw, headers, state_index, (columns, forks) = _parse(text, "dfa")
+    headers, state_index, encoding = _parse(text, "dfa")
     lineno, tokens = headers.get("initial:", (None, ()))
     if tokens and len(tokens) != 2:
         raise LtsParseError("`initial:` takes exactly one state name", lineno)
-    if not tokens and raw.states:
+    if not tokens and state_index:
         raise LtsParseError("missing `initial:` line")
     named: dict[str, list[int]] = {}  # the states of the `initial:` and `finals:` lines
     for word in ("initial:", "finals:"):
@@ -482,9 +482,7 @@ def parse_dfa(text: str) -> Dfa:
             if tokens[i] not in state_index:
                 raise _error_at(text, f"undeclared state {tokens[i]!r}", lineno, i)
         named[word] = list(map(state_index.__getitem__, tokens[1:]))
-    if forks:
-        raise NondeterminismError(forks)
-    dlts = NormalizedDlts._from_columns(*columns, raw.states, raw.letters)
+    dlts = _encoded(*encoding)
     return Dfa(dlts=dlts, initial=next(iter(named["initial:"]), None), finals=set(named["finals:"]))
 
 

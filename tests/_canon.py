@@ -1,5 +1,5 @@
 """Shared test oracles: set-based splitting, signatures, DFA canonical forms,
-and `normalize`'s outcome as a comparable value.
+a plain reader of `dlts` texts, and `normalize`'s outcome as a comparable value.
 
 Everything here recomputes results from definitions, independently of the
 library's data structures, so tests compare two genuinely different routes.
@@ -13,7 +13,15 @@ import types
 from itertools import combinations
 
 import dlts_bisim.bisim
-from dlts_bisim import Dfa, LtsError, NormalizedDlts, RefinablePartition, naive_fixpoint, normalize
+from dlts_bisim import (
+    Dfa,
+    LtsError,
+    NormalizedDlts,
+    RawLts,
+    RefinablePartition,
+    naive_fixpoint,
+    normalize,
+)
 
 SMALLER_SIDE_TEST = "if mid - lo <= hi - mid:"
 LARGER_SIDE_TEST = "if mid - lo > hi - mid:"
@@ -25,6 +33,39 @@ def normalize_outcome(raw):
         return normalize(raw)
     except LtsError as error:
         return type(error), str(error), getattr(error, "violations", None)
+
+
+def read_dlts(text: str) -> RawLts | None:
+    """The `RawLts` that a `dlts` text spells, or None if its syntax is wrong.
+
+    The whole text is split into lines at once and read line by line.  Names
+    are kept as written; without `states:` the states are "0".."n-1", and
+    without `letters:` the letters are those of the transitions in order of
+    first use.  Names, repeats and forks are left for `normalize` to judge.
+    """
+    rows = [line.partition("#")[0].split() for line in text.splitlines()]
+    rows = [row for row in rows if row]
+    if not rows or rows[0][0] != "dlts" or len(rows[0]) != 2:
+        return None
+    count = rows[0][1]
+    if not (count.isascii() and count.isdigit()):
+        return None
+    headers: dict[str, list[str]] = {}
+    transitions = []
+    for row in rows[1:]:
+        if row[0].endswith(":"):
+            if row[0] not in ("states:", "letters:") or row[0] in headers:
+                return None
+            headers[row[0]] = row[1:]
+        elif len(row) == 3:
+            transitions.append(tuple(row))
+        else:
+            return None
+    states = headers.get("states:", [str(i) for i in range(int(count))])
+    if len(states) != int(count):
+        return None
+    letters = headers.get("letters:", list(dict.fromkeys(a for _s, a, _d in transitions)))
+    return RawLts(states, letters, transitions)
 
 
 def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:

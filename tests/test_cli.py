@@ -276,7 +276,7 @@ def test_gen_output_parses_and_is_deterministic(capsys):
     assert code == 0
     code, out2, _ = run(capsys, "gen", "--n", "9", "--k", "2", "--density", "0.6", "--seed", "4")
     assert out1 == out2
-    assert parse_lts(out1).states[0] == "q0"
+    assert parse_lts(out1).state_names[0] == "q0"
 
     code, dfa_out, _ = run(capsys, "gen", "--n", "9", "--dfa", "--seed", "4")
     assert code == 0
@@ -285,7 +285,7 @@ def test_gen_output_parses_and_is_deterministic(capsys):
     # letters after `z` are named by index: the 27th is `l26`
     code, out, _ = run(capsys, "gen", "--n", "3", "--k", "27", "--density", "1", "--seed", "4")
     assert code == 0
-    assert parse_lts(out).letters[26] == "l26"
+    assert parse_lts(out).letter_names[26] == "l26"
 
 
 def test_check_count_zero_trivially_passes(capsys):
@@ -434,7 +434,7 @@ def test_python_dash_m_runs_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert len(parse_lts(done.stdout).states) == 5
+    assert parse_lts(done.stdout).n == 5
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

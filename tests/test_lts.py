@@ -24,19 +24,19 @@ from dlts_bisim import (
     parse_partition,
 )
 
-from _canon import normalize_outcome
+from _canon import normalize_outcome, read_dlts
 
 
 def test_parse_empty_transition_section():
-    raw = parse_lts("dlts 3\nstates: a b c\n")
-    assert raw.states == ["a", "b", "c"]
-    assert raw.transitions == []
+    T = parse_lts("dlts 3\nstates: a b c\n")
+    assert T.state_names == ["a", "b", "c"]
+    assert (T.k, T.m, T.in_offsets) == (0, 0, [0, 0, 0, 0])
 
 
 def test_parse_single_transition():
-    raw = parse_lts("dlts 2\nstates: q0 q1\nq0 a q1\n")
-    assert raw.transitions == [("q0", "a", "q1")]
-    assert raw.letters == ["a"]
+    T = parse_lts("dlts 2\nstates: q0 q1\nq0 a q1\n")
+    assert T.triples() == [(0, 0, 1)]
+    assert (T.state_names, T.letter_names) == (["q0", "q1"], ["a"])
 
 
 def test_parse_duplicate_transition_rejected():
@@ -45,7 +45,7 @@ def test_parse_duplicate_transition_rejected():
 
 
 def test_parse_scans_past_forks():
-    # a fork is normalize's to report; a later undeclared name or repeat is the parser's
+    # a later undeclared name or repeat is reported first; a fork only without one
     fork = "dlts 3\nstates: a b c\na x b\na x c\n"
     with pytest.raises(LtsParseError) as info:
         parse_lts(fork + "b x q\n")
@@ -55,15 +55,14 @@ def test_parse_scans_past_forks():
         parse_lts(fork + "b y c\n# repeat\n  a x c\n")
     assert (info.value.line, info.value.column) == (7, 3)
     assert "duplicate transition a x c" in str(info.value)
-    raw = parse_lts(fork)
     with pytest.raises(NondeterminismError) as info:
-        normalize(raw)
+        parse_lts(fork)
     assert info.value.violations == [("a", "x")]
 
 
 def test_parse_default_names_are_indices():
-    raw = parse_lts("dlts 3\n0 a 1\n1 a 2\n")
-    assert raw.states == ["0", "1", "2"]
+    T = parse_lts("dlts 3\n0 a 1\n1 a 2\n")
+    assert T.state_names == ["0", "1", "2"]
     with pytest.raises(LtsParseError, match="undeclared state 'q0'"):
         parse_lts("dlts 3\nq0 a q1\n")
 
@@ -74,8 +73,8 @@ def test_parse_undeclared_letter_with_letters_line():
 
 
 def test_parse_comments_blanks_and_columns():
-    raw = parse_lts("# heading\ndlts 2\n\nstates: x y  # names\nx a y\n")
-    assert raw.transitions == [("x", "a", "y")]
+    T = parse_lts("# heading\ndlts 2\n\nstates: x y  # names\nx a y\n")
+    assert (T.state_names, T.letter_names, T.triples()) == (["x", "y"], ["a"], [(0, 0, 1)])
     with pytest.raises(LtsParseError) as info:
         parse_lts("dlts 2\nstates: x y\nx a z\n")
     assert info.value.line == 3
@@ -139,7 +138,7 @@ def test_parse_dfa_reports_forks_like_normalize():
     with pytest.raises(NondeterminismError) as info:
         parse_dfa(text)
     with pytest.raises(NondeterminismError) as want:
-        normalize(parse_lts(text.replace("dfa", "dlts", 1).replace("initial: a\n", "")))
+        parse_lts(text.replace("dfa", "dlts", 1).replace("initial: a\n", ""))
     assert info.value.violations == want.value.violations == [("b", "y"), ("a", "x")]
 
 
@@ -152,9 +151,33 @@ def test_parse_dfa_does_not_call_normalize(monkeypatch):
     assert (dfa.dlts.triples(), dfa.initial, dfa.finals) == ([(1, 0, 0), (0, 0, 1)], 0, {0})
 
 
-def _full_path(raw):
-    """What `normalize` makes of `raw`'s values alone, without parsed columns."""
-    return normalize_outcome(RawLts(list(raw.states), list(raw.letters), list(raw.transitions)))
+def test_parse_lts_encodes_once_without_normalize(monkeypatch):
+    calls = []
+    encode = dlts_bisim.lts._encode
+
+    def spy(*args):
+        calls.append(args)
+        return encode(*args)
+
+    def fail(raw):
+        raise AssertionError("parse_lts called normalize")
+
+    monkeypatch.setattr(dlts_bisim.lts, "_encode", spy)
+    monkeypatch.setattr(dlts_bisim.lts, "normalize", fail)
+    T = parse_lts("dlts 3\nstates: a b c\na x b\nb x c\nc y a\n")
+    assert len(calls) == 1
+    assert (T.state_names, T.letter_names) == (["a", "b", "c"], ["x", "y"])
+    assert T.triples() == [(2, 1, 0), (0, 0, 1), (1, 0, 2)]
+
+
+def test_normalize_returns_an_encoded_system_unchanged(monkeypatch):
+    T = parse_lts("dlts 3\nstates: a b c\na x b\nb x c\nc y a\n")
+
+    def fail(*args):
+        raise AssertionError("normalize encoded an encoded system again")
+
+    monkeypatch.setattr(dlts_bisim.lts, "_encode", fail)
+    assert normalize(T) is T
 
 
 def _append_undeclared(raw):
@@ -185,37 +208,16 @@ def _replace_transitions(raw):
                             [("q", "x")])),
 ])
 def test_normalize_sees_edits_made_after_parse_lts(edit, want):
-    """Any edit of a parsed `RawLts` gives what the full validation gives."""
-    raw = edit(parse_lts("dlts 2\nstates: p q\nletters: x y\np x q\nq y p\n"))
+    """`parse_lts` returns the encoded system, so the names a caller edits are
+    those of a `RawLts` built by hand; `normalize` validates it in full."""
+    triples = [("p", "x", "q"), ("q", "y", "p")]
+    raw = edit(RawLts(["p", "q"], ["x", "y"], triples))
     got = normalize_outcome(raw)
-    assert got == _full_path(raw)
     if isinstance(want, list):
         assert (got.state_names, got.letter_names) == (want, ["y", "x"])
         assert got.triples() == [(1, 0, 0), (0, 1, 1)]
     else:
         assert got == want
-
-
-def test_normalize_reuses_the_parsed_columns(monkeypatch):
-    raw = parse_lts("dlts 3\nstates: a b c\na x b\nb x c\nc y a\n")
-    want = _full_path(raw)
-
-    def fail(*args):
-        raise AssertionError("normalize encoded the parsed names again")
-
-    monkeypatch.setattr(dlts_bisim.lts, "_encode", fail)
-    first = normalize(raw)
-    assert first == want
-    first.in_src.clear()
-    first.state_names.clear()
-    assert normalize(raw) == want  # a fresh result each call
-    triples = [("a", "x", "b"), ("b", "x", "c"), ("c", "y", "a")]
-    assert raw == RawLts(["a", "b", "c"], ["x", "y"], triples)
-    assert [f.name for f in dataclasses.fields(raw)] == ["states", "letters", "transitions"]
-    assert repr(raw) == (
-        "RawLts(states=['a', 'b', 'c'], letters=['x', 'y'], "
-        "transitions=[('a', 'x', 'b'), ('b', 'x', 'c'), ('c', 'y', 'a')])"
-    )
 
 
 def test_parse_empty_dfa_has_no_initial():
@@ -277,7 +279,7 @@ def test_normalize_rejects_names_that_cannot_round_trip(states, letters):
 def test_names_that_do_round_trip():
     # letters may end in `:`, state names may be header words without it
     T = normalize(RawLts(["dlts", "states", "a:b"], ["x:", "y"], [("dlts", "x:", "a:b")]))
-    assert normalize(parse_lts(format_dlts(T))) == T
+    assert parse_lts(format_dlts(T)) == T
 
 
 def test_parse_rejects_state_name_ending_in_colon():
@@ -483,10 +485,8 @@ def test_normalize_step_count_is_linear():
 
 
 def test_format_round_trips():
-    raw = parse_lts("dlts 3\nstates: x y z\nx a y\ny b z\n")
-    T = normalize(raw)
-    again = normalize(parse_lts(format_dlts(T)))
-    assert again == T
+    T = parse_lts("dlts 3\nstates: x y z\nx a y\ny b z\n")
+    assert parse_lts(format_dlts(T)) == T
 
     dfa = parse_dfa("dfa 2\nstates: e o\ninitial: e\nfinals: e\ne a o\no a e\n")
     again_dfa = parse_dfa(format_dfa(dfa))
@@ -554,8 +554,7 @@ def test_rows_of_a_text_longer_than_one_piece():
     text = "\r\n".join(lines)
     assert len(text) > 2 * dlts_bisim.lts._PIECE
     assert dlts_bisim.lts._rows(text) == _rows_at_once(text)
-    raw = parse_lts(text)
-    assert raw.transitions == [tuple(line.partition("#")[0].split()) for line in lines[3:]]
+    assert parse_lts(text) == normalize(read_dlts(text))
 
 
 def _cell_table_sizes(monkeypatch):
@@ -588,45 +587,54 @@ def test_determinism_check_on_both_sides_of_the_bitmap(monkeypatch, n, cells):
     assert type(info.value) is LtsError and str(info.value) == "duplicate transition 0 x 1"
     assert sizes == cells * 2
 
-    raw = parse_lts(f"dlts {n}\n0 x 0\n0 x 1\n")
-    assert raw.transitions == fork
-    for system in (raw, RawLts(states, ["x"], fork)):
+    for system in (lambda: parse_lts(f"dlts {n}\n0 x 0\n0 x 1\n"),
+                   lambda: normalize(RawLts(states, ["x"], fork))):
         with pytest.raises(NondeterminismError) as info:
-            normalize(system)
+            system()
         assert info.value.violations == [("0", "x")]
         assert str(info.value) == "nondeterministic: state '0' has several transitions on letter 'x'"
     with pytest.raises(NondeterminismError):
         parse_dfa(f"dfa {n}\ninitial: 0\n0 x 0\n0 x 1\n")
-    assert sizes == cells * 6
+    assert sizes == cells * 5
 
     sizes.clear()
-    good = normalize(parse_lts(f"dlts {n}\n0 x 1\n1 x 0\n"))
+    good = parse_lts(f"dlts {n}\n0 x 1\n1 x 0\n")
     assert (good.n, good.m, good.triples()) == (n, 2, [(1, 0, 0), (0, 0, 1)])
     assert sizes == cells
 
 
 def test_hostile_header_takes_no_cell_table(monkeypatch):
     sizes = _cell_table_sizes(monkeypatch)
-    dlts = normalize(parse_lts("dlts 1000000\n999999 a 0\n"))
+    dlts = parse_lts("dlts 1000000\n999999 a 0\n")
     assert (dlts.n, dlts.k, dlts.m, dlts.in_src) == (1000000, 1, 1, [999999])
     assert sizes == []
 
 
+def _traced(f, *args):
+    """`f(*args)`, what its result keeps allocated, and the peak of the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - before, peak - before
+
+
 def test_parse_peak_memory_stays_near_its_result():
+    """The rows of the text are the parser's floor: `parse_lts` peaks at most
+    1.6 times above what `_rows` keeps, and its result keeps well below it."""
     rng = random.Random(5)
     n = 10000
     lines = [f"dlts {n}"] + [f"{q} {a} {rng.randrange(n)}" for q in range(n) for a in "ab"]
     text = "\n".join(lines) + "\n"
     assert len(text) >= 200_000
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        raw = parse_lts(text)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(raw.transitions) == 2 * n
-    assert peak - before <= 1.1 * (kept - before), (peak - before, kept - before)
+    rows_kept = _traced(dlts_bisim.lts._rows, text)[1]
+    T, kept, peak = _traced(parse_lts, text)
+    assert T.m == 2 * n
+    assert peak <= 1.6 * rows_kept, (peak, rows_kept)
+    assert kept < 0.6 * rows_kept, (kept, rows_kept)
 
 
 def test_late_repeat_error_peaks_near_the_success_path():

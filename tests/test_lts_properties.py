@@ -23,7 +23,7 @@ from dlts_bisim import (
     parse_lts,
 )
 
-from _canon import normalize_outcome
+from _canon import normalize_outcome, read_dlts
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -62,7 +62,7 @@ def automata(draw):
 @PROPERTY
 @given(systems())
 def test_dlts_round_trip(T):
-    assert normalize(parse_lts(format_dlts(T))) == T
+    assert parse_lts(format_dlts(T)) == T
 
 
 @PROPERTY
@@ -126,10 +126,10 @@ def _assert_points_at_token(text, error):
 @settings(PROPERTY, max_examples=300)
 @given(fuzzed_texts())
 def test_fuzzed_text_parses_or_raises_a_located_error(case):
-    """Any fuzzed body either parses or raises LtsParseError (or, for a dfa,
-    NondeterminismError), and a reported column points at the offending token.
-    A parsed dfa's transitions are what `normalize` makes of the same text
-    read as a dlts.
+    """Any fuzzed body either parses or raises LtsParseError or
+    NondeterminismError, and a reported column points at the offending token.
+    A parsed dfa's transitions are what `normalize` makes of the plain reading
+    of the same text as a dlts.
 
     The header count is capped at 64: a hostile header such as
     `dlts 30000000` still allocates memory out of proportion to the input,
@@ -141,9 +141,9 @@ def test_fuzzed_text_parses_or_raises_a_located_error(case):
             parse_lts(text)
         else:
             dfa = parse_dfa(text)
-            assert dfa.dlts == normalize(parse_lts(_as_dlts(text)))
+            assert dfa.dlts == normalize(read_dlts(_as_dlts(text)))
     except NondeterminismError:
-        assert kind == "dfa"
+        pass
     except LtsParseError as error:
         _assert_points_at_token(text, error)
 
@@ -188,17 +188,18 @@ def dfa_texts(draw):
 @PROPERTY
 @given(dfa_texts())
 def test_parsed_dfa_encodes_as_normalize_does(text):
-    """`parse_dfa` encodes without `normalize`; the library path stays its reference."""
+    """`parse_dfa` encodes without `normalize`; `normalize` of the plain reading is its
+    reference."""
     try:
-        want = normalize(parse_lts(_as_dlts(text)))
+        want = normalize(read_dlts(_as_dlts(text)))
     except NondeterminismError as error:
         with pytest.raises(NondeterminismError) as info:
             parse_dfa(text)
         assert info.value.violations == error.violations
-    except LtsParseError as error:
+    except LtsError as error:
         with pytest.raises(LtsParseError, match="duplicate transition"):
             parse_dfa(text)
-        assert "duplicate transition" in str(error)
+        assert str(error).startswith("duplicate transition")
     else:
         assert parse_dfa(text).dlts == want
 
@@ -346,7 +347,7 @@ def test_parser_and_normalize_judge_declared_names_alike(case):
         assert (info.value.line, info.value.column) == (lineno, columns[i])
         assert str(info.value) == f"line {lineno}, column {columns[i]}: {error}"
     else:
-        assert normalize(parse_lts(text)) == want
+        assert parse_lts(text) == want
 
 
 def _first_defective_transition_line(text):
@@ -407,51 +408,33 @@ def test_fuzzed_text_reports_the_first_defective_transition_line(case):
 
 
 # ---------------------------------------------------------------------------
-# `normalize` reuses the columns `parse_lts` has checked, while the lists
-# they encode are unchanged.
-
-# Edits in place; each is a no-op where the list it edits is empty.
-def _swap_states(raw):
-    raw.states.reverse()
-
-
-def _rename_state(raw):
-    raw.states[:1] = [name + "'" for name in raw.states[:1]]
-
-
-def _reverse_letters(raw):
-    raw.letters.reverse()
-
-
-def _drop_transition(raw):
-    del raw.transitions[-1:]
-
-
-def _repeat_transition(raw):
-    raw.transitions.extend(raw.transitions[:1])
-
-
-def _reverse_transition(raw):
-    raw.transitions[:1] = [(dst, letter, src) for src, letter, dst in raw.transitions[:1]]
-
-
-_EDITS = [None, _swap_states, _rename_state, _reverse_letters, _drop_transition,
-          _repeat_transition, _reverse_transition]
+# Both parsers against a plain reading of the text.
 
 
 @settings(PROPERTY, max_examples=300)
-@given(st.one_of(fuzzed_texts(), dfa_texts().map(lambda text: ("dfa", text))),
-       st.sampled_from(_EDITS))
-def test_normalize_of_parsed_text_equals_the_full_validation(case, edit):
-    """Whether or not the parsed lists were edited in place, `normalize` gives
-    what it gives for a `RawLts` rebuilt from their values, which carries no
-    parsed columns: the same system, or the same error."""
+@given(st.one_of(fuzzed_texts(), dfa_texts().map(lambda text: ("dfa", text))))
+def test_parsers_give_what_normalize_gives_for_the_plain_reading(case):
+    """A dlts text, and a dfa text both as it is and read as a dlts: where a
+    parser returns a system or raises NondeterminismError, `normalize` of
+    `read_dlts`'s reading gives the same system or the same error.  Where
+    `parse_lts` raises at a position and the syntax is sound, `normalize` raises
+    an LtsError whose message starts with the parser's, past its position."""
     kind, text = case
-    try:
-        raw = parse_lts(_as_dlts(text) if kind == "dfa" else text)
-    except LtsParseError:
-        return
-    if edit is not None:
-        edit(raw)
-    rebuilt = RawLts(list(raw.states), list(raw.letters), list(raw.transitions))
-    assert normalize_outcome(raw) == normalize_outcome(rebuilt)
+    dlts_text = _as_dlts(text) if kind == "dfa" else text
+    raw = read_dlts(dlts_text)
+    runs = [(parse_lts, dlts_text)]
+    if kind == "dfa":
+        runs.append((lambda text: parse_dfa(text).dlts, text))
+    for parse, source in runs:
+        try:
+            got = parse(source)
+        except NondeterminismError as error:
+            got = type(error), str(error), error.violations
+        except LtsParseError as error:
+            if parse is parse_lts and raw is not None:
+                want = normalize_outcome(raw)
+                assert isinstance(want, tuple) and want[0] is LtsError, (error, want)
+                assert want[1].startswith(str(error).split(": ", 1)[1]), (error, want)
+            continue
+        assert raw is not None
+        assert got == normalize_outcome(raw)
