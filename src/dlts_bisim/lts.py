@@ -4,17 +4,20 @@ The refinement engine works on a dense, index-based encoding of a
 deterministic LTS in which the alphabet is restricted to letters that
 actually label a transition and the transitions are held as parallel
 source and letter columns sorted by destination, so that the incoming
-transitions of a state form one contiguous slice.  `parse_lts`, `parse_dfa`
-and `normalize` check every rule through one resolver, `_encode`, which
-turns names into index columns a whole column at a time; a per-item loop
-over the names runs only to locate the first error.  Encoding then groups
-the transitions by destination in one stable counting-sort pass: O(m + n)
-time, two columns of length m and one slot array of length n.
+transitions of a state form one contiguous slice.  Names become index
+columns a whole column at a time through dicts, and `parse_lts`,
+`parse_dfa` and `normalize` then judge every rule on those ints through one
+resolver, `_encode`; a per-item loop runs only to locate the first error.
+Encoding then groups the transitions by destination in one stable
+counting-sort pass: O(m + n) time, two columns of length m and one slot
+array of length n.
 
-The parsers hold the line strings of one 64 K piece of the text at a time,
-and their rows die before the counting sort.  The determinism check marks
-one byte per (state, letter) cell when there are at most 8 cells per
-transition, and otherwise keeps a hash set of the m (source, letter) keys.
+The parsers read the text one 64 K piece at a time and turn each piece's
+transition lines into int columns before they read the next, so no token
+string outlives its piece: the parse peak is the three int columns, the
+names and one piece's lines.  The determinism check marks one byte per
+(state, letter) cell when there are at most 8 cells per transition, and
+otherwise keeps a hash set of the m (source, letter) keys.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, itemgetter, mul, not_, setitem, sub
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from operator import add, eq, itemgetter, mul, setitem, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -200,8 +204,22 @@ def _broken_rule(names: Sequence[str], what: str) -> str | None:
     return None
 
 
-def _names_ok(names: Sequence[str], index: dict[str, int], what: str) -> bool:
-    return len(index) == len(names) and _broken_rule(names, what) is None
+def _bad_name(names: Sequence[str], distinct: bool, what: str) -> tuple[int, str] | None:
+    """The first name of `names` that breaks a rule or repeats, as (index, message), or None.
+
+    `distinct` says whether the names are distinct, which the size of their index tells,
+    so a good list costs one `_broken_rule` call; only a bad one is walked name by name.
+    """
+    if distinct and _broken_rule(names, what) is None:
+        return None
+    named: set[str] = set()
+    for i, name in enumerate(names):
+        if rule := _broken_rule([name], what):
+            return i, f"{what} name {name!r} {rule}"
+        if name in named:
+            return i, f"duplicate {what} name {name!r}"
+        named.add(name)
+    return None
 
 
 def normalize(raw: RawLts | NormalizedDlts) -> NormalizedDlts:
@@ -215,13 +233,16 @@ def normalize(raw: RawLts | NormalizedDlts) -> NormalizedDlts:
     """
     if isinstance(raw, NormalizedDlts):
         return raw
-    _state_index, columns, defect = _encode(raw.states, raw.letters, raw.transitions)
+    states, letters = _indexed(raw.states), _indexed(raw.letters)
+    columns = [_ids(raw.transitions, token, *names)
+               for token, names in ((0, states), (1, letters), (2, states))]
+    defect = _encode(states, letters, len(raw.states), len(raw.letters), columns)
     if isinstance(defect, tuple):
         _where, i, token, message = defect
         if token is not None:
             message += " in transition {} {} {}".format(*raw.transitions[i])
         raise LtsError(message)
-    return _encoded(list(raw.states), raw.letters, columns, defect)
+    return _encoded(states[1], letters[1], columns, defect)
 
 
 def _encoded(state_names: list[str], letter_names: Sequence[str], columns, forks) -> NormalizedDlts:
@@ -231,30 +252,57 @@ def _encoded(state_names: list[str], letter_names: Sequence[str], columns, forks
     return NormalizedDlts._from_columns(*columns, state_names, letter_names)
 
 
-def _encode(states: Sequence[str], letters: Sequence[str], transitions: Sequence[Sequence[str]]):
-    """The state index; then the (source, letter, destination) index columns of `transitions`
-    and None, or None and `_first_defect`'s result if a name is bad or undeclared or a
-    (source, letter) repeats."""
-    state_index = dict(zip(states, count()))
-    letter_index = dict(zip(letters, count()))
-    system = (states, letters, transitions, state_index, letter_index)
-    columns = None
-    if _names_ok(states, state_index, "state") and _names_ok(letters, letter_index, "letter"):
-        columns = _resolve(transitions, state_index, letter_index)
-        if columns is not None and _repeats(columns[0], columns[1], len(states), len(letters)):
-            columns = None  # not held while `_first_defect` scans
-    if columns is None:
-        return state_index, None, _first_defect(*system)
-    return state_index, columns, None
+# Names are resolved through (index, names) pairs: `names[i]` is the name that id i stands
+# for and `index` maps each name back to its id.  The first names are the declared ones;
+# a name met in a transition that the index lacks is appended, so an id always encodes its
+# name exactly, and an id past the declared names stands for an undeclared one.
 
 
-def _resolve(transitions, state_index, letter_index):
-    """The (source, letter, destination) index columns, or None if a name is undeclared."""
+def _indexed(declared: Sequence[str]) -> tuple[dict[str, int], list[str]]:
+    return dict(zip(declared, count())), list(declared)
+
+
+def _ids(rows: Sequence[Sequence[str]], token: int, index: dict[str, int],
+         names: list[str]) -> list[int]:
+    """The id of the `token`-th name of each row; names that `index` lacks are appended first."""
     try:
-        return tuple(list(map(index.__getitem__, map(itemgetter(token), transitions)))
-                     for token, index in ((0, state_index), (1, letter_index), (2, state_index)))
+        return list(map(index.__getitem__, map(itemgetter(token), rows)))
     except KeyError:
+        for name in map(itemgetter(token), rows):
+            if name not in index:
+                index[name] = len(names)
+                names.append(name)
+        return list(map(index.__getitem__, map(itemgetter(token), rows)))
+
+
+def _encode(states, letters, n: int, k: int, columns: Sequence[list[int]]):
+    """Judge indexed names and the (source, letter, destination) id columns made with them.
+
+    `states` and `letters` are (index, names) pairs whose first n and k names are the
+    declared ones.  Returns None if all is well; else the first defect among the state
+    names, letter names and transitions, in that order, as (where, index, token, message):
+    `where` 0, 1 or 2 picks the list, `index` the item, and `token` an undeclared name's
+    place in its transition, else None.  Forks do not stop the scan: without a defect,
+    the result is the forked (state, letter) name pairs, once each, in first-conflict order.
+    """
+    for where, (index, names), size, what in ((0, states, n, "state"), (1, letters, k, "letter")):
+        declared = names[:size] if len(names) > size else names
+        bad = _bad_name(declared, len(index) == len(names), what)
+        if bad is not None:
+            i, message = bad
+            return where, i, None, message
+    state_names, letter_names = states[1], letters[1]
+    src, letter, dst = columns
+    if len(state_names) == n and len(letter_names) == k and not _repeats(src, letter, n, k):
         return None
+    defect = _first_defect(src, letter, dst, n, k)
+    if isinstance(defect, list):
+        return [(state_names[s], letter_names[a]) for s, a in defect]
+    i, token = defect
+    triple = (state_names[src[i]], letter_names[letter[i]], state_names[dst[i]])
+    if token is None:
+        return 2, i, None, "duplicate transition {} {} {}".format(*triple)
+    return 2, i, token, f"undeclared {'letter' if token == 1 else 'state'} {triple[token]!r}"
 
 
 def _repeats(src: list[int], letter: list[int], n: int, k: int) -> bool:
@@ -270,42 +318,25 @@ def _repeats(src: list[int], letter: list[int], n: int, k: int) -> bool:
     return len(set(keys)) != len(src)
 
 
-def _first_defect(states, letters, transitions, state_index, letter_index):
-    """The first defect among the state names, letter names and transitions, in that order,
-    as (where, index, token, message): `where` 0, 1 or 2 picks the list, `index` the item,
-    and `token` an undeclared name's place in its transition, else None.  Forks do not stop
-    the scan: without a defect, the result is the forked (state, letter) pairs, once each,
-    in first-conflict order.
+def _first_defect(src: list[int], letter: list[int], dst: list[int], n: int, k: int):
+    """The first defective transition of id columns in which a state id of n or more and a
+    letter id of k or more stand for undeclared names: (i, None) if transition i repeats an
+    earlier triple, (i, token) if its `token`-th name is undeclared.  Without one, the forked
+    (source, letter) id pairs, once each, in first-conflict order.
 
     The first undeclared name is found a column at a time; repeats and forks are then
     found on the `src * k + letter` int keys of the transitions before it."""
-    for where, names, what in ((0, states, "state"), (1, letters, "letter")):
-        if _names_ok(names, (state_index, letter_index)[where], what):
-            continue
-        named: set[str] = set()
-        for i, name in enumerate(names):
-            if rule := _broken_rule([name], what):
-                return where, i, None, f"{what} name {name!r} {rule}"
-            if name in named:
-                return where, i, None, f"duplicate {what} name {name!r}"
-            named.add(name)
-    # The first transition with an undeclared name; at one transition, the
-    # source is reported before the destination and the destination before the letter.
+    # At one transition, the source is reported before the destination and the
+    # destination before the letter.
     undeclared = None
-    stop = len(transitions)
-    for token, index, what in ((0, state_index, "state"), (2, state_index, "state"),
-                               (1, letter_index, "letter")):
-        names = map(itemgetter(token), islice(transitions, stop))
-        i = next(compress(count(), map(not_, map(index.__contains__, names))), None)
+    stop = len(src)
+    for token, column, size in ((0, src, n), (2, dst, n), (1, letter, k)):
+        i = next(compress(count(), map(size.__le__, islice(column, stop))), None)
         if i is not None:
-            undeclared, stop = (i, token, what), i
-
-    k = len(letters)
+            undeclared, stop = (i, token), i
 
     def keys() -> Iterator[int]:  # one per transition before `stop`
-        sources = map(state_index.__getitem__, map(itemgetter(0), islice(transitions, stop)))
-        letter = map(letter_index.__getitem__, map(itemgetter(1), islice(transitions, stop)))
-        return map(add, map(mul, sources, repeat(k)), letter)
+        return map(add, map(mul, islice(src, stop), repeat(k)), islice(letter, stop))
 
     # The keys that occur more than once, adjacent once sorted.
     ordered = sorted(keys())
@@ -313,25 +344,24 @@ def _first_defect(states, letters, transitions, state_index, letter_index):
     del ordered
     # Each repeated key's first destination, then the later (key, destination)
     # pairs as int keys; forked keys in first-conflict order.
-    first_dst: dict[int, str] = {}
+    first_dst: dict[int, int] = {}
     later: set[int] = set()
     forked: dict[int, None] = {}
-    for i, key, dst in zip(count(), keys(), map(itemgetter(2), transitions)):
+    for i, key, d in zip(count(), keys(), dst):
         if key not in repeated:
             continue
         known = first_dst.get(key)
         if known is None:
-            first_dst[key] = dst
+            first_dst[key] = d
             continue
-        pair = key * len(states) + state_index[dst]
-        if known == dst or pair in later:
-            return 2, i, None, "duplicate transition {} {} {}".format(*transitions[i])
+        pair = key * n + d
+        if known == d or pair in later:
+            return i, None
         later.add(pair)
         forked[key] = None
     if undeclared is not None:
-        i, token, what = undeclared
-        return 2, i, token, f"undeclared {what} {transitions[i][token]!r}"
-    return [(states[key // k], letters[key % k]) for key in forked]
+        return undeclared
+    return [divmod(key, k) for key in forked]
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +397,19 @@ def _pieces(text: str) -> Iterator[str]:
         start = stop
 
 
+def _split(piece: str) -> list[list[str]]:
+    """The tokens of each line of `piece`, comments cut, one list per line."""
+    lines = piece.splitlines()
+    if "#" in piece:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(map(str.split, lines))
+
+
 def _rows(text: str) -> list[tuple[str, ...]]:
     """The tokens of each line of `text`, comments cut, one tuple per line."""
     rows: list[tuple[str, ...]] = []
     for piece in _pieces(text):
-        lines = piece.splitlines()
-        if "#" in piece:
-            lines = [line.partition("#")[0] for line in lines]
-        rows.extend(map(tuple, map(str.split, lines)))
+        rows.extend(map(tuple, _split(piece)))
     return rows
 
 
@@ -393,13 +428,8 @@ def _error_at(text: str, message: str, lineno: int, index: int) -> LtsParseError
     return LtsParseError(message, lineno, match.start() + 1)
 
 
-def _parse(text: str, kind: str):
-    """The headers, state index and `_encoded` arguments of `text`; only forks do not raise."""
-    rows = _rows(text)
-    first = next(compress(count(), rows), None)
-    if first is None:
-        raise LtsParseError(f"empty input, expected a `{kind} <n-states>` header")
-    lineno, tokens = first + 1, rows[first]
+def _state_count(text: str, kind: str, tokens: list[str], lineno: int) -> int:
+    """The state count of the `<kind> <n-states>` line: the first line that is not blank."""
     if tokens[0] != kind:
         raise _error_at(text, f"expected `{kind}` header, got {tokens[0]!r}", lineno, 0)
     if len(tokens) != 2:
@@ -408,21 +438,79 @@ def _parse(text: str, kind: str):
     # str.isdigit alone also accepts digits that int() rejects, such as "²".
     if not (count_token.isascii() and count_token.isdigit()):
         raise _error_at(text, f"state count must be ASCII digits, got {count_token!r}", lineno, 1)
-    n = int(count_token)
+    return int(count_token)
 
-    # Every row but the `<src> <letter> <dst>` ones is handled line by line,
-    # in order: blank lines, headers and rows of the wrong shape.
-    is_transition = [True] * len(rows)
-    is_transition[: first + 1] = [False] * (first + 1)
+
+def _reindexed(old, declared: list[str], columns: Iterable[list[int]]):
+    """The (index, names) pair of the names of a `states:` or `letters:` line.  If ids were
+    made before the line, with the pair `old`, the ids in `columns` are re-encoded in place,
+    and the names they use that the line lacks are appended as undeclared ones."""
+    index, names = _indexed(declared)
+    if old is not None:
+        new_id = list(map(index.get, old[1]))
+        if None in new_id:
+            for i in sorted(set(chain.from_iterable(columns))):
+                if new_id[i] is None:
+                    new_id[i] = index[old[1][i]] = len(names)
+                    names.append(old[1][i])
+        for column in columns:
+            column[:] = map(new_id.__getitem__, column)
+    return index, names
+
+
+def _odd_rows(rows: list[list[str]]) -> list[int]:
+    """The indices of the rows that are no `<src> <letter> <dst>` lines: blank lines,
+    headers, the `<kind> <n-states>` line and rows of the wrong shape."""
+    return [i for i, row in enumerate(rows) if len(row) != 3 or row[0][-1] == ":"]
+
+
+def _transition_line(text: str, piece_lines: list[int], piece_transitions: list[int],
+                     i: int) -> int:
+    """The line number of the i-th transition line, from the lines and the transitions
+    that come before each piece; only the piece that holds it is split again."""
+    j = bisect_right(piece_transitions, i) - 1
+    odd = set(_odd_rows(_split(next(islice(_pieces(text), j, None)))))
+    transition_rows = filterfalse(odd.__contains__, count())
+    return piece_lines[j] + next(islice(transition_rows, i - piece_transitions[j], None)) + 1
+
+
+def _parse(text: str, kind: str):
+    """The headers, state index and `_encoded` arguments of `text`; only forks do not raise.
+
+    The text is read one piece at a time, and each piece's transition lines become
+    (source, letter, destination) id columns before the next piece is read.  Every other
+    line is handled as it comes, so syntax errors raise in line order; the `states:`
+    count, the name lists and the transitions are judged once the whole text is read.
+    """
     allowed = _DFA_HEADERS if kind == "dfa" else _DLTS_HEADERS
-    headers: dict[str, tuple[int, tuple[str, ...]]] = {}
-    for i in [i for i, row in enumerate(rows) if len(row) != 3 or row[0][-1] == ":"]:
-        is_transition[i] = False
-        tokens = rows[i]
-        if i <= first or not tokens:
-            continue
-        lineno, word = i + 1, tokens[0]
-        if word.endswith(":"):
+    headers: dict[str, tuple[int, list[str]]] = {}
+    n = None  # until the `<kind> <n-states>` line
+    states = None  # an (index, names) pair, made when first needed
+    letters: tuple[dict[str, int], list[str]] = ({}, [])  # until a `letters:` line: first use
+    columns: tuple[list[int], list[int], list[int]] = ([], [], [])
+    # The lines and the transitions before each piece, to find a transition's line.
+    piece_lines: list[int] = []
+    piece_transitions: list[int] = []
+    lines_before = 0
+    for piece in _pieces(text):
+        rows = _split(piece)
+        piece_lines.append(lines_before)
+        piece_transitions.append(len(columns[0]))
+        lines_before += len(rows)
+        if n is None:
+            first = next(compress(count(), rows), None)
+            if first is None:
+                continue
+            n = _state_count(text, kind, rows[first], piece_lines[-1] + first + 1)
+            rows[first] = []
+        odd = _odd_rows(rows)
+        for i in odd:
+            tokens = rows[i]
+            if not tokens:
+                continue
+            lineno, word = piece_lines[-1] + i + 1, tokens[0]
+            if not word.endswith(":"):
+                raise _error_at(text, "expected `<src> <letter> <dst>`", lineno, 0)
             if word not in _DFA_HEADERS:
                 raise _error_at(text, f"unknown header {word!r}", lineno, 0)
             if word not in allowed:
@@ -430,34 +518,41 @@ def _parse(text: str, kind: str):
             if word in headers:
                 raise _error_at(text, f"duplicate `{word}` line", lineno, 0)
             headers[word] = (lineno, tokens)
-        else:
-            raise _error_at(text, "expected `<src> <letter> <dst>`", lineno, 0)
+            if word == "states:":
+                states = _reindexed(states, tokens[1:], (columns[0], columns[2]))
+            elif word == "letters:":
+                letters = _reindexed(letters, tokens[1:], (columns[1],))
+        if odd:
+            is_transition = [True] * len(rows)
+            for i in odd:
+                is_transition[i] = False
+            rows = list(compress(rows, is_transition))
+        if rows:
+            if states is None:
+                states = _indexed([str(i) for i in range(n)])
+            for token, names in ((0, states), (1, letters), (2, states)):
+                columns[token].extend(_ids(rows, token, *names))
+        del rows  # before the next piece is split
+    if n is None:
+        raise LtsParseError(f"empty input, expected a `{kind} <n-states>` header")
 
     if "states:" in headers:
         lineno, tokens = headers["states:"]
-        state_names = list(tokens[1:])
-        if len(state_names) != n:
-            message = f"`states:` lists {len(state_names)} names but the header declares {n}"
+        if len(tokens) - 1 != n:
+            message = f"`states:` lists {len(tokens) - 1} names but the header declares {n}"
             raise LtsParseError(message, lineno)
-    else:
-        state_names = [str(i) for i in range(n)]
-    transitions: list[tuple[str, str, str]] = list(compress(rows, is_transition))
-    del rows
-    # Letters in declaration order, else in order of first use.
-    if "letters:" in headers:
-        letter_names = list(headers["letters:"][1][1:])
-    else:
-        letter_names = list(dict.fromkeys(map(itemgetter(1), transitions)))
+    if states is None:
+        states = _indexed([str(i) for i in range(n)])
+    k = len(headers["letters:"][1]) - 1 if "letters:" in headers else len(letters[1])
 
-    state_index, columns, defect = _encode(state_names, letter_names, transitions)
+    defect = _encode(states, letters, n, k, columns)
     if isinstance(defect, tuple):  # a bad name or a repeated triple; forks go on
         where, i, token, message = defect
         if where == 2:
-            lineno = next(islice(compress(count(1), is_transition), i, None))
+            lineno = _transition_line(text, piece_lines, piece_transitions, i)
             raise _error_at(text, message, lineno, token or 0)
         raise _error_at(text, message, headers[_DLTS_HEADERS[where]][0], i + 1)
-
-    return headers, state_index, (state_names, letter_names, columns, defect)
+    return headers, states[0], (states[1], letters[1], columns, defect)
 
 
 def parse_lts(text: str) -> NormalizedDlts:

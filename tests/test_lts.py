@@ -220,6 +220,35 @@ def test_normalize_sees_edits_made_after_parse_lts(edit, want):
         assert got == want
 
 
+_HEADER_LINES = {  # a header line, then a repeat that would otherwise parse
+    "states:": ("states: p q", "states: q p"),
+    "letters:": ("letters: x y", "letters: y x"),
+}
+
+
+@pytest.mark.parametrize("piece", [None, 16])
+@pytest.mark.parametrize("kind", ["dlts", "dfa"])
+@pytest.mark.parametrize("word", ["states:", "letters:"])
+def test_repeated_header_line_raises_at_the_repeat(monkeypatch, word, kind, piece):
+    """A second `states:` or `letters:` line is an error at its own line, column 1,
+    even where it would otherwise parse; with small pieces, it lies in a later piece
+    than the first, after transitions that were resolved with the first."""
+    first, repeat = _HEADER_LINES[word]
+    other = _HEADER_LINES["letters:" if word == "states:" else "states:"][0]
+    lines = [f"{kind} 2", first, other] + ["initial: p"] * (kind == "dfa")
+    lines += ["p x q", "q y p", "p y p", repeat]
+    text = "\n".join(lines) + "\n"
+    if piece is not None:
+        monkeypatch.setattr(dlts_bisim.lts, "_PIECE", piece)
+        pieces = list(dlts_bisim.lts._pieces(text))
+        assert first in pieces[0] and repeat not in pieces[0]
+    with pytest.raises(LtsParseError) as info:
+        (parse_lts if kind == "dlts" else parse_dfa)(text)
+    lineno = len(lines)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"line {lineno}, column 1: duplicate `{word}` line", lineno, 1)
+
+
 def test_parse_empty_dfa_has_no_initial():
     dfa = parse_dfa("dfa 0\n")
     assert dfa.initial is None
@@ -623,18 +652,20 @@ def _traced(f, *args):
 
 
 def test_parse_peak_memory_stays_near_its_result():
-    """The rows of the text are the parser's floor: `parse_lts` peaks at most
-    1.6 times above what `_rows` keeps, and its result keeps well below it."""
+    """Each piece's lines become index columns before the next piece is read, so
+    neither parser holds a string per token of the whole text: each peaks at most
+    2.5 times above what its result keeps (a parser that tokenizes the whole
+    text first peaks 3 times above it)."""
     rng = random.Random(5)
     n = 10000
-    lines = [f"dlts {n}"] + [f"{q} {a} {rng.randrange(n)}" for q in range(n) for a in "ab"]
-    text = "\n".join(lines) + "\n"
-    assert len(text) >= 200_000
-    rows_kept = _traced(dlts_bisim.lts._rows, text)[1]
-    T, kept, peak = _traced(parse_lts, text)
-    assert T.m == 2 * n
-    assert peak <= 1.6 * rows_kept, (peak, rows_kept)
-    assert kept < 0.6 * rows_kept, (kept, rows_kept)
+    body = "".join(f"{q} {a} {rng.randrange(n)}\n" for q in range(n) for a in "ab")
+    for parse, text in ((parse_lts, f"dlts {n}\n" + body),
+                        (parse_dfa, f"dfa {n}\ninitial: 0\nfinals: 1 2 3\n" + body)):
+        assert len(text) >= 200_000
+        result, kept, peak = _traced(parse, text)
+        dlts = result if parse is parse_lts else result.dlts
+        assert (dlts.n, dlts.m) == (n, 2 * n)
+        assert peak <= 2.5 * kept, (parse.__name__, peak, kept)
 
 
 def test_late_repeat_error_peaks_near_the_success_path():

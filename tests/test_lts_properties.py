@@ -5,11 +5,13 @@ same inputs.
 """
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlts_bisim.lts
 from dlts_bisim import (
     Dfa,
     LtsError,
@@ -88,19 +90,47 @@ def _joined(words, min_size, max_size, spaces=_SPACES):
 
 _free_line = _joined(["dlts", "dfa", "#"] + _HEADERS + _NAMES, 0, 6, _SPACES + _BREAKS + [""])
 _header_line = st.tuples(st.sampled_from(_HEADERS), _joined(_NAMES, 0, 4)).map(" ".join)
-_transition_line = _joined(["0", "1", "2", "a", "b"], 3, 3)  # few names: repeats and forks
+
+
+def _once_in(draw, times):
+    return draw(st.integers(0, times - 1)) == 1  # not an end point, which Hypothesis favours
+
+
+@st.composite
+def _transition_line(draw, count):
+    """`<src> <letter> <dst>` over the first four default names and two letters, so that
+    repeats and forks are common; one token in 30 is drawn from `_NAMES` instead."""
+    def token(names):
+        return draw(st.sampled_from(_NAMES if _once_in(draw, 30) or not names else names))
+
+    states = [str(q) for q in range(min(count, 4))]
+    tokens = [token(states), token(["a", "b"]), token(states)]
+    return "".join(name + draw(st.sampled_from(_SPACES)) for name in tokens)
 
 
 @st.composite
 def fuzzed_texts(draw):
+    """A `dlts` or `dfa` text whose transition lines mostly name declared states and
+    letters: many parse, fork, or fail on names or repeats only.  Header lines with
+    random names and free lines of any tokens, which mostly break the syntax, come in
+    one text out of six each."""
     # The state count stays small: a large `dlts <count>` header still makes
     # the parser build `count` default names, whatever the input's length.
     kind = draw(st.sampled_from(["dlts", "dfa"]))
     count = draw(st.integers(0, 64))
-    body = draw(st.lists(_transition_line, max_size=8))
-    extras = draw(st.lists(_header_line, max_size=2)) + draw(st.lists(_free_line, max_size=1))
-    if kind == "dfa" and draw(st.booleans()):
-        extras.append("initial: 0")
+    body = draw(st.lists(_transition_line(count), max_size=8))
+    extras = []
+    if _once_in(draw, 6):
+        extras += draw(st.lists(_header_line, min_size=1, max_size=2))
+    if _once_in(draw, 6):
+        extras.append(draw(_free_line))
+    if draw(st.booleans()):
+        extras.append(draw(st.sampled_from(["letters: a b", "letters: b a", "letters: a"])))
+    if kind == "dfa":
+        if not _once_in(draw, 10):
+            extras.append("initial: 0")
+        if draw(st.booleans()):
+            extras.append("finals: " + " ".join(map(str, range(min(count, 2)))))
     for line in extras:
         body.insert(draw(st.integers(0, len(body))), line)
     return kind, "\n".join([f"{kind} {count}"] + body) + "\n"
@@ -262,10 +292,6 @@ def _normalize_outcome(raw):
     return None
 
 
-def _rarely(draw):
-    return draw(st.integers(0, 5)) == 3  # not an end point, which Hypothesis favours
-
-
 @st.composite
 def defective_systems(draw):
     """Systems with one to three extra transitions on pairs that already have
@@ -274,10 +300,10 @@ def defective_systems(draw):
     states = draw(st.lists(st.sampled_from(["p", "q", "r", "s"]), unique=True, max_size=4))
     letters = draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True, max_size=3))
     for names, extra in ((states, ["", "q r", "s#", "t:", "p"]), (letters, ["", "x y", "#", "x"])):
-        if _rarely(draw):
+        if _once_in(draw, 6):
             names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(extra)))
-    used_states = states + ["u"] if _rarely(draw) or not states else states
-    used_letters = letters + ["w"] if _rarely(draw) or not letters else letters
+    used_states = states + ["u"] if _once_in(draw, 6) or not states else states
+    used_letters = letters + ["w"] if _once_in(draw, 6) or not letters else letters
     pair = st.tuples(st.sampled_from(used_states), st.sampled_from(used_letters))
     transitions = [(s, a, draw(st.sampled_from(used_states)))
                    for s, a in draw(st.lists(pair, unique=True, max_size=6))]
@@ -438,3 +464,47 @@ def test_parsers_give_what_normalize_gives_for_the_plain_reading(case):
             continue
         assert raw is not None
         assert got == normalize_outcome(raw)
+
+
+# ---------------------------------------------------------------------------
+# The same properties with the text read in pieces of a few characters: pieces
+# end inside lines, headers come after pieces whose names are already resolved,
+# and undeclared names turn up in later pieces.
+
+_SMALL_PIECES = st.sampled_from([1, 2, 3, 5, 8])
+
+
+def _outcome(parse, text):
+    """What `parse(text)` returns, or the type, message, position and violations of its error."""
+    try:
+        return parse(text)
+    except LtsError as error:
+        return (type(error), str(error), getattr(error, "line", None),
+                getattr(error, "column", None), getattr(error, "violations", None))
+
+
+def _in_small_pieces(piece, runs, check):
+    """Each (parse, text) of `runs` gives in pieces of `piece` characters what it gives
+    in the default pieces, and `check()` passes in those small pieces."""
+    want = [_outcome(parse, text) for parse, text in runs]
+    with mock.patch.object(dlts_bisim.lts, "_PIECE", piece):
+        assert [_outcome(parse, text) for parse, text in runs] == want
+        check()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(fuzzed_texts(), dfa_texts().map(lambda text: ("dfa", text))), _SMALL_PIECES)
+def test_plain_reading_property_holds_in_small_pieces(case, piece):
+    kind, text = case
+    runs = [(parse_lts, _as_dlts(text) if kind == "dfa" else text)]
+    if kind == "dfa":
+        runs.append((parse_dfa, text))
+    inner = test_parsers_give_what_normalize_gives_for_the_plain_reading.hypothesis.inner_test
+    _in_small_pieces(piece, runs, lambda: inner(case))
+
+
+@PROPERTY
+@given(dfa_texts(), _SMALL_PIECES)
+def test_dfa_encoding_property_holds_in_small_pieces(text, piece):
+    inner = test_parsed_dfa_encodes_as_normalize_does.hypothesis.inner_test
+    _in_small_pieces(piece, [(parse_dfa, text)], lambda: inner(text))
