@@ -74,12 +74,12 @@ def gen_random_dlts(cfg: GenConfig) -> tuple[NormalizedDlts, list[set[int]]]:
     return T, _gen_partition(cfg.n, cfg.max_blocks, rng)
 
 
-def gen_random_dfa(cfg: GenConfig, final_density: float = 0.5) -> Dfa:
-    """A seeded random deterministic automaton (possibly partial)."""
+def gen_random_dfa(cfg: GenConfig) -> Dfa:
+    """A seeded random deterministic automaton (possibly partial), each state final at odds 1/2."""
     rng = random.Random(cfg.seed)
     T = normalize(_gen_raw(cfg, rng))
     initial = rng.randrange(cfg.n)
-    finals = {q for q in range(cfg.n) if rng.random() < final_density}
+    finals = {q for q in range(cfg.n) if rng.random() < 0.5}
     return Dfa(dlts=T, initial=initial, finals=finals)
 
 

@@ -7,17 +7,18 @@ source and letter columns sorted by destination, so that the incoming
 transitions of a state form one contiguous slice.  Names become index
 columns a whole column at a time through dicts, and `parse_lts`,
 `parse_dfa` and `normalize` then judge every rule on those ints through one
-resolver, `_encode`; a per-item loop runs only to locate the first error.
-Encoding then groups the transitions by destination in one stable
-counting-sort pass: O(m + n) time, two columns of length m and one slot
-array of length n.
+resolver, `_encode`, which raises the first defect through a locator that
+its caller passes.  Encoding groups the transitions by destination in one
+stable counting-sort pass: O(m + n) time, two columns of length m and one
+slot array of length n.
 
-The parsers read the text one 64 K piece at a time and turn each piece's
-transition lines into int columns before they read the next, so no token
-string outlives its piece: the parse peak is the three int columns, the
-names and one piece's lines.  The determinism check marks one byte per
-(state, letter) cell when there are at most 8 cells per transition, and
-otherwise keeps a hash set of the m (source, letter) keys.
+Every reader walks a text one 64 K piece at a time (`_pieces`, `_split`).
+The parsers turn each piece's transition lines into int columns before they
+read the next, so the parse peak is the three int columns, the names and
+one piece's lines; a transition's line is found only on the error path, by
+counting the transition lines again.  The determinism check marks one byte
+per (state, letter) cell when there are at most 8 cells per transition,
+and otherwise keeps a hash set of the m (source, letter) keys.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, itemgetter, mul, setitem, sub
 from typing import Iterable, Iterator, Sequence
@@ -236,13 +236,14 @@ def normalize(raw: RawLts | NormalizedDlts) -> NormalizedDlts:
     states, letters = _indexed(raw.states), _indexed(raw.letters)
     columns = [_ids(raw.transitions, token, *names)
                for token, names in ((0, states), (1, letters), (2, states))]
-    defect = _encode(states, letters, len(raw.states), len(raw.letters), columns)
-    if isinstance(defect, tuple):
-        _where, i, token, message = defect
+
+    def fail(_where: int, i: int, token: int | None, message: str) -> LtsError:
         if token is not None:
             message += " in transition {} {} {}".format(*raw.transitions[i])
-        raise LtsError(message)
-    return _encoded(states[1], letters[1], columns, defect)
+        return LtsError(message)
+
+    forks = _encode(states, letters, len(raw.states), len(raw.letters), columns, fail)
+    return _encoded(states[1], letters[1], columns, forks)
 
 
 def _encoded(state_names: list[str], letter_names: Sequence[str], columns, forks) -> NormalizedDlts:
@@ -275,34 +276,33 @@ def _ids(rows: Sequence[Sequence[str]], token: int, index: dict[str, int],
         return list(map(index.__getitem__, map(itemgetter(token), rows)))
 
 
-def _encode(states, letters, n: int, k: int, columns: Sequence[list[int]]):
+def _encode(states, letters, n: int, k: int, columns: Sequence[list[int]], fail):
     """Judge indexed names and the (source, letter, destination) id columns made with them.
 
     `states` and `letters` are (index, names) pairs whose first n and k names are the
-    declared ones.  Returns None if all is well; else the first defect among the state
-    names, letter names and transitions, in that order, as (where, index, token, message):
-    `where` 0, 1 or 2 picks the list, `index` the item, and `token` an undeclared name's
-    place in its transition, else None.  Forks do not stop the scan: without a defect,
-    the result is the forked (state, letter) name pairs, once each, in first-conflict order.
+    declared ones.  The first defect among the state names, letter names and transitions,
+    in that order, raises `fail(where, index, token, message)`: `where` 0, 1 or 2 picks the
+    list, `index` the item, and `token` an undeclared name's place in its transition, else
+    None.  Forks do not stop the scan: the result is the forked (state, letter) name pairs,
+    once each, in first-conflict order, and empty when there are none.
     """
     for where, (index, names), size, what in ((0, states, n, "state"), (1, letters, k, "letter")):
         declared = names[:size] if len(names) > size else names
         bad = _bad_name(declared, len(index) == len(names), what)
         if bad is not None:
-            i, message = bad
-            return where, i, None, message
+            raise fail(where, bad[0], None, bad[1])
     state_names, letter_names = states[1], letters[1]
     src, letter, dst = columns
     if len(state_names) == n and len(letter_names) == k and not _repeats(src, letter, n, k):
-        return None
+        return []
     defect = _first_defect(src, letter, dst, n, k)
     if isinstance(defect, list):
         return [(state_names[s], letter_names[a]) for s, a in defect]
     i, token = defect
     triple = (state_names[src[i]], letter_names[letter[i]], state_names[dst[i]])
     if token is None:
-        return 2, i, None, "duplicate transition {} {} {}".format(*triple)
-    return 2, i, token, f"undeclared {'letter' if token == 1 else 'state'} {triple[token]!r}"
+        raise fail(2, i, None, "duplicate transition {} {} {}".format(*triple))
+    raise fail(2, i, token, f"undeclared {'letter' if token == 1 else 'state'} {triple[token]!r}")
 
 
 def _repeats(src: list[int], letter: list[int], n: int, k: int) -> bool:
@@ -405,14 +405,6 @@ def _split(piece: str) -> list[list[str]]:
     return list(map(str.split, lines))
 
 
-def _rows(text: str) -> list[tuple[str, ...]]:
-    """The tokens of each line of `text`, comments cut, one tuple per line."""
-    rows: list[tuple[str, ...]] = []
-    for piece in _pieces(text):
-        rows.extend(map(tuple, _split(piece)))
-    return rows
-
-
 def _line(text: str, lineno: int) -> str:
     """Line `lineno` of `text`, counted from 1 as `splitlines` counts."""
     return next(islice(chain.from_iterable(map(str.splitlines, _pieces(text))), lineno - 1, None))
@@ -464,14 +456,16 @@ def _odd_rows(rows: list[list[str]]) -> list[int]:
     return [i for i, row in enumerate(rows) if len(row) != 3 or row[0][-1] == ":"]
 
 
-def _transition_line(text: str, piece_lines: list[int], piece_transitions: list[int],
-                     i: int) -> int:
-    """The line number of the i-th transition line, from the lines and the transitions
-    that come before each piece; only the piece that holds it is split again."""
-    j = bisect_right(piece_transitions, i) - 1
-    odd = set(_odd_rows(_split(next(islice(_pieces(text), j, None)))))
-    transition_rows = filterfalse(odd.__contains__, count())
-    return piece_lines[j] + next(islice(transition_rows, i - piece_transitions[j], None)) + 1
+def _transition_line(text: str, i: int) -> int:
+    """The line number of the i-th transition line, counted from 0.  Only errors need it,
+    so the transition rows are counted again, one piece at a time."""
+    lines_before = 0
+    for rows in map(_split, _pieces(text)):
+        odd = set(_odd_rows(rows))
+        if i < len(rows) - len(odd):
+            return lines_before + next(islice(filterfalse(odd.__contains__, count()), i, None)) + 1
+        i -= len(rows) - len(odd)
+        lines_before += len(rows)
 
 
 def _parse(text: str, kind: str):
@@ -488,27 +482,21 @@ def _parse(text: str, kind: str):
     states = None  # an (index, names) pair, made when first needed
     letters: tuple[dict[str, int], list[str]] = ({}, [])  # until a `letters:` line: first use
     columns: tuple[list[int], list[int], list[int]] = ([], [], [])
-    # The lines and the transitions before each piece, to find a transition's line.
-    piece_lines: list[int] = []
-    piece_transitions: list[int] = []
-    lines_before = 0
-    for piece in _pieces(text):
-        rows = _split(piece)
-        piece_lines.append(lines_before)
-        piece_transitions.append(len(columns[0]))
-        lines_before += len(rows)
+    lines = 0  # the lines of the pieces read so far
+    for rows in map(_split, _pieces(text)):
+        start, lines = lines, lines + len(rows)  # `start` lines come before this piece
         if n is None:
             first = next(compress(count(), rows), None)
             if first is None:
                 continue
-            n = _state_count(text, kind, rows[first], piece_lines[-1] + first + 1)
+            n = _state_count(text, kind, rows[first], start + first + 1)
             rows[first] = []
         odd = _odd_rows(rows)
         for i in odd:
             tokens = rows[i]
             if not tokens:
                 continue
-            lineno, word = piece_lines[-1] + i + 1, tokens[0]
+            lineno, word = start + i + 1, tokens[0]
             if not word.endswith(":"):
                 raise _error_at(text, "expected `<src> <letter> <dst>`", lineno, 0)
             if word not in _DFA_HEADERS:
@@ -523,10 +511,8 @@ def _parse(text: str, kind: str):
             elif word == "letters:":
                 letters = _reindexed(letters, tokens[1:], (columns[1],))
         if odd:
-            is_transition = [True] * len(rows)
-            for i in odd:
-                is_transition[i] = False
-            rows = list(compress(rows, is_transition))
+            skip = set(odd)
+            rows = [row for i, row in enumerate(rows) if i not in skip]
         if rows:
             if states is None:
                 states = _indexed([str(i) for i in range(n)])
@@ -545,14 +531,13 @@ def _parse(text: str, kind: str):
         states = _indexed([str(i) for i in range(n)])
     k = len(headers["letters:"][1]) - 1 if "letters:" in headers else len(letters[1])
 
-    defect = _encode(states, letters, n, k, columns)
-    if isinstance(defect, tuple):  # a bad name or a repeated triple; forks go on
-        where, i, token, message = defect
+    def fail(where: int, i: int, token: int | None, message: str) -> LtsParseError:
         if where == 2:
-            lineno = _transition_line(text, piece_lines, piece_transitions, i)
-            raise _error_at(text, message, lineno, token or 0)
-        raise _error_at(text, message, headers[_DLTS_HEADERS[where]][0], i + 1)
-    return headers, states[0], (states[1], letters[1], columns, defect)
+            return _error_at(text, message, _transition_line(text, i), token or 0)
+        return _error_at(text, message, headers[_DLTS_HEADERS[where]][0], i + 1)
+
+    forks = _encode(states, letters, n, k, columns, fail)
+    return headers, states[0], (states[1], letters[1], columns, forks)
 
 
 def parse_lts(text: str) -> NormalizedDlts:
@@ -589,7 +574,7 @@ def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:
     index = {name: i for i, name in enumerate(state_names)}
     blocks: list[set[int]] = []
     assigned: dict[int, int] = {}
-    for lineno, tokens in enumerate(_rows(text), start=1):
+    for lineno, tokens in enumerate(chain.from_iterable(map(_split, _pieces(text))), start=1):
         if not tokens:
             continue
         block: set[int] = set()

@@ -23,8 +23,7 @@ from dlts_bisim import (
     normalize,
 )
 
-SMALLER_SIDE_TEST = "if mid - lo <= hi - mid:"
-LARGER_SIDE_TEST = "if mid - lo > hi - mid:"
+from _mutants import MUTANTS
 
 
 def normalize_outcome(raw):
@@ -329,10 +328,11 @@ def larger_side_dbisim():
     longer holds, which shows that the bound rests on the smaller-half rule.
     """
     source = inspect.getsource(dlts_bisim.bisim)
-    assert source.count(SMALLER_SIDE_TEST) == 1, "the smaller-side test moved"
+    _module, smaller_side, larger_side, _tests = MUTANTS["larger-side"]
+    assert source.count(smaller_side) == 1, "the smaller-side test moved"
     mutant = types.ModuleType("dlts_bisim._larger_side_mutant")
     mutant.__package__ = "dlts_bisim"
     sys.modules[mutant.__name__] = mutant  # dataclass decorators look the module up
-    code = compile(source.replace(SMALLER_SIDE_TEST, LARGER_SIDE_TEST), mutant.__name__, "exec")
+    code = compile(source.replace(smaller_side, larger_side), mutant.__name__, "exec")
     exec(code, mutant.__dict__)
     return mutant.dbisim

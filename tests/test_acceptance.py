@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import math
+import random
 import time
 import tracemalloc
 
@@ -24,6 +25,7 @@ from dlts_bisim import (
     naive_fixpoint,
     normalize,
 )
+from dlts_bisim.gen import _gen_raw
 
 from _canon import (
     assert_coarsest,
@@ -39,8 +41,6 @@ LADDER = (2**10, 2**12, 2**14)
 
 def _ladder_instance(n, seed=42):
     """Complete two-letter instance with a random half/half initial split."""
-    import random
-
     T, _trivial = gen_random_dlts(GenConfig(n=n, k=2, density=1.0, seed=seed + n, max_blocks=1))
     rng = random.Random(seed + n + 1)
     half = {q for q in range(n) if rng.random() < 0.5}
@@ -129,6 +129,18 @@ HAND_BUILT_6 = Dfa(
 )
 
 
+def _random_dfa(cfg, final_density):
+    """`gen_random_dfa(cfg)` with each state final with probability `final_density`:
+    the same draws, compared with another threshold."""
+    dfa = gen_random_dfa(cfg)
+    rng = random.Random(cfg.seed)
+    _gen_raw(cfg, rng)
+    initial = rng.randrange(cfg.n)
+    assert initial == dfa.initial, cfg
+    return Dfa(dlts=dfa.dlts, initial=initial,
+               finals={q for q in range(cfg.n) if rng.random() < final_density})
+
+
 def test_criterion_5_dfa_minimization():
     # the hand-built expectation comes from the pairwise-marking oracle
     assert table_filling_minimal_size(HAND_BUILT_6) == 5
@@ -136,15 +148,13 @@ def test_criterion_5_dfa_minimization():
     assert minimal.n == 5
     assert dfa_language_equivalent(minimal, HAND_BUILT_6)
 
-    import random
-
     rng = random.Random(20240605)
     count = 0
     for _ in range(300):
         cfg = GenConfig(n=rng.randint(1, 40), k=rng.randint(1, 3),
                         density=rng.choice([0.3, 0.6, 0.9]),
                         seed=rng.randrange(2**63))
-        dfa = gen_random_dfa(cfg, final_density=rng.choice([0.2, 0.5]))
+        dfa = _random_dfa(cfg, rng.choice([0.2, 0.5]))
         minimal, report = minimize_dfa(dfa)
         assert dfa_language_equivalent(dfa, minimal), cfg
         assert minimal.n == report.final_blocks, cfg

@@ -91,6 +91,21 @@ def test_bisim_with_partition_file(tmp_path, capsys):
     assert out == "q0\nq1\n"
 
 
+def test_bisim_with_a_partition_file_longer_than_one_piece(tmp_path, capsys):
+    """Blocks {q_i, q_{i+h}} of a cycle of 2h states are stable; the partition file
+    lists them last to first, one per line, over several pieces."""
+    h = 12000
+    path = tmp_path / "cycle.dlts"
+    moves = "".join(f"{q} a {(q + 1) % (2 * h)}\n" for q in range(2 * h))
+    path.write_text(f"dlts {2 * h}\n{moves}")
+    part = tmp_path / "pairs.part"
+    part.write_text("# pairs\n" + "".join(f"{i + h} {i}  # {i}\n" for i in reversed(range(h))))
+    assert part.stat().st_size > 2 * dlts_bisim.lts._PIECE
+    code, out, _err = run(capsys, "bisim", str(path), "--partition", str(part))
+    assert code == 0
+    assert out == "".join(f"{i} {i + h}\n" for i in range(h))
+
+
 def test_bisim_empty_transition_section(tmp_path, capsys):
     path = tmp_path / "empty.dlts"
     path.write_text("dlts 3\nstates: a b c\n")

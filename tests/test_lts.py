@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -538,17 +539,71 @@ def test_parse_partition():
     assert "state 'q2' already belongs to the block on line 3" in str(info.value)
 
 
+def _partition_outcome(text, names):
+    """`parse_partition(text, names)`, or the message, line and column of its error."""
+    try:
+        return parse_partition(text, names)
+    except LtsParseError as error:
+        return str(error), error.line, error.column
+
+
+def _partition_texts(rng, names):
+    """A partition file of `names` with comments, blank lines and mixed line breaks,
+    then the same file with an unknown name, a repeated name or a state left out."""
+    order = rng.sample(names, len(names))
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randrange(len(names))))
+    lines = [" ".join(order[i:j]) for i, j in zip([0] + cuts, cuts + [len(names)])]
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "# note"]))
+    good = "".join(line + rng.choice(_BREAKS) for line in lines)
+    unknown = good.replace(order[-1], "what", 1)
+    repeated = good.replace(order[-1], f"{order[-1]} {order[0]}", 1)
+    uncovered = good.replace(order[-1], "", 1)
+    return [good, unknown, repeated, uncovered]
+
+
+@pytest.mark.parametrize("piece", range(1, 9))
+def test_parse_partition_in_small_pieces_matches_one_piece(monkeypatch, piece):
+    """A partition file is read one piece at a time: small pieces give the same blocks,
+    and the same errors at the same line and column, as one piece does."""
+    names = [f"q{i}" for i in range(10)]
+    rng = random.Random(piece)
+    texts = ["# blocks\n\nq0 q2  # first\r\nq1 q3 q4 q5 q6\n\nq7 q8 q9\n",
+             "q0 q2\nq1 what\nq3 q4 q5 q6 q7 q8 q9\n",
+             "# blocks\n\nq0 q2  # first\nq1   q2 # second\nq3 q4 q5 q6 q7 q8 q9\n",
+             "q0 q2\r\n\nq1 q3 q4 q5 q6 q7 q8\n"]
+    for _ in range(30):
+        texts += _partition_texts(rng, names)
+    want = [_partition_outcome(text, names) for text in texts]
+    assert want[:4] == [
+        [{0, 2}, {1, 3, 4, 5, 6}, {7, 8, 9}],
+        ("line 2, column 4: unknown state 'what'", 2, 4),
+        ("line 4, column 6: state 'q2' already belongs to the block on line 3", 4, 6),
+        ("state 'q9' is not covered by any block", None, None),
+    ]
+    assert {type(outcome) for outcome in want} == {list, tuple}
+    monkeypatch.setattr(dlts_bisim.lts, "_PIECE", piece)
+    assert len(list(dlts_bisim.lts._pieces(texts[0]))) > 2
+    for text, outcome in zip(texts, want):
+        assert _partition_outcome(text, names) == outcome, repr(text)
+
+
 def test_format_partition():
     assert format_partition([[0, 2], [1]], ["x", "y", "z"]) == "x z\ny\n"
     assert format_partition([], []) == ""
 
 
 def _rows_at_once(text):
-    """The one-shot tokenizer that the piecewise `_rows` must match."""
+    """The one-shot tokenizer that the piecewise line walker must match."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    return list(map(tuple, map(str.split, lines)))
+    return list(map(str.split, lines))
+
+
+def _walked_rows(text):
+    """The token lists of `text` as every reader walks them: split one piece at a time."""
+    return list(chain.from_iterable(map(dlts_bisim.lts._split, dlts_bisim.lts._pieces(text))))
 
 
 _LINES = ["0 a 1", "", "   ", "# note", "q x p  # why", "\xa0p\u2003b q", "#", "a#b c"]
@@ -571,7 +626,7 @@ def test_rows_match_one_shot_across_piece_boundaries(monkeypatch, piece):
     texts = ["", "\n", "\r\n", "a\r\n\r\nb", "x y\r\n" * 8, "ab\r\n" * 8 + "c", "1 2\r\n3 #\r\n4"]
     texts += [_line_soup(rng) for _ in range(150)]
     for text in texts:
-        assert dlts_bisim.lts._rows(text) == _rows_at_once(text), repr(text)
+        assert _walked_rows(text) == _rows_at_once(text), repr(text)
         for lineno, line in enumerate(text.splitlines(), start=1):
             assert dlts_bisim.lts._line(text, lineno) == line, (repr(text), lineno)
 
@@ -582,7 +637,7 @@ def test_rows_of_a_text_longer_than_one_piece():
     lines += [f"{q} {rng.choice('ab')} {rng.randrange(8000)}  # {q}" for q in range(8000)]
     text = "\r\n".join(lines)
     assert len(text) > 2 * dlts_bisim.lts._PIECE
-    assert dlts_bisim.lts._rows(text) == _rows_at_once(text)
+    assert _walked_rows(text) == _rows_at_once(text)
     assert parse_lts(text) == normalize(read_dlts(text))
 
 
