@@ -12,13 +12,17 @@ its caller passes.  Encoding groups the transitions by destination in one
 stable counting-sort pass: O(m + n) time, two columns of length m and one
 slot array of length n.
 
-Every reader walks a text one 64 K piece at a time (`_pieces`, `_split`).
-The parsers turn each piece's transition lines into int columns before they
-read the next, so the parse peak is the three int columns, the names and
-one piece's lines; a transition's line is found only on the error path, by
-counting the transition lines again.  The determinism check marks one byte
-per (state, letter) cell when there are at most 8 cells per transition,
-and otherwise keeps a hash set of the m (source, letter) keys.
+Every reader takes a text one 64 K piece at a time (`_pieces`).  The parsers
+turn each piece's transition lines into int columns before they read the
+next, so the parse peak is the three int columns, the names and one piece's
+tokens.  A plain piece after the `<kind> <n-states>` line, one that is
+exactly transition lines of three single-spaced tokens (`_plain`), becomes
+name columns through one flat split and three stride slices; any other
+piece, and every piece on the error path, is walked line by line (`_split`).
+A transition's line is found only on the error path, by counting the
+transition lines again.  The determinism check marks one byte per (state,
+letter) cell when there are at most 8 cells per transition, and otherwise
+keeps a hash set of the m (source, letter) keys.
 """
 
 from __future__ import annotations
@@ -234,7 +238,7 @@ def normalize(raw: RawLts | NormalizedDlts) -> NormalizedDlts:
     if isinstance(raw, NormalizedDlts):
         return raw
     states, letters = _indexed(raw.states), _indexed(raw.letters)
-    columns = [_ids(raw.transitions, token, *names)
+    columns = [_ids(list(map(itemgetter(token), raw.transitions)), *names)
                for token, names in ((0, states), (1, letters), (2, states))]
 
     def fail(_where: int, i: int, token: int | None, message: str) -> LtsError:
@@ -263,17 +267,16 @@ def _indexed(declared: Sequence[str]) -> tuple[dict[str, int], list[str]]:
     return dict(zip(declared, count())), list(declared)
 
 
-def _ids(rows: Sequence[Sequence[str]], token: int, index: dict[str, int],
-         names: list[str]) -> list[int]:
-    """The id of the `token`-th name of each row; names that `index` lacks are appended first."""
+def _ids(column: Sequence[str], index: dict[str, int], names: list[str]) -> list[int]:
+    """The id of each name of `column`; names that `index` lacks are appended first."""
     try:
-        return list(map(index.__getitem__, map(itemgetter(token), rows)))
+        return list(map(index.__getitem__, column))
     except KeyError:
-        for name in map(itemgetter(token), rows):
+        for name in column:
             if name not in index:
                 index[name] = len(names)
                 names.append(name)
-        return list(map(index.__getitem__, map(itemgetter(token), rows)))
+        return list(map(index.__getitem__, column))
 
 
 def _encode(states, letters, n: int, k: int, columns: Sequence[list[int]], fail):
@@ -405,6 +408,24 @@ def _split(piece: str) -> list[list[str]]:
     return list(map(str.split, lines))
 
 
+def _plain(piece: str) -> list[list[str]] | None:
+    """The source, letter and destination name columns of `piece` if it is plain, else None.
+
+    A piece is plain when it is exactly its tokens written three to a line, joined by
+    single spaces, each line ended by "\\n", with no `#` and no first token that ends in
+    `:`.  Its lines are then all transition lines, and the columns are those that `_split`
+    and `_odd_rows` would give; rebuilding the text from the columns is the check.
+    """
+    if "#" in piece:
+        return None
+    tokens = piece.split()
+    columns = [tokens[0::3], tokens[1::3], tokens[2::3]]
+    if ("\n".join(map(" ".join, zip(*columns))) + "\n" == piece and tokens
+            and (": " not in piece or ": " not in " ".join(columns[0]) + " ")):
+        return columns
+    return None
+
+
 def _line(text: str, lineno: int) -> str:
     """Line `lineno` of `text`, counted from 1 as `splitlines` counts."""
     return next(islice(chain.from_iterable(map(str.splitlines, _pieces(text))), lineno - 1, None))
@@ -472,9 +493,11 @@ def _parse(text: str, kind: str):
     """The headers, state index and `_encoded` arguments of `text`; only forks do not raise.
 
     The text is read one piece at a time, and each piece's transition lines become
-    (source, letter, destination) id columns before the next piece is read.  Every other
-    line is handled as it comes, so syntax errors raise in line order; the `states:`
-    count, the name lists and the transitions are judged once the whole text is read.
+    (source, letter, destination) id columns before the next piece is read.  A plain piece
+    after the `<kind> <n-states>` line (`_plain`) gives its name columns at once; any other
+    is walked line by line, and its lines that are no transition lines are handled as they
+    come, so syntax errors raise in line order.  The `states:` count, the name lists and
+    the transitions are judged once the whole text is read.
     """
     allowed = _DFA_HEADERS if kind == "dfa" else _DLTS_HEADERS
     headers: dict[str, tuple[int, list[str]]] = {}
@@ -483,8 +506,11 @@ def _parse(text: str, kind: str):
     letters: tuple[dict[str, int], list[str]] = ({}, [])  # until a `letters:` line: first use
     columns: tuple[list[int], list[int], list[int]] = ([], [], [])
     lines = 0  # the lines of the pieces read so far
-    for rows in map(_split, _pieces(text)):
-        start, lines = lines, lines + len(rows)  # `start` lines come before this piece
+    for piece in _pieces(text):
+        found = None if n is None else _plain(piece)  # a plain piece's name columns
+        rows = [] if found else _split(piece)
+        del piece  # only its columns or rows are held
+        start, lines = lines, lines + (len(found[0]) if found else len(rows))
         if n is None:
             first = next(compress(count(), rows), None)
             if first is None:
@@ -514,11 +540,14 @@ def _parse(text: str, kind: str):
             skip = set(odd)
             rows = [row for i, row in enumerate(rows) if i not in skip]
         if rows:
+            found = list(zip(*rows))
+        del rows
+        if found:
             if states is None:
                 states = _indexed([str(i) for i in range(n)])
-            for token, names in ((0, states), (1, letters), (2, states)):
-                columns[token].extend(_ids(rows, token, *names))
-        del rows  # before the next piece is split
+            for token, names in enumerate((states, letters, states)):
+                columns[token].extend(_ids(found[token], *names))
+        del found  # before the next piece is read
     if n is None:
         raise LtsParseError(f"empty input, expected a `{kind} <n-states>` header")
 

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _PROPERTIES = "tests/test_lts_properties.py::"
 _SMALL_PIECES = [_PROPERTIES + "test_plain_reading_property_holds_in_small_pieces",
                  _PROPERTIES + "test_dfa_encoding_property_holds_in_small_pieces"]
+_PLAIN_GUARD = "tests/test_lts.py::test_a_piece_that_is_not_plain_is_walked_line_by_line"
 
 
 class Mutant(NamedTuple):
@@ -44,7 +45,7 @@ MUTANTS = {
         _SMALL_PIECES),
     # A late header drops the used names it lacks instead of appending them as undeclared.
     "reindexed-drops-undeclared": Mutant(
-        "lts", "if None in new_id:", "if False:", _SMALL_PIECES[:1]),
+        "lts", "if None in new_id:", "if False:", _SMALL_PIECES),
     # A second `letters:` line replaces the first.
     "second-letters-line-wins": Mutant(
         "lts", "if word in headers:", 'if word in headers and word != "letters:":',
@@ -59,6 +60,14 @@ MUTANTS = {
     "transition-line-off-by-one": Mutant(
         "lts", "if i < len(rows) - len(odd):", "if i <= len(rows) - len(odd):",
         _SMALL_PIECES),
+    # A piece that holds a `#` can be read as plain, so a comment glued to a token joins its name.
+    "plain-piece-keeps-comment": Mutant(
+        "lts", 'if "#" in piece:\n        return None', 'if False:\n        return None',
+        [_PLAIN_GUARD]),
+    # A piece is read as plain whenever its token count is a multiple of three.
+    "plain-piece-shape-by-count": Mutant(
+        "lts", '"\\n".join(map(" ".join, zip(*columns))) + "\\n" == piece',
+        "len(tokens) % 3 == 0", [_PLAIN_GUARD]),
     # `dbisim` scans the larger side of each split (also `_canon.larger_side_dbisim`).
     "larger-side": Mutant(
         "bisim", "if mid - lo <= hi - mid:", "if mid - lo > hi - mid:",

@@ -641,6 +641,69 @@ def test_rows_of_a_text_longer_than_one_piece():
     assert parse_lts(text) == normalize(read_dlts(text))
 
 
+def _parsed(text):
+    """The triples that `parse_lts` reads from `text`, or the message of its error."""
+    try:
+        return parse_lts(text).triples()
+    except LtsError as error:
+        return str(error)
+
+
+_SHAPE = "line 3, column 1: expected `<src> <letter> <dst>`"
+
+
+# Pieces whose tokens a flat split would misread as transitions three by three.
+@pytest.mark.parametrize("piece, want", [
+    ("0 a 1#c\n", [(0, 0, 1)]),  # a comment glued to a token
+    ("states: 0 1\n", []),  # a three-token header
+    ("0 a\n1 b 0 a\n", _SHAPE),  # six tokens on lines of two and four
+    ("0 a\x851\n", _SHAPE),  # a line break that is not "\n"
+    ("0 a 1\r\n1 a 0\r\n", [(1, 0, 0), (0, 0, 1)]),
+    ("0\ta 1\n", [(0, 0, 1)]),
+    ("0  a 1\n", [(0, 0, 1)]),
+    ("0\u2003a\xa01\n", [(0, 0, 1)]),
+    ("0 a 1\n1 a 0", [(1, 0, 0), (0, 0, 1)]),  # no final "\n"
+])
+def test_a_piece_that_is_not_plain_is_walked_line_by_line(monkeypatch, piece, want):
+    """A piece after the header's that is not exactly its tokens three to a line, single
+    spaces between, with no `#` and no header word, reads as the line walk reads it."""
+    head = "dlts 2\n" + "#" * 40 + "\n"
+    text = head + piece
+    assert _parsed(text) == want  # one piece, walked line by line
+    monkeypatch.setattr(dlts_bisim.lts, "_PIECE", len(head))
+    assert list(dlts_bisim.lts._pieces(text)) == [head, piece]
+    assert _parsed(text) == want
+
+
+@pytest.mark.parametrize("fmt, parse", [(format_dlts, parse_lts), (format_dfa, parse_dfa)])
+def test_only_the_header_piece_of_a_written_text_is_walked_line_by_line(monkeypatch, fmt, parse):
+    """`format_dlts` and `format_dfa` write every transition as a plain line, so each piece
+    after the one that holds the headers is read as flat columns."""
+    rng = random.Random(7)
+    n = 7000
+    raw = RawLts([f"s{q}" for q in range(n)], ["a", "b:"],
+                 [(f"s{q}", a, f"s{rng.randrange(n)}") for q in range(n) for a in ("a", "b:")])
+    system = normalize(raw)
+    written = fmt(system if fmt is format_dlts else Dfa(system, 0, {1, 2}))
+    assert len(list(dlts_bisim.lts._pieces(written))) >= 3
+    monkeypatch.setattr(dlts_bisim.lts, "_PIECE", 5)
+    small = parse(written)
+    monkeypatch.undo()
+
+    walked = []
+    split = dlts_bisim.lts._split
+
+    def counted(piece):
+        walked.append(piece)
+        return split(piece)
+
+    monkeypatch.setattr(dlts_bisim.lts, "_split", counted)
+    assert parse(written) == small
+    assert (small if fmt is format_dlts else small.dlts) == system
+    assert walked == [next(dlts_bisim.lts._pieces(written))]
+    assert "letters: a b:\n" in walked[0]
+
+
 def _cell_table_sizes(monkeypatch):
     """The size of each `bytearray` that `lts` makes from now on, as a growing list."""
     sizes = []

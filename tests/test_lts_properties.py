@@ -191,7 +191,9 @@ def _as_dlts(text):
 def dfa_texts(draw):
     """Dfa texts over default or declared names, with and without `letters:`,
     whose transitions are mostly deterministic: one in two has a fork or a
-    repeated line, and headers, comments and blank lines fall anywhere."""
+    repeated line, and headers, comments and blank lines fall anywhere.  One in
+    three with a `states:` or `letters:` line has a transition before it whose
+    name that line lacks."""
     count = draw(st.integers(1, 3))
     named = draw(st.booleans())
     states = ["p", "q:r", "s"][:count] if named else [str(i) for i in range(count)]
@@ -212,6 +214,13 @@ def dfa_texts(draw):
         extras.append("letters: " + " ".join(letters))
     for line in extras:
         body.insert(draw(st.integers(0, len(body))), line)
+    headers = [line for line in body if line.startswith(("states:", "letters:"))]
+    if headers and _once_in(draw, 3):
+        header = draw(st.sampled_from(headers))
+        s, a = states[0], letters[0]
+        strays = [f"t {a} {s}", f"{s} {a} t"] if header.startswith("states:") else [f"{s} w {s}"]
+        stray = draw(st.sampled_from(strays))
+        body.insert(draw(st.integers(0, body.index(header))), stray)
     return "\n".join([f"dfa {count}"] + body) + "\n"
 
 
@@ -227,9 +236,10 @@ def test_parsed_dfa_encodes_as_normalize_does(text):
             parse_dfa(text)
         assert info.value.violations == error.violations
     except LtsError as error:
-        with pytest.raises(LtsParseError, match="duplicate transition"):
+        with pytest.raises(LtsParseError) as info:
             parse_dfa(text)
-        assert str(error).startswith("duplicate transition")
+        assert str(error).startswith(("duplicate transition", "undeclared "))
+        assert str(error).startswith(str(info.value).split(": ", 1)[1])
     else:
         assert parse_dfa(text).dlts == want
 
