@@ -19,12 +19,12 @@ import csv
 import random
 import sys
 import time
-from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from operator import and_, floordiv, mod
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, and_, floordiv, mod, mul, not_, sub
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .bisim import ScanStats, dbisim, debug_enabled, init_refine
 from .lts import (
@@ -85,20 +85,6 @@ class MinimizeReport:
         ]
 
 
-def _closure(n: int, roots: Iterable[int], step: Callable[[int], Iterable[int]]) -> list[bool]:
-    """Marks the states reachable from `roots` through `step(q)`."""
-    marked = [False] * n
-    stack = list(roots)
-    for q in stack:
-        marked[q] = True
-    while stack:
-        for r in step(stack.pop()):
-            if not marked[r]:
-                marked[r] = True
-                stack.append(r)
-    return marked
-
-
 def _empty_dfa() -> Dfa:
     return Dfa(dlts=normalize(RawLts([], [], [])), initial=None, finals=set())
 
@@ -110,9 +96,13 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     final state) are removed first; the remaining states are then merged by
     the coarsest bisimulation refining the finals/non-finals partition.  An
     empty language yields the canonical empty automaton.  Every step works
-    on state indices; each block of the result is named after its lowest
-    useful state.  Per-transition counters in `stats` are indexed like the
-    transitions of `dfa.dlts`; removed transitions are never scanned.
+    on flat index arrays: each block of the result is named after its lowest
+    useful state, blocks are numbered in the order of those states, and the
+    result's transitions are those of each block's lowest state.  At its
+    peak the run holds the trimmed system, the refinement's partition, one
+    block number per state and the result's columns; no list per block.
+    Per-transition counters in `stats` are indexed like the transitions of
+    `dfa.dlts`; removed transitions are never scanned.
     """
     started = time.perf_counter()
     T = dfa.dlts
@@ -137,17 +127,35 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     if dfa.initial is None:
         return _empty_dfa(), report(0, 0)
 
+    # Forward from the initial state, then backward from the reachable finals
+    # through reachable states only: a state that reaches a final one from a
+    # reachable state is itself reachable, so the second walk finds exactly
+    # the useful states.  Each walk's list grows while it is walked.
     in_src, in_off = T.in_src, T.in_offsets
     dst = T.destinations()
     successors: list[list[int]] = [[] for _ in range(T.n)]
-    for src, d in zip(in_src, dst):
-        successors[src].append(d)
-    reachable = _closure(T.n, [dfa.initial], successors.__getitem__)
+    deque(map(list.append, map(successors.__getitem__, in_src), dst), 0)
+    reachable = [False] * T.n
+    reachable[dfa.initial] = True
+    found = [dfa.initial]
+    for q in found:
+        for r in successors[q]:
+            if not reachable[r]:
+                reachable[r] = True
+                found.append(r)
     del successors
-    coreachable = _closure(T.n, dfa.finals, lambda q: in_src[in_off[q] : in_off[q + 1]])
-    useful = list(map(and_, reachable, coreachable))
+    useful = [False] * T.n
+    found = [q for q in dfa.finals if reachable[q]]
+    for q in found:
+        useful[q] = True
+    for q in found:
+        for r in in_src[in_off[q] : in_off[q + 1]]:
+            if reachable[r] and not useful[r]:
+                useful[r] = True
+                found.append(r)
+    del reachable, found
     if not useful[dfa.initial]:
-        return _empty_dfa(), report(0, sum(useful))
+        return _empty_dfa(), report(0, 0)  # no reachable state reaches a final one
 
     # Renumbering the useful states in their original order is monotone, so
     # the kept transitions stay sorted by destination: those into useful
@@ -155,54 +163,74 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     renumber = list(accumulate(useful, initial=0))  # useful states before each state
     keep = list(map(and_, map(useful.__getitem__, in_src), map(useful.__getitem__, dst)))
     kept_before = list(accumulate(keep, initial=0))  # kept transitions before each transition
-    sub_dst = list(map(renumber.__getitem__, compress(dst, keep)))
-    sub = NormalizedDlts._from_sorted(
+    trimmed = NormalizedDlts._from_sorted(
         list(map(renumber.__getitem__, compress(in_src, keep))),
         list(compress(T.in_letter, keep)),
         [*map(kept_before.__getitem__, compress(in_off, useful)), kept_before[-1]],
         list(compress(T.state_names, useful)),
         T.letter_names,
     )
-    kept = list(compress(range(T.m), keep)) if counts is not None else None  # sub's order
-    del dst, keep, kept_before
-    finals_sub = {renumber[q] for q in dfa.finals if useful[q]}
-    blocks = [block for block in (finals_sub, set(range(sub.n)) - finals_sub) if block]
+    kept = list(compress(range(T.m), keep)) if counts is not None else None  # trimmed's order
+    initial, useful_count = renumber[dfa.initial], renumber[-1]
+    finals = sorted(renumber[q] for q in dfa.finals if useful[q])
+    del dst, useful, renumber, keep, kept_before
+    is_final = [False] * useful_count
+    for q in finals:
+        is_final[q] = True
+    rest = list(compress(range(useful_count), map(not_, is_final)))
+    del is_final
+    p_init = RefinablePartition.from_initial(useful_count, [b for b in (finals, rest) if b])
+    del rest
     if counts is not None:
-        stats.per_transition_counts = [0] * sub.m
-    canonical = dbisim(sub, RefinablePartition.from_initial(sub.n, blocks), stats).to_canonical()
+        stats.per_transition_counts = [0] * trimmed.m
+    p = dbisim(trimmed, p_init, stats)
+    del p_init
     if counts is not None:
         for t, c in zip(kept, stats.per_transition_counts):
             counts[t] += c
         stats.per_transition_counts = counts
+        del kept
 
-    block_of = [0] * sub.n
-    is_first = [False] * sub.n
-    for i, members in enumerate(canonical):
-        is_first[members[0]] = True
-        for q in members:
-            block_of[q] = i
-    # Each block moves like its first member.  One sort of packed int keys
-    # puts the quotient's transitions in (destination, source, letter) order;
-    # the keys of destination d start at d * stride.
-    rep = list(map(is_first.__getitem__, sub.in_src))
-    q_src = map(block_of.__getitem__, compress(sub.in_src, rep))
-    q_letter = compress(sub.in_letter, rep)
-    q_dst = map(block_of.__getitem__, compress(sub_dst, rep))
-    nb, k = len(canonical), sub.k
+    # The quotient: blocks are numbered in the order of their lowest states,
+    # which name them, and each block moves like its lowest state.
+    lowest: dict[int, int] = {}  # block id -> its lowest state, in ascending order
+    deque(map(lowest.setdefault, p.block_of, count()), 0)
+    nb, k = len(lowest), trimmed.k
+    number = [0] * nb  # block id -> block number; ids run over 0..nb-1
+    deque(map(number.__setitem__, lowest, count()), 0)
+    block_no = list(map(number.__getitem__, p.block_of))
+    del p, number
+    is_lowest = [False] * useful_count
+    for q in lowest.values():
+        is_lowest[q] = True
+    names = list(map(trimmed.state_names.__getitem__, lowest.values()))
+    del lowest
+    # The rows of the lowest states, as int keys d * stride + s * k + a in
+    # block numbers: one sort puts them in (destination, source, letter) order.
     stride = nb * k
-    keys = sorted([(d * nb + s) * k + a for s, a, d in zip(q_src, q_letter, q_dst)])
+    rows = list(map(is_lowest.__getitem__, trimmed.in_src))
+    high = map(mul, block_no, repeat(stride))  # d * stride for each state's block d
+    in_degrees = map(sub, trimmed.in_offsets[1:], trimmed.in_offsets)
+    into = list(compress(chain.from_iterable(map(repeat, high, in_degrees)), rows))
+    del high, in_degrees
+    per_dst = Counter(into)
+    offsets = list(accumulate(
+        map(per_dst.get, map(mul, range(nb), repeat(stride)), repeat(0)), initial=0))
+    del per_dst
+    low = list(map(mul, block_no, repeat(k)))  # s * k for each state's block s
+    keys = map(add, into, map(low.__getitem__, compress(trimmed.in_src, rows)))
+    keys = sorted(map(add, keys, compress(trimmed.in_letter, rows)))
+    letter_names = trimmed.letter_names
+    del trimmed, is_lowest, rows, into, low
+    q_src = list(map(mod, map(floordiv, keys, repeat(k)), repeat(nb)))
+    q_letter = list(map(mod, keys, repeat(k)))
+    del keys
     result = Dfa(
-        dlts=NormalizedDlts._from_sorted(
-            list(map(mod, map(floordiv, keys, repeat(k)), repeat(nb))),
-            list(map(mod, keys, repeat(k))),
-            [bisect_left(keys, d * stride) for d in range(nb + 1)],
-            [sub.state_names[members[0]] for members in canonical],
-            sub.letter_names,
-        ),
-        initial=block_of[renumber[dfa.initial]],
-        finals={i for i, members in enumerate(canonical) if members[0] in finals_sub},
+        dlts=NormalizedDlts._from_sorted(q_src, q_letter, offsets, names, letter_names),
+        initial=block_no[initial],
+        finals=set(map(block_no.__getitem__, finals)),
     )
-    return result, report(len(canonical), renumber[-1])
+    return result, report(nb, useful_count)
 
 
 def bench_rows(

@@ -15,10 +15,12 @@ slot array of length n.
 Every reader takes a text one 64 K piece at a time (`_pieces`).  The parsers
 turn each piece's transition lines into int columns before they read the
 next, so the parse peak is the three int columns, the names and one piece's
-tokens.  A plain piece after the `<kind> <n-states>` line, one that is
-exactly transition lines of three single-spaced tokens (`_plain`), becomes
-name columns through one flat split and three stride slices; any other
-piece, and every piece on the error path, is walked line by line (`_split`).
+tokens.  Only the lines that lead the text up to its first transition line
+are cut off and walked line by line on their own.  A plain piece after
+them, one that is exactly transition lines of three single-spaced tokens
+(`_plain`), becomes name columns through one flat split and three stride
+slices; any other piece, and every piece on the error path, is walked line
+by line (`_split`).
 A transition's line is found only on the error path, by counting the
 transition lines again.  The determinism check marks one byte per (state,
 letter) cell when there are at most 8 cells per transition, and otherwise
@@ -400,6 +402,32 @@ def _pieces(text: str) -> Iterator[str]:
         start = stop
 
 
+def _headed_pieces(text: str) -> Iterator[tuple[str, bool]]:
+    """The pieces of `text`, each with whether `_plain` may read it.
+
+    The lines that lead the text up to its first line after the `<kind> <n-states>` line
+    that is not blank, a comment or a header are cut off their piece, and may not be
+    plain; the rest of that piece and every later piece may.  Those leading lines are
+    judged by their first token only.  The cut falls after a "\\n", so the lines read
+    are the same wherever it falls.
+    """
+    pieces = _pieces(text)
+    started = False  # whether a line with a token, the `<kind> <n-states>` line, was met
+    for piece in pieces:
+        start = 0
+        while end := piece.find("\n", start) + 1:
+            first = piece[start:end].partition("#")[0].split(None, 1)
+            if first and started and not first[0].endswith(":"):
+                if start:
+                    yield piece[:start], False
+                yield piece[start:], True
+                yield from zip(pieces, repeat(True))
+                return
+            started = started or bool(first)
+            start = end
+        yield piece, False
+
+
 def _split(piece: str) -> list[list[str]]:
     """The tokens of each line of `piece`, comments cut, one list per line."""
     lines = piece.splitlines()
@@ -493,11 +521,12 @@ def _parse(text: str, kind: str):
     """The headers, state index and `_encoded` arguments of `text`; only forks do not raise.
 
     The text is read one piece at a time, and each piece's transition lines become
-    (source, letter, destination) id columns before the next piece is read.  A plain piece
-    after the `<kind> <n-states>` line (`_plain`) gives its name columns at once; any other
-    is walked line by line, and its lines that are no transition lines are handled as they
-    come, so syntax errors raise in line order.  The `states:` count, the name lists and
-    the transitions are judged once the whole text is read.
+    (source, letter, destination) id columns before the next piece is read.  The lines that
+    lead the text up to its first transition line are walked line by line on their own
+    (`_headed_pieces`).  A plain piece after them (`_plain`) gives its name columns at once;
+    any other is walked line by line, and its lines that are no transition lines are
+    handled as they come, so syntax errors raise in line order.  The `states:` count, the
+    name lists and the transitions are judged once the whole text is read.
     """
     allowed = _DFA_HEADERS if kind == "dfa" else _DLTS_HEADERS
     headers: dict[str, tuple[int, list[str]]] = {}
@@ -506,8 +535,8 @@ def _parse(text: str, kind: str):
     letters: tuple[dict[str, int], list[str]] = ({}, [])  # until a `letters:` line: first use
     columns: tuple[list[int], list[int], list[int]] = ([], [], [])
     lines = 0  # the lines of the pieces read so far
-    for piece in _pieces(text):
-        found = None if n is None else _plain(piece)  # a plain piece's name columns
+    for piece, may_be_plain in _headed_pieces(text):
+        found = _plain(piece) if may_be_plain else None  # a plain piece's name columns
         rows = [] if found else _split(piece)
         del piece  # only its columns or rows are held
         start, lines = lines, lines + (len(found[0]) if found else len(rows))

@@ -29,6 +29,9 @@ _PROPERTIES = "tests/test_lts_properties.py::"
 _SMALL_PIECES = [_PROPERTIES + "test_plain_reading_property_holds_in_small_pieces",
                  _PROPERTIES + "test_dfa_encoding_property_holds_in_small_pieces"]
 _PLAIN_GUARD = "tests/test_lts.py::test_a_piece_that_is_not_plain_is_walked_line_by_line"
+_HEADER_LINES = "tests/test_lts.py::test_only_the_header_piece_of_a_written_text_is_walked_line_by_line"
+_MINIMIZE_CONTRACT = ["tests/test_cli.py::test_minimize_names_orders_and_maps_as_specified",
+                      "tests/test_cli.py::test_minimize_contract_on_corner_cases"]
 
 
 class Mutant(NamedTuple):
@@ -68,6 +71,27 @@ MUTANTS = {
     "plain-piece-shape-by-count": Mutant(
         "lts", '"\\n".join(map(" ".join, zip(*columns))) + "\\n" == piece',
         "len(tokens) % 3 == 0", [_PLAIN_GUARD]),
+    # Only the `<kind> <n-states>` line is cut off the first piece, so the header lines
+    # after it are walked as part of the rest of that piece.
+    "head-cut-after-kind-line": Mutant(
+        "lts", 'if first and started and not first[0].endswith(":"):', "if first and started:",
+        [_HEADER_LINES]),
+    # The backward walk starts from every reachable state, so states that reach no final stay.
+    "trim-keeps-dead-states": Mutant(
+        "cli", "found = [q for q in dfa.finals if reachable[q]]",
+        "found = [q for q in range(T.n) if reachable[q]]", _MINIMIZE_CONTRACT),
+    # Each block is named after, and moves like, its highest state instead of its lowest.
+    "blocks-named-by-last-member": Mutant(
+        "cli", "deque(map(lowest.setdefault, p.block_of, count()), 0)",
+        "deque(map(lowest.__setitem__, p.block_of, count()), 0)", _MINIMIZE_CONTRACT),
+    # The quotient's offsets start one transition late; their differences, and so the
+    # written automaton, stay the same.
+    "quotient-offsets-off-by-one": Mutant(
+        "cli", "repeat(0)), initial=0))", "repeat(0)), initial=1))", _MINIMIZE_CONTRACT),
+    # Each destination block takes the count of the next one.
+    "quotient-counts-shifted": Mutant(
+        "cli", "map(mul, range(nb), repeat(stride))", "map(mul, range(1, nb + 1), repeat(stride))",
+        _MINIMIZE_CONTRACT + ["tests/test_cli.py::test_minimize_output_is_pinned"]),
     # `dbisim` scans the larger side of each split (also `_canon.larger_side_dbisim`).
     "larger-side": Mutant(
         "bisim", "if mid - lo <= hi - mid:", "if mid - lo > hi - mid:",

@@ -1,25 +1,31 @@
 """Command-line behaviour: formats, exit codes, reports, minimization."""
 
 import csv
+import gc
 import hashlib
 import io
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlts_bisim
 from dlts_bisim import (
     GenConfig,
     LtsError,
+    RawLts,
     RefinablePartition,
     ScanStats,
     gen_random_dfa,
     minimize_dfa,
     naive_fixpoint,
+    normalize,
     parse_dfa,
     parse_lts,
 )
@@ -257,6 +263,99 @@ def test_minimize_output_is_pinned(tmp_path, capsys, n, k, density, seed, out_sh
     masked = re.sub(r"wall time: .*", "wall time: <masked>", err)
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
     assert hashlib.sha256(masked.encode()).hexdigest() == err_sha256
+
+
+def _minimize_contract_holds(dfa):
+    """`minimize_dfa(dfa)` against its contract, every expectation derived from the spec.
+
+    The useful states are found by set search, and their classes by `naive_fixpoint` on
+    a trim built here.  Result state i names the class with the i-th lowest least member
+    after that member; its transitions are those of that member that stay among useful
+    states, in (destination, source, letter) order; `initial` and `finals` map through
+    the classes; scans land only on kept transitions and add up to the report.
+    """
+    T = dfa.dlts
+    moves = [(s, T.letter_names[a], d) for s, a, d in T.triples()]
+    useful = set()
+    if dfa.initial is not None:
+        reachable, coreachable = {dfa.initial}, set(dfa.finals)
+        while more := {d for s, _a, d in moves if s in reachable} - reachable:
+            reachable |= more
+        while more := {s for s, _a, d in moves if d in coreachable} - coreachable:
+            coreachable |= more
+        useful = reachable & coreachable
+    kept = sorted(useful)
+    trim = normalize(RawLts([str(q) for q in kept], T.letter_names,
+                            [(str(s), a, str(d)) for s, a, d in moves if {s, d} <= useful]))
+    blocks = [b for b in ({kept.index(q) for q in dfa.finals if q in useful},
+                          {kept.index(q) for q in useful - set(dfa.finals)}) if b]
+    classes = sorted(sorted(kept[i] for i in c) for c in naive_fixpoint(trim, blocks))
+    class_of = {q: i for i, members in enumerate(classes) for q in members}
+
+    stats = ScanStats.detailed(T.m)
+    minimal, report = minimize_dfa(dfa, stats)
+    R = minimal.dlts
+    assert R.state_names == [T.state_names[members[0]] for members in classes]
+    assert minimal.initial == (class_of[dfa.initial] if useful else None)
+    assert minimal.finals == {class_of[q] for q in dfa.finals if q in useful}
+    order = [(d, s, a) for s, a, d in R.triples()]
+    assert order == sorted(order)
+    assert [name for name in T.letter_names if name in R.letter_names] == R.letter_names
+    want = {(i, a, class_of[d]) for i, members in enumerate(classes)
+            for s, a, d in moves if s == members[0] and d in useful}
+    assert {(s, R.letter_names[a], d) for s, a, d in R.triples()} == want
+    assert len(R.triples()) == len(want)
+    assert R.in_offsets == [sum(d < i for _s, _a, d in want) for i in range(len(classes) + 1)]
+    removed = [i for i, (s, _a, d) in enumerate(moves) if not {s, d} <= useful]
+    assert [stats.per_transition_counts[i] for i in removed] == [0] * len(removed)
+    assert sum(stats.per_transition_counts) == stats.transitions_scanned
+    assert (report.useless_removed, report.final_blocks) == (T.n - len(useful), len(classes))
+    assert report.transitions_scanned == stats.transitions_scanned
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.builds(GenConfig, n=st.integers(1, 12), k=st.integers(1, 3),
+                 density=st.sampled_from([0.2, 0.5, 0.8, 1.0]), seed=st.integers(0, 10**6)))
+def test_minimize_names_orders_and_maps_as_specified(cfg):
+    _minimize_contract_holds(gen_random_dfa(cfg))
+
+
+@pytest.mark.parametrize("text", [
+    "dfa 0\n",
+    "dfa 2\ninitial: 0\n0 a 1\n1 a 0\n",  # no final state: empty language
+    "dfa 3\ninitial: 0\nfinals: 2\n0 a 0\n1 a 2\n",  # the initial state is useless
+    "dfa 1\ninitial: 0\nfinals: 0\n",  # one state, no transition
+    "dfa 1\ninitial: 0\nfinals: 0\n0 a 0\n",
+    "dfa 3\ninitial: 2\nfinals: 0 1 2\n2 a 1\n1 a 0\n0 b 2\n1 b 1\n",  # all states final
+    "dfa 4\nletters: x y z\ninitial: 3\nfinals: 1\n3 y 1\n3 z 0\n1 y 1\n2 y 1\n",  # unused x, z
+    "dfa 5\ninitial: 4\nfinals: 0 1\n4 a 3\n3 a 1\n4 b 2\n2 a 0\n1 a 1\n0 a 0\n",  # merges
+])
+def test_minimize_contract_on_corner_cases(text):
+    _minimize_contract_holds(parse_dfa(text))
+
+
+def _traced(f, *args):
+    """`f(*args)`, what its result keeps allocated, and the peak of the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - before, peak - before
+
+
+def test_minimize_peak_memory_stays_near_its_input():
+    """At its peak `minimize_dfa` holds the trimmed system, the partition, one block number
+    per state and the quotient's columns, so it peaks below 1.5 times the memory of its
+    input (1.1 times here).  One that also keeps its trimming temporaries through the
+    refinement and a list per block peaks near twice the input here."""
+    dfa, size, _peak = _traced(gen_random_dfa, GenConfig(n=1000, k=4, density=0.6, seed=1))
+    (_minimal, report), _kept, peak = _traced(minimize_dfa, dfa)
+    assert (report.useless_removed, report.final_blocks) == (117, 871)  # both steps do work
+    assert peak <= 1.5 * size, (peak, size)
 
 
 def test_minimize_empty_language(tmp_path, capsys):
