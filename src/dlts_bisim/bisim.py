@@ -4,8 +4,8 @@ The entry point is `dbisim`: starting from an initial partition it returns
 the coarsest partition that refines it and is a bisimulation, in
 O(m log n) time and O(k + m + n) space.  The worklist holds splitter ranges
 over the partition's state array, as two int stacks; each iteration
-detaches one block from a range and scans the incoming transitions of the
-*smaller* side, which is what caps the number of times any single
+detaches the smaller end block of a range and scans the incoming transitions
+of the *smaller* side, which is what caps the number of times any single
 transition is scanned at floor(log2 n) + 1.  The sources found are bucketed
 by letter, except those whose block is already a single state (the
 partition's `settled` flags), which no split can move; one `split` call per
@@ -18,8 +18,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq
 
 from .lts import NormalizedDlts
 from .oracle import InvariantChecker
@@ -71,24 +69,21 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     allows the main loop's splitters to be letter-free.  Raises
     PartitionError if `p_init` is not over the n states of `T`.
 
-    The copy is split by each letter's sources in letter order.  On a
-    complete DLTS (m = n * k) every letter's sources are all n states, so
-    each pass splits nothing and only reorders every block's states into
-    the sources' order; one pass with the last letter's sources then leaves
-    the same arrays as the k passes, and holds one n-entry list instead of
-    k buckets.
+    The copy is split by each letter's sources in letter order, skipping
+    a letter with n sources: it splits nothing, so a complete DLTS
+    (m = n * k) gets the plain copy.
     """
     if len(p_init.A) != T.n:
         raise PartitionError(f"the partition covers {len(p_init.A)} states but the LTS has {T.n}")
     p = p_init.copy()
-    if T.k and T.m == T.n * T.k:
-        sources = [list(compress(T.in_src, map(eq, T.in_letter, repeat(T.k - 1))))]
-    else:
-        sources = [[] for _ in range(T.k)]
-        for a, src in zip(T.in_letter, T.in_src):
-            sources[a].append(src)
+    if T.m == T.n * T.k:
+        return p
+    sources = [[] for _ in range(T.k)]
+    for a, src in zip(T.in_letter, T.in_src):
+        sources[a].append(src)
+    letters = [a for a, bucket in enumerate(sources) if len(bucket) < T.n]
     # Every block counts as inside a pending range, so no range is pushed.
-    p.split(sources, range(len(sources)), [True] * p.block_count, [], [])
+    p.split(sources, letters, [True] * p.block_count, [], [])
     return p
 
 
@@ -120,7 +115,8 @@ def dbisim(
         print(f"{DEBUG_ENV}: invariant checks skipped, n={T.n} > {_DEBUG_ASSERT_MAX_N}",
               file=sys.stderr)
 
-    A, block_of, right, settled, split = p.A, p.block_of, p.right, p.settled, p.split
+    A, block_of, left, right, settled = p.A, p.block_of, p.left, p.right, p.settled
+    split = p.split
     in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
     # Counted runs tally scans per state and expand them per transition after
     # the loop: every scan of q visits each incoming transition of q once.
@@ -142,16 +138,21 @@ def dbisim(
             checker.check(p, list(zip(los, his)), in_union, buckets, touched)
 
         lo, hi = los[-1], his[-1]
-        # Detach the leftmost block, which keeps the rest of the range contiguous.
+        # Detach the smaller end block, the leftmost on a tie: either keeps
+        # the rest of the range contiguous.
         b = block_of[A[lo]]
         mid = right[b]
-        nxt = block_of[A[mid]]
-        if right[nxt] == hi:
+        c = block_of[A[hi - 1]]
+        cut = left[c]
+        if mid == cut:
             # Exactly two blocks: the range is spent, both blocks leave the
             # splitter union (they may re-enter later, once split).
             los.pop()
             his.pop()
-            in_union[nxt] = False
+            in_union[c] = False
+        elif hi - cut < mid - lo:
+            his[-1] = mid = cut
+            b = c
         else:
             los[-1] = mid
         in_union[b] = False

@@ -137,14 +137,16 @@ def letter_signature_blocks(T: NormalizedDlts, p_init: list[set[int]]) -> list[s
     return list(groups.values())
 
 
-def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition) -> RefinablePartition:
+def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition,
+                                letters: list[int] | None = None) -> RefinablePartition:
     """Pre-refinement the long way: a copy of `p` split by each letter's
-    sources in turn, in letter order, one `split` call per letter."""
+    sources in turn, in letter order, one `split` call per letter; only by
+    `letters` when given."""
     q = p.copy()
     buckets: list[list[int]] = [[] for _ in range(T.k)]
     for a, src in zip(T.in_letter, T.in_src):
         buckets[a].append(src)
-    for a in range(T.k):
+    for a in range(T.k) if letters is None else letters:
         q.split(buckets, [a], [True] * q.block_count, [], [])
     return q
 

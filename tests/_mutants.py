@@ -10,8 +10,9 @@ must update the table.
 
 copies `src/`, `tests/` and `pyproject.toml` into a temporary directory, runs the
 named tests on the unmutated copy, then applies each mutant in turn and runs its
-tests again.  It lists every test that a mutant survives and exits 1 if there is
-one.  It needs only the standard library and pytest.
+tests again.  A test run that outlasts `TIMEOUT_S` is stopped and counts as a kill
+(a mutant can make a loop endless).  It lists every test that a mutant survives
+and exits 1 if there is one.  It needs only the standard library and pytest.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60  # the slowest tier-1 test takes about 3 s
 _PROPERTIES = "tests/test_lts_properties.py::"
 _SMALL_PIECES = [_PROPERTIES + "test_plain_reading_property_holds_in_small_pieces",
                  _PROPERTIES + "test_dfa_encoding_property_holds_in_small_pieces"]
@@ -98,6 +100,17 @@ MUTANTS = {
         ["tests/test_acceptance.py::test_criterion_3_scan_counter_bound_and_scaling",
          "tests/test_bisim.py::test_dbisim_matches_reference_on_seeded_corpus",
          "tests/test_worst_case.py::test_fibonacci_words_keep_scans_near_n_log_n"]),
+    # `dbisim` always detaches a range's leftmost block.
+    "leftmost-only": Mutant(
+        "bisim", "hi - cut < mid - lo", "False",
+        ["tests/test_bisim.py::test_dbisim_detaches_the_smaller_end_block",
+         "tests/test_bisim.py::test_per_transition_counts_are_pinned",
+         "tests/test_cli.py::test_bench_work_counts_are_pinned"]),
+    # The pre-refinement also splits by a letter out of every state, which only
+    # reorders blocks.
+    "full-letter-pass-kept": Mutant(
+        "bisim", "len(bucket) < T.n", "len(bucket) <= T.n",
+        ["tests/test_bisim.py::test_init_refine_skips_the_letters_out_of_every_state"]),
 }
 
 
@@ -105,15 +118,18 @@ def source_path(root: Path, module: str) -> Path:
     return root / "src" / "dlts_bisim" / f"{module}.py"
 
 
-def _failed(copy: Path, test: str) -> bool:
-    """Whether `test` fails in `copy`; an error other than a failing test is reported."""
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
-        cwd=copy, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
+def _outcome(copy: Path, test: str) -> str:
+    """`passed`, `failed` or `timeout` for `test` in `copy`; any other pytest exit is raised."""
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+            cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S,
+            env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
+    except subprocess.TimeoutExpired:
+        return "timeout"
     if run.returncode not in (0, 1):
         raise RuntimeError(f"pytest exited {run.returncode} on {test}:\n{run.stdout}{run.stderr}")
-    return run.returncode == 1
+    return "failed" if run.returncode else "passed"
 
 
 def main(names: list[str]) -> int:
@@ -126,7 +142,7 @@ def main(names: list[str]) -> int:
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
         tests = sorted({test for mutant in mutants.values() for test in mutant.tests})
-        broken = [test for test in tests if _failed(copy, test)]
+        broken = [test for test in tests if _outcome(copy, test) != "passed"]
         if broken:
             print("fails without a mutant:", *broken, sep="\n  ")
             return 1
@@ -135,10 +151,14 @@ def main(names: list[str]) -> int:
             original = path.read_text()
             assert original.count(mutant.fragment) == 1, f"{name}: the fragment moved"
             path.write_text(original.replace(mutant.fragment, mutant.replacement))
-            passed = [test for test in mutant.tests if not _failed(copy, test)]
+            outcomes = {test: _outcome(copy, test) for test in mutant.tests}
             path.write_text(original)
+            passed = [test for test, outcome in outcomes.items() if outcome == "passed"]
             survived += bool(passed)
-            verdict = "SURVIVED " + ", ".join(passed) if passed else "killed"
+            if passed:
+                verdict = "SURVIVED " + ", ".join(passed)
+            else:
+                verdict = "killed (timeout)" if "timeout" in outcomes.values() else "killed"
             print(f"{name} ({mutant.module}): {verdict} [{len(mutant.tests)} tests]", flush=True)
     print(f"{len(mutants)} mutants, {len(mutants) - survived} killed, {survived} survived")
     return 1 if survived else 0

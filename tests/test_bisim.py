@@ -108,10 +108,54 @@ def test_init_refine_on_complete_dlts_equals_every_letter_split(case):
         groups.setdefault(b, set()).add(q)
     p = RefinablePartition.from_initial(T.n, groups.values())
     # From a laid-out initial partition, and from a refined one whose block
-    # ids are out of position order.
+    # ids are out of position order: no letter can split, so the result is
+    # a copy with the start's arrays, and the blocks of the split by all.
     for start in (p, dbisim(T, p)):
-        want = partition_arrays(init_refine_by_every_letter(T, start))
-        assert partition_arrays(init_refine(T, start)) == want
+        got = init_refine(T, start)
+        assert got.A is not start.A
+        assert partition_arrays(got) == partition_arrays(start)
+        assert got.to_canonical() == init_refine_by_every_letter(T, start).to_canonical()
+
+
+@st.composite
+def partial_dlts_with_full_letters(draw):
+    """A partial DLTS where some but not all letters label a transition out
+    of every state, its transitions in a shuffled order, the full letters,
+    and a block number for each state."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, 4))
+    full = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+    # Each other letter labels a transition out of one state and misses another.
+    missing = {a: draw(st.integers(0, n - 1)) for a in range(k) if a not in full}
+    present = {a: (q + draw(st.integers(1, n - 1))) % n for a, q in missing.items()}
+    cells = [c for c in range(n * k) if c % k in full or c // k == present[c % k] or (
+        c // k != missing[c % k] and draw(st.booleans()))]
+    cells = draw(st.permutations(cells))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=len(cells), max_size=len(cells)))
+    states = [f"q{i}" for i in range(n)]
+    letters = [f"a{j}" for j in range(k)]
+    transitions = [(states[c // k], letters[c % k], states[d]) for c, d in zip(cells, dst)]
+    T = normalize(RawLts(states, letters, transitions))
+    assert T.letter_names == letters
+    blocks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return T, sorted(full), blocks
+
+
+@given(partial_dlts_with_full_letters())
+@settings(max_examples=60, deadline=None)
+def test_init_refine_skips_the_letters_out_of_every_state(case):
+    T, full, blocks = case
+    assert T.m < T.n * T.k
+    others = [a for a in range(T.k) if a not in full]
+    groups: dict[int, set[int]] = {}
+    for q, b in enumerate(blocks):
+        groups.setdefault(b, set()).add(q)
+    p = RefinablePartition.from_initial(T.n, groups.values())
+    for start in (p, dbisim(T, p)):
+        got = init_refine(T, start)
+        assert partition_arrays(got) == partition_arrays(
+            init_refine_by_every_letter(T, start, others))
+        assert got.to_canonical() == init_refine_by_every_letter(T, start).to_canonical()
 
 
 # --- dbisim on the pinned examples ---------------------------------------
@@ -183,7 +227,7 @@ def test_per_transition_counts_are_pinned(monkeypatch):
     T = _chain(16)
     halves = [set(range(8)), set(range(8, 16))]
     T_random, p_random = gen_random_dlts(GenConfig(n=24, k=3, density=0.6, seed=3))
-    # Complete (m = n * k): pre-refinement takes its one-pass route.
+    # Complete (m = n * k): pre-refinement returns a plain copy.
     T_complete, _ = gen_random_dlts(GenConfig(n=24, k=2, density=1.0, seed=4))
     order = random.Random(4).sample(range(24), 24)
     random_halves = [set(order[:12]), set(order[12:])]
@@ -191,19 +235,19 @@ def test_per_transition_counts_are_pinned(monkeypatch):
         (T, [set(range(16))], [1] * 15, 14, 16,
          [14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15],
          [1, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 0]),
-        (T, halves, [2, 2, 2, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 13, 16,
-         [6, 5, 4, 3, 2, 1, 0, 7, 14, 13, 12, 11, 10, 9, 8, 15],
-         [3, 9, 8, 7, 6, 5, 4, 0, 2, 15, 14, 13, 12, 11, 10, 1]),
+        (T, halves, [1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 1], 12, 16,
+         [7, 6, 5, 4, 3, 2, 1, 0, 14, 12, 11, 10, 9, 8, 13, 15],
+         [0, 15, 14, 13, 12, 11, 10, 5, 4, 9, 8, 7, 6, 2, 3, 1]),
         (T_random, p_random,
-         [3, 3, 1, 1, 2, 2, 2, 1, 2, 2, 2, 2, 0, 1, 1, 1, 1, 1, 1, 0, 1,
-          1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1], 8, 21,
-         [0, 4, 19, 2, 10, 21, 20, 5, 23, 1, 18, 11, 13, 22, 17, 14, 16, 8, 7, 15, 3, 9, 6, 12],
-         [17, 16, 18, 8, 7, 14, 0, 11, 9, 3, 4, 15, 0, 15, 1, 5, 12, 20, 6, 13, 2, 19, 20, 10]),
+         [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2, 2, 2, 1, 1, 1, 1, 1,
+          1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1], 13, 21,
+         [10, 19, 0, 4, 2, 20, 21, 5, 23, 18, 1, 11, 13, 22, 17, 14, 15, 8, 16, 7, 3, 9, 6, 12],
+         [13, 6, 4, 17, 18, 16, 0, 5, 11, 3, 8, 9, 0, 9, 1, 10, 19, 20, 15, 12, 7, 2, 20, 14]),
         (T_complete, random_halves,
-         [2, 2, 2, 1, 1, 3, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3,
-          1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 3, 1, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1], 15, 23,
-         [4, 9, 0, 2, 18, 3, 8, 7, 12, 17, 15, 6, 5, 10, 1, 20, 23, 22, 21, 14, 19, 13, 16, 11],
-         [5, 12, 15, 16, 8, 14, 0, 22, 16, 9, 10, 1, 3, 19, 20, 17, 21, 7, 13, 6, 4, 2, 11, 18]),
+         [2, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2,
+          1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 0, 0, 2, 2, 2, 1], 16, 23,
+         [0, 4, 9, 17, 12, 7, 18, 3, 8, 2, 6, 15, 5, 10, 1, 20, 19, 14, 22, 21, 23, 11, 16, 13],
+         [15, 20, 6, 19, 16, 21, 11, 14, 19, 4, 18, 10, 9, 1, 3, 0, 8, 2, 22, 12, 7, 17, 13, 5]),
     ]
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
@@ -216,10 +260,30 @@ def test_per_transition_counts_are_pinned(monkeypatch):
             assert (p.A, p.block_of) == (A, block_of)
 
 
+def test_dbisim_detaches_the_smaller_end_block(monkeypatch):
+    # Stable blocks laid out [q0 q1 q2 | q3 q4 | q5] under one letter:
+    # q3 -> q0, q4 -> q1, and q0 q1 q2 q5 -> q5.  The first range's rightmost
+    # block {q5} is smaller than its leftmost one, so the first iteration
+    # scans only q5's four in-transitions; the spent range [q0 q1 q2 | q3 q4]
+    # then scans {q3 q4}, which nothing enters.  Detaching {q0 q1 q2} first
+    # would scan q0's and q1's in-transitions too, in a second split call.
+    T = _dlts(6, [(3, "a", 0), (4, "a", 1), (0, "a", 5), (1, "a", 5), (2, "a", 5), (5, "a", 5)],
+              letters=("a",))
+    blocks = [{0, 1, 2}, {3, 4}, {5}]
+    for debug in ("0", "1"):
+        monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+        stats = ScanStats.detailed(T.m)
+        p = dbisim(T, RefinablePartition.from_initial(6, blocks), stats)
+        assert p.to_canonical() == [[0, 1, 2], [3, 4], [5]]
+        assert stats.per_transition_counts == [0, 0, 1, 1, 1, 1]
+        assert stats.split_calls == 1
+
+
 def test_loop_buckets_no_settled_source(monkeypatch):
     # A source in a one-state block cannot split, so the loop leaves it out
     # of the buckets, and an iteration whose sources are all settled makes
-    # no split call.  Loop heads are counted through the debug checker hook.
+    # no split call.  Loop heads are counted through the debug checker hook;
+    # a split call before the first head is the pre-refinement's.
     heads = []
 
     class CountingChecker:
@@ -234,8 +298,9 @@ def test_loop_buckets_no_settled_source(monkeypatch):
 
     def recording_split(self, buckets, letters, in_union, los, his):
         letters = list(letters)
-        calls.append([list(buckets[a]) for a in letters])
-        assert not any(self.settled[x] for a in letters for x in buckets[a])
+        if heads:
+            calls.append([list(buckets[a]) for a in letters])
+            assert not any(self.settled[x] for a in letters for x in buckets[a])
         return original(self, buckets, letters, in_union, los, his)
 
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
@@ -252,10 +317,9 @@ def test_loop_buckets_no_settled_source(monkeypatch):
         check_consistency(result)
         assert result.to_canonical() == canonical_view(naive_fixpoint(T_case, p_view))
         iterations = len(heads) - 1  # the checker also runs once after the loop
-        loop_calls = calls[1:]  # the first call is the pre-refinement's
-        assert all(any(buckets) for buckets in loop_calls)
-        assert sum(map(len, loop_calls)) == stats.split_calls
-        assert 0 < len(loop_calls) < iterations
+        assert all(any(buckets) for buckets in calls)
+        assert sum(map(len, calls)) == stats.split_calls
+        assert 0 < len(calls) < iterations
 
 
 # --- randomized equivalence with the reference ----------------------------
