@@ -251,7 +251,7 @@ def bench_rows(
         T, _trivial = gen_random_dlts(cfg)
         rng = random.Random(cfg.seed + 1)
         half = {q for q in range(T.n) if rng.random() < 0.5}
-        blocks = [b for b in (half, set(range(T.n)) - half) if b]
+        blocks = [b for b in (half, [q for q in range(T.n) if q not in half]) if b]
         p_init = RefinablePartition.from_initial(T.n, blocks)
         stats = ScanStats()
         started = time.perf_counter()
@@ -281,7 +281,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     if args.partition:
         blocks = parse_partition(_read(args.partition), T.state_names)
     else:
-        blocks = [set(range(T.n))] if T.n else []
+        blocks = [range(T.n)] if T.n else []
     p_init = RefinablePartition.from_initial(T.n, blocks)
     stats = ScanStats()
     result = dbisim(T, p_init, stats)

@@ -1,5 +1,5 @@
 """Shared test oracles: set-based splitting, signatures, DFA canonical forms,
-a plain reader of `dlts` texts, and `normalize`'s outcome as a comparable value.
+a plain reader of `dlts` texts, and a call's outcome as a comparable value.
 
 Everything here recomputes results from definitions, independently of the
 library's data structures, so tests compare two genuinely different routes.
@@ -20,51 +20,55 @@ from dlts_bisim import (
     RawLts,
     RefinablePartition,
     naive_fixpoint,
-    normalize,
 )
 
 from _mutants import MUTANTS
 
 
-def normalize_outcome(raw):
-    """`normalize(raw)`, or the type, message and violations of its error."""
+def outcome(f, *args):
+    """`f(*args)`, or the type, message, line, column and violations of its LtsError."""
     try:
-        return normalize(raw)
+        return f(*args)
     except LtsError as error:
-        return type(error), str(error), getattr(error, "violations", None)
+        return (type(error), str(error), getattr(error, "line", None),
+                getattr(error, "column", None), getattr(error, "violations", None))
 
 
-def read_dlts(text: str) -> RawLts | None:
-    """The `RawLts` that a `dlts` text spells, or None if its syntax is wrong.
+def token_rows(text: str) -> list[list[str]]:
+    """The tokens of each line of `text`, comments cut: the whole text split at once."""
+    return [line.partition("#")[0].split() for line in text.splitlines()]
 
-    The whole text is split into lines at once and read line by line.  Names
-    are kept as written; without `states:` the states are "0".."n-1", and
+
+def read_dlts(text: str) -> tuple[RawLts, list[int]] | None:
+    """The `RawLts` that a `dlts` text spells and the line of each of its
+    transitions, counted from 1; None if its syntax is wrong.
+
+    Names are kept as written; without `states:` the states are "0".."n-1", and
     without `letters:` the letters are those of the transitions in order of
     first use.  Names, repeats and forks are left for `normalize` to judge.
     """
-    rows = [line.partition("#")[0].split() for line in text.splitlines()]
-    rows = [row for row in rows if row]
-    if not rows or rows[0][0] != "dlts" or len(rows[0]) != 2:
-        return None
-    count = rows[0][1]
-    if not (count.isascii() and count.isdigit()):
+    rows = [(lineno, row) for lineno, row in enumerate(token_rows(text), start=1) if row]
+    head = rows[0][1] if rows else []
+    if head[:1] != ["dlts"] or len(head) != 2 or not (head[1].isascii() and head[1].isdigit()):
         return None
     headers: dict[str, list[str]] = {}
     transitions = []
-    for row in rows[1:]:
+    lines = []
+    for lineno, row in rows[1:]:
         if row[0].endswith(":"):
             if row[0] not in ("states:", "letters:") or row[0] in headers:
                 return None
             headers[row[0]] = row[1:]
         elif len(row) == 3:
             transitions.append(tuple(row))
+            lines.append(lineno)
         else:
             return None
-    states = headers.get("states:", [str(i) for i in range(int(count))])
-    if len(states) != int(count):
+    states = headers.get("states:", [str(i) for i in range(int(head[1]))])
+    if len(states) != int(head[1]):
         return None
     letters = headers.get("letters:", list(dict.fromkeys(a for _s, a, _d in transitions)))
-    return RawLts(states, letters, transitions)
+    return RawLts(states, letters, transitions), lines
 
 
 def split_sets(blocks: list[set[int]], xs) -> list[set[int]]:
@@ -182,17 +186,19 @@ def assert_coarsest(T: NormalizedDlts, blocks: list[set[int]], p_init: list[set[
         assert merge_is_unsound(T, blocks, p_init, i, j), (i, j)
 
 
+def _delta(dfa: Dfa) -> dict[tuple[int, str], int]:
+    T = dfa.dlts
+    return {(src, T.letter_names[a]): dst for src, a, dst in T.triples()}
+
+
 def dfa_canonical_form(dfa: Dfa):
     """Relabel the reachable part by BFS discovery order (letters sorted by
     name); two automata are isomorphic on their reachable parts iff their
     forms are equal."""
-    T = dfa.dlts
     if dfa.initial is None:
         return (0, (), ())
-    delta: dict[tuple[int, str], int] = {}
-    for src, a, dst in T.triples():
-        delta[(src, T.letter_names[a])] = dst
-    letters = sorted(T.letter_names)
+    delta = _delta(dfa)
+    letters = sorted(dfa.dlts.letter_names)
     relabel = {dfa.initial: 0}
     queue = [dfa.initial]
     table: list[tuple[tuple[str, int], ...]] = []
@@ -212,11 +218,6 @@ def dfa_canonical_form(dfa: Dfa):
         queue = next_queue
     finals = tuple(sorted(relabel[q] for q in dfa.finals if q in relabel))
     return (len(relabel), tuple(table), finals)
-
-
-def _delta(dfa: Dfa) -> dict[tuple[int, str], int]:
-    T = dfa.dlts
-    return {(src, T.letter_names[a]): dst for src, a, dst in T.triples()}
 
 
 def dfa_language_equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -260,9 +261,7 @@ def table_filling_minimal_size(dfa: Dfa) -> int:
         return 0
     n = T.n
     sink = n
-    delta: dict[tuple[int, str], int] = {}
-    for src, a, dst in T.triples():
-        delta[(src, T.letter_names[a])] = dst
+    delta = _delta(dfa)
     letters = list(T.letter_names)
 
     def step(q: int, a: str) -> int:

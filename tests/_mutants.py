@@ -2,9 +2,10 @@
 
 Each entry of `MUTANTS` names a module of `dlts_bisim`, an exact fragment of its
 source, the text that replaces the fragment, and the tests that must fail once it
-is replaced (pytest node ids, relative to the repository root).  A tier-1 test
-checks only that every fragment occurs exactly once, so a change that moves one
-must update the table.
+is replaced (pytest node ids, relative to the repository root): its kill list.
+Tier-1 tests check only that every fragment occurs exactly once and that every
+kill list names tests that exist, so a change that moves a fragment or renames a
+test must update the table.
 
     python tests/_mutants.py [name ...]
 
@@ -34,6 +35,10 @@ _PLAIN_GUARD = "tests/test_lts.py::test_a_piece_that_is_not_plain_is_walked_line
 _HEADER_LINES = "tests/test_lts.py::test_only_the_header_piece_of_a_written_text_is_walked_line_by_line"
 _MINIMIZE_CONTRACT = ["tests/test_cli.py::test_minimize_names_orders_and_maps_as_specified",
                       "tests/test_cli.py::test_minimize_contract_on_corner_cases"]
+_SPLIT_REFERENCE = "tests/test_partition.py::test_split_matches_set_reference"
+_FLAGGED_SPLIT = "tests/test_partition.py::test_split_of_a_flagged_block_pushes_nothing"
+_REFERENCE_CORPUS = "tests/test_bisim.py::test_dbisim_matches_reference_on_seeded_corpus"
+_DEBUG_CHECKS = "tests/test_acceptance.py::test_criterion_4_debug_invariants_never_fire"
 
 
 class Mutant(NamedTuple):
@@ -111,6 +116,35 @@ MUTANTS = {
     "full-letter-pass-kept": Mutant(
         "bisim", "len(bucket) < T.n", "len(bucket) <= T.n",
         ["tests/test_bisim.py::test_init_refine_skips_the_letters_out_of_every_state"]),
+    # `split` moves a state that a bucket repeats once per occurrence.
+    "split-moves-repeats": Mutant(
+        "partition", "if i < boundary:", "if False:",
+        [_SPLIT_REFERENCE, "tests/test_partition.py::test_split_tolerates_duplicates",
+         "tests/test_bisim.py::test_dbisim_moves_a_repeated_source_once"]),
+    # `split` flags a block that splits but pushes no pending range for it.
+    "split-pushes-no-range": Mutant(
+        "partition", "los.append(lo)\n                    his.append(hi)", "pass",
+        [_SPLIT_REFERENCE, _FLAGGED_SPLIT, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+    # `split` pushes a block's range but leaves its `in_union` flag unset.
+    "split-leaves-union-flag": Mutant(
+        "partition", "in_union[b] = True", "pass",
+        [_SPLIT_REFERENCE, _FLAGGED_SPLIT, _DEBUG_CHECKS,
+         "tests/test_acceptance.py::test_criterion_3_scan_counter_bound_and_scaling"]),
+    # `split` leaves each bucket it splits by filled.
+    "split-keeps-buckets": Mutant(
+        "partition", "bucket.clear()", "pass",
+        [_SPLIT_REFERENCE, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+    # `split` sets the `settled` flag of a fresh part of two states.
+    "split-settles-two-states": Mutant(
+        "partition", "if mid - lo == 1:", "if mid - lo <= 2:",
+        [_SPLIT_REFERENCE, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+    # Repeats and forks are judged from the last transition line to the first.
+    "transitions-judged-last-to-first": Mutant(
+        "lts", "for i, key, d in zip(count(), keys(), dst):",
+        "for i, key, d in reversed(list(zip(count(), keys(), dst))):",
+        ["tests/test_lts.py::test_parse_duplicate_transition_rejected",
+         _PROPERTIES + "test_normalize_raises_the_first_error_in_input_order",
+         _PROPERTIES + "test_parsers_give_what_normalize_gives_for_the_plain_reading"]),
 }
 
 

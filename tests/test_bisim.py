@@ -366,17 +366,6 @@ def test_dbisim_matches_reference_property(n, k, density, seed):
     assert is_bisimulation([set(b) for b in result.to_canonical()], T)
 
 
-def test_debug_assertions_hold_on_small_instances(monkeypatch):
-    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
-    rng = random.Random(31)
-    for _ in range(100):
-        cfg = GenConfig(n=rng.randint(1, 12), k=rng.randint(1, 3),
-                        density=rng.choice([0.2, 0.5, 0.9]),
-                        seed=rng.randrange(2**63), max_blocks=rng.randint(1, 3))
-        T, p_view = gen_random_dlts(cfg)
-        dbisim(T, RefinablePartition.from_initial(T.n, p_view))
-
-
 def test_debug_mode_follows_environment(monkeypatch, capsys):
     # The switch turns on the checks (or the notice that skips them) and
     # nothing else: a plain ScanStats gets no per-transition counters.

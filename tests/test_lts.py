@@ -25,7 +25,7 @@ from dlts_bisim import (
     parse_partition,
 )
 
-from _canon import normalize_outcome, read_dlts
+from _canon import outcome, read_dlts, token_rows
 
 
 def test_parse_empty_transition_section():
@@ -201,19 +201,20 @@ def _replace_transitions(raw):
 
 
 @pytest.mark.parametrize("edit, want", [
-    (_append_undeclared, (LtsError, "undeclared letter 'w' in transition p w q", None)),
-    (_rename_state, (LtsError, "state name 'a b' is empty or has whitespace or `#`", None)),
+    (_append_undeclared, (LtsError, "undeclared letter 'w' in transition p w q", None, None, None)),
+    (_rename_state, (LtsError, "state name 'a b' is empty or has whitespace or `#`",
+                     None, None, None)),
     (_reverse_letters, ["p", "q"]),
     (_replace_transitions, (NondeterminismError,
                             "nondeterministic: state 'q' has several transitions on letter 'x'",
-                            [("q", "x")])),
+                            None, None, [("q", "x")])),
 ])
 def test_normalize_sees_edits_made_after_parse_lts(edit, want):
     """`parse_lts` returns the encoded system, so the names a caller edits are
     those of a `RawLts` built by hand; `normalize` validates it in full."""
     triples = [("p", "x", "q"), ("q", "y", "p")]
     raw = edit(RawLts(["p", "q"], ["x", "y"], triples))
-    got = normalize_outcome(raw)
+    got = outcome(normalize, raw)
     if isinstance(want, list):
         assert (got.state_names, got.letter_names) == (want, ["y", "x"])
         assert got.triples() == [(1, 0, 0), (0, 1, 1)]
@@ -539,14 +540,6 @@ def test_parse_partition():
     assert "state 'q2' already belongs to the block on line 3" in str(info.value)
 
 
-def _partition_outcome(text, names):
-    """`parse_partition(text, names)`, or the message, line and column of its error."""
-    try:
-        return parse_partition(text, names)
-    except LtsParseError as error:
-        return str(error), error.line, error.column
-
-
 def _partition_texts(rng, names):
     """A partition file of `names` with comments, blank lines and mixed line breaks,
     then the same file with an unknown name, a repeated name or a state left out."""
@@ -574,31 +567,24 @@ def test_parse_partition_in_small_pieces_matches_one_piece(monkeypatch, piece):
              "q0 q2\r\n\nq1 q3 q4 q5 q6 q7 q8\n"]
     for _ in range(30):
         texts += _partition_texts(rng, names)
-    want = [_partition_outcome(text, names) for text in texts]
+    want = [outcome(parse_partition, text, names) for text in texts]
     assert want[:4] == [
         [{0, 2}, {1, 3, 4, 5, 6}, {7, 8, 9}],
-        ("line 2, column 4: unknown state 'what'", 2, 4),
-        ("line 4, column 6: state 'q2' already belongs to the block on line 3", 4, 6),
-        ("state 'q9' is not covered by any block", None, None),
+        (LtsParseError, "line 2, column 4: unknown state 'what'", 2, 4, None),
+        (LtsParseError, "line 4, column 6: state 'q2' already belongs to the block on line 3",
+         4, 6, None),
+        (LtsParseError, "state 'q9' is not covered by any block", None, None, None),
     ]
-    assert {type(outcome) for outcome in want} == {list, tuple}
+    assert {type(got) for got in want} == {list, tuple}
     monkeypatch.setattr(dlts_bisim.lts, "_PIECE", piece)
     assert len(list(dlts_bisim.lts._pieces(texts[0]))) > 2
-    for text, outcome in zip(texts, want):
-        assert _partition_outcome(text, names) == outcome, repr(text)
+    for text, got in zip(texts, want):
+        assert outcome(parse_partition, text, names) == got, repr(text)
 
 
 def test_format_partition():
     assert format_partition([[0, 2], [1]], ["x", "y", "z"]) == "x z\ny\n"
     assert format_partition([], []) == ""
-
-
-def _rows_at_once(text):
-    """The one-shot tokenizer that the piecewise line walker must match."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    return list(map(str.split, lines))
 
 
 def _walked_rows(text):
@@ -626,7 +612,7 @@ def test_rows_match_one_shot_across_piece_boundaries(monkeypatch, piece):
     texts = ["", "\n", "\r\n", "a\r\n\r\nb", "x y\r\n" * 8, "ab\r\n" * 8 + "c", "1 2\r\n3 #\r\n4"]
     texts += [_line_soup(rng) for _ in range(150)]
     for text in texts:
-        assert _walked_rows(text) == _rows_at_once(text), repr(text)
+        assert _walked_rows(text) == token_rows(text), repr(text)
         for lineno, line in enumerate(text.splitlines(), start=1):
             assert dlts_bisim.lts._line(text, lineno) == line, (repr(text), lineno)
 
@@ -637,8 +623,8 @@ def test_rows_of_a_text_longer_than_one_piece():
     lines += [f"{q} {rng.choice('ab')} {rng.randrange(8000)}  # {q}" for q in range(8000)]
     text = "\r\n".join(lines)
     assert len(text) > 2 * dlts_bisim.lts._PIECE
-    assert _walked_rows(text) == _rows_at_once(text)
-    assert parse_lts(text) == normalize(read_dlts(text))
+    assert _walked_rows(text) == token_rows(text)
+    assert parse_lts(text) == normalize(read_dlts(text)[0])
 
 
 def _parsed(text):

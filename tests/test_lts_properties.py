@@ -17,6 +17,7 @@ from dlts_bisim import (
     LtsError,
     LtsParseError,
     NondeterminismError,
+    NormalizedDlts,
     RawLts,
     format_dfa,
     format_dlts,
@@ -25,7 +26,7 @@ from dlts_bisim import (
     parse_lts,
 )
 
-from _canon import normalize_outcome, read_dlts
+from _canon import outcome, read_dlts, token_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -136,55 +137,31 @@ def fuzzed_texts(draw):
     return kind, "\n".join([f"{kind} {count}"] + body) + "\n"
 
 
-def _assert_points_at_token(text, error):
+def _assert_points_at_token(text, message, lineno, column):
     """A column must point at the start of a token outside comments, and the
     token there is either the one the message quotes or the first on its line."""
-    if error.column is None:
+    if column is None:
         return
-    line = text.splitlines()[error.line - 1].split("#", 1)[0]
-    i = error.column - 1
-    assert 0 <= i < len(line) and not line[i].isspace(), error
-    assert i == 0 or line[i - 1].isspace(), error
+    line = text.splitlines()[lineno - 1].split("#", 1)[0]
+    i = column - 1
+    assert 0 <= i < len(line) and not line[i].isspace(), message
+    assert i == 0 or line[i - 1].isspace(), message
     token = line[i:].split(maxsplit=1)[0]
-    quoted = re.search(r"(state|letter|header|name|got) ['\"]", str(error))
-    if quoted:
-        assert repr(token) in str(error), error
+    if re.search(r"(state|letter|header|name|got) ['\"]", message):
+        assert repr(token) in message, message
     else:
-        assert i == len(line) - len(line.lstrip()), error
+        assert i == len(line) - len(line.lstrip()), message
 
 
-@settings(PROPERTY, max_examples=300)
-@given(fuzzed_texts())
-def test_fuzzed_text_parses_or_raises_a_located_error(case):
-    """Any fuzzed body either parses or raises LtsParseError or
-    NondeterminismError, and a reported column points at the offending token.
-    A parsed dfa's transitions are what `normalize` makes of the plain reading
-    of the same text as a dlts.
-
-    The header count is capped at 64: a hostile header such as
-    `dlts 30000000` still allocates memory out of proportion to the input,
-    which this property does not cover.
-    """
-    kind, text = case
-    try:
-        if kind == "dlts":
-            parse_lts(text)
-        else:
-            dfa = parse_dfa(text)
-            assert dfa.dlts == normalize(read_dlts(_as_dlts(text)))
-    except NondeterminismError:
-        pass
-    except LtsParseError as error:
-        _assert_points_at_token(text, error)
+_DFA_LINES = (["initial:"], ["finals:"])
 
 
 def _as_dlts(text):
     """A dfa text with its `dfa` header word made `dlts` and its `initial:`
-    and `finals:` lines dropped."""
-    lines = ("dlts" + text[len("dfa"):]).splitlines()
-    heads = [line.partition("#")[0].split()[:1] for line in lines]
-    return "\n".join(line for line, head in zip(lines, heads)
-                     if head not in (["initial:"], ["finals:"]))
+    and `finals:` lines blanked, so that every other line keeps its number."""
+    text = "dlts" + text[len("dfa"):]
+    return "\n".join("" if row[:1] in _DFA_LINES else line
+                     for line, row in zip(text.splitlines(), token_rows(text)))
 
 
 @st.composite
@@ -230,7 +207,7 @@ def test_parsed_dfa_encodes_as_normalize_does(text):
     """`parse_dfa` encodes without `normalize`; `normalize` of the plain reading is its
     reference."""
     try:
-        want = normalize(read_dlts(_as_dlts(text)))
+        want = normalize(read_dlts(_as_dlts(text))[0])
     except NondeterminismError as error:
         with pytest.raises(NondeterminismError) as info:
             parse_dfa(text)
@@ -261,7 +238,8 @@ def _broken_rule(name, what):
 
 
 def _normalize_outcome(raw):
-    """What `normalize(raw)` must raise, as (type, message or violations), or None.
+    """What `normalize(raw)` must raise, as (type, message or violations, the index of
+    the transition it blames or None), or None.
 
     Names are checked first, states before letters, each list in order.
     Then the transitions, in order: undeclared names and repeated triples
@@ -273,32 +251,32 @@ def _normalize_outcome(raw):
         for name in names:
             rule = _broken_rule(name, what)
             if rule is not None:
-                return LtsError, f"{what} name {name!r} {_RULE_TEXT[rule]}"
+                return LtsError, f"{what} name {name!r} {_RULE_TEXT[rule]}", None
             if name in seen:
-                return LtsError, f"duplicate {what} name {name!r}"
+                return LtsError, f"duplicate {what} name {name!r}", None
             seen.add(name)
     target = {}
     forked = set()  # later triples of a forked (state, letter) pair
     violations = []
-    for src, letter, dst in raw.transitions:
+    for i, (src, letter, dst) in enumerate(raw.transitions):
         where = f"in transition {src} {letter} {dst}"
         if src not in raw.states:
-            return LtsError, f"undeclared state {src!r} {where}"
+            return LtsError, f"undeclared state {src!r} {where}", i
         if dst not in raw.states:
-            return LtsError, f"undeclared state {dst!r} {where}"
+            return LtsError, f"undeclared state {dst!r} {where}", i
         if letter not in raw.letters:
-            return LtsError, f"undeclared letter {letter!r} {where}"
+            return LtsError, f"undeclared letter {letter!r} {where}", i
         pair = (src, letter)
         if pair not in target:
             target[pair] = dst
         elif target[pair] == dst or (src, letter, dst) in forked:
-            return LtsError, f"duplicate transition {src} {letter} {dst}"
+            return LtsError, f"duplicate transition {src} {letter} {dst}", i
         else:
             forked.add((src, letter, dst))
             if pair not in violations:
                 violations.append(pair)
     if violations:
-        return NondeterminismError, violations
+        return NondeterminismError, violations, None
     return None
 
 
@@ -331,9 +309,9 @@ def test_normalize_raises_the_first_error_in_input_order(raw):
     try:
         T = normalize(raw)
     except NondeterminismError as error:
-        assert want == (NondeterminismError, error.violations)
+        assert want == (NondeterminismError, error.violations, None)
     except LtsError as error:
-        assert want == (LtsError, str(error))
+        assert want is not None and want[:2] == (LtsError, str(error))
     else:
         assert want is None
         names = T.state_names
@@ -386,94 +364,50 @@ def test_parser_and_normalize_judge_declared_names_alike(case):
         assert parse_lts(text) == want
 
 
-def _first_defective_transition_line(text):
-    """The first transition line an undeclared name or a repeated triple makes
-    defective, or None; for a text whose header lines parse."""
-    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
-    header = next(i for i, row in enumerate(rows) if row)
-    count = int(rows[header][1])
-    headers = {row[0]: row[1:] for row in rows[header + 1 :] if row and row[0].endswith(":")}
-    states = set(headers.get("states:", [str(i) for i in range(count)]))
-    letters = set(headers["letters:"]) if "letters:" in headers else None
-    seen = set()
-    for lineno, row in enumerate(rows[header + 1 :], start=header + 2):
-        if len(row) != 3 or row[0].endswith(":"):
-            continue
-        src, letter, dst = row
-        if src not in states or dst not in states or tuple(row) in seen:
-            return lineno
-        if letters is not None and letter not in letters:
-            return lineno
-        seen.add(tuple(row))
-    return None
-
-
-_TRANSITION_ERROR = re.compile(
-    r"line \d+, column \d+: (undeclared (state|letter)|duplicate transition) "
-)
-
-
-@settings(PROPERTY, max_examples=400)
-@given(fuzzed_texts())
-def test_fuzzed_text_reports_the_first_defective_transition_line(case):
-    """A transition error names the first defective transition line; an input
-    that gets past the transition lines has none."""
-    kind, text = case
-    try:
-        if kind == "dlts":
-            parse_lts(text)
-        else:
-            parse_dfa(text)
-    except NondeterminismError:
-        pass
-    except LtsParseError as error:
-        message = str(error)
-        row = text.splitlines()[error.line - 1].split("#", 1)[0].split() if error.line else []
-        if _TRANSITION_ERROR.match(message) and not row[0].endswith(":"):
-            assert error.line == _first_defective_transition_line(text), error
-            return
-        # parse_dfa checks `initial:` and `finals:` after the transition lines
-        late = kind == "dfa" and (
-            "missing `initial:`" in message
-            or "`initial:` takes" in message
-            or (row[:1] in (["initial:"], ["finals:"]) and "undeclared state" in message)
-        )
-        if not late:
-            return  # a header or shape error comes before any transition check
-    assert _first_defective_transition_line(text) is None
-
-
 # ---------------------------------------------------------------------------
 # Both parsers against a plain reading of the text.
 
 
-@settings(PROPERTY, max_examples=300)
+@settings(PROPERTY, max_examples=750)
 @given(st.one_of(fuzzed_texts(), dfa_texts().map(lambda text: ("dfa", text))))
 def test_parsers_give_what_normalize_gives_for_the_plain_reading(case):
-    """A dlts text, and a dfa text both as it is and read as a dlts: where a
-    parser returns a system or raises NondeterminismError, `normalize` of
-    `read_dlts`'s reading gives the same system or the same error.  Where
-    `parse_lts` raises at a position and the syntax is sound, `normalize` raises
-    an LtsError whose message starts with the parser's, past its position."""
+    """A dlts text, and a dfa text both as it is and read as a dlts, against
+    `read_dlts`'s reading of the dlts text.  Where a parser returns a system or
+    raises NondeterminismError, `normalize` of the reading gives the same, and
+    `_normalize_outcome` finds no other defect.  Any other error is an LtsParseError
+    whose column points at the offending token.  Where the reading is sound, the
+    error is `_normalize_outcome`'s: its message starts with the parser's past the
+    position, and a transition's defect is on the line of the transition it blames.
+    Only a dfa's `initial:` and `finals:` lines may raise otherwise, and only where
+    the reading has no defect or the line repeats."""
     kind, text = case
     dlts_text = _as_dlts(text) if kind == "dfa" else text
-    raw = read_dlts(dlts_text)
+    raw, lines = read_dlts(dlts_text) or (None, None)
+    want = None if raw is None else _normalize_outcome(raw)
     runs = [(parse_lts, dlts_text)]
     if kind == "dfa":
         runs.append((lambda text: parse_dfa(text).dlts, text))
     for parse, source in runs:
-        try:
-            got = parse(source)
-        except NondeterminismError as error:
-            got = type(error), str(error), error.violations
-        except LtsParseError as error:
-            if parse is parse_lts and raw is not None:
-                want = normalize_outcome(raw)
-                assert isinstance(want, tuple) and want[0] is LtsError, (error, want)
-                assert want[1].startswith(str(error).split(": ", 1)[1]), (error, want)
+        got = outcome(parse, source)
+        if isinstance(got, NormalizedDlts) or got[0] is NondeterminismError:
+            assert raw is not None
+            assert got == outcome(normalize, raw)
+            assert want == (None if isinstance(got, NormalizedDlts)
+                            else (NondeterminismError, got[4], None))
             continue
-        assert raw is not None
-        assert got == normalize_outcome(raw)
+        error_type, message, line, column, _violations = got
+        assert error_type is LtsParseError, got
+        _assert_points_at_token(source, message, line, column)
+        if raw is None:
+            continue
+        defect = message if line is None else message.split(": ", 1)[1]
+        if want is not None and want[0] is LtsError and want[1].startswith(defect):
+            assert want[2] is None or line == lines[want[2]], (message, want)
+        else:
+            assert parse is not parse_lts, (message, want)
+            assert line is None or token_rows(text)[line - 1][:1] in _DFA_LINES, message
+            assert want is None or want[0] is NondeterminismError \
+                or "duplicate `" in message, (message, want)
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +418,12 @@ def test_parsers_give_what_normalize_gives_for_the_plain_reading(case):
 _SMALL_PIECES = st.sampled_from([1, 2, 3, 5, 8])
 
 
-def _outcome(parse, text):
-    """What `parse(text)` returns, or the type, message, position and violations of its error."""
-    try:
-        return parse(text)
-    except LtsError as error:
-        return (type(error), str(error), getattr(error, "line", None),
-                getattr(error, "column", None), getattr(error, "violations", None))
-
-
 def _in_small_pieces(piece, runs, check):
     """Each (parse, text) of `runs` gives in pieces of `piece` characters what it gives
     in the default pieces, and `check()` passes in those small pieces."""
-    want = [_outcome(parse, text) for parse, text in runs]
+    want = [outcome(parse, text) for parse, text in runs]
     with mock.patch.object(dlts_bisim.lts, "_PIECE", piece):
-        assert [_outcome(parse, text) for parse, text in runs] == want
+        assert [outcome(parse, text) for parse, text in runs] == want
         check()
 
 
