@@ -10,7 +10,8 @@ transition is scanned at floor(log2 n) + 1.  The sources found are bucketed
 by letter, except those whose block is already a single state (the
 partition's `settled` flags), which no split can move; one `split` call per
 iteration that fills a bucket splits by all the buckets and pushes the
-ranges that become pending.
+ranges that become pending.  When the pre-refined partition is already
+stable, one pass over the transitions shows it and the loop does not run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice, repeat, tee
+from operator import eq, sub
 
 from .lts import NormalizedDlts
 from .oracle import InvariantChecker
@@ -25,8 +28,8 @@ from .partition import PartitionError, RefinablePartition
 
 DEBUG_ENV = "DLTS_BISIM_DEBUG"
 
-# The brute-force invariant assertions are quadratic-ish; above this size they
-# would dominate the run without telling us anything new.
+# The brute-force per-iteration assertions are quadratic-ish; above this size
+# they would dominate the run without telling us anything new.
 _DEBUG_ASSERT_MAX_N = 512
 
 
@@ -39,7 +42,9 @@ class ScanStats:
     letter buckets handed to `split`: one per letter that has a source
     outside a one-state block in an iteration's scan; all of an iteration's
     buckets go to one `split` call, and an iteration that fills none makes
-    no call.  `blocks_final` is the block count of the result.
+    no call.  Both stay 0 when the pre-refined partition is already stable,
+    as the loop then does not run.  `blocks_final` is the block count of the
+    result.
     `per_transition_counts`, made only by `detailed`, tracks the scans per
     transition index: at most floor(log2 n) + 1 per entry, as a state's
     enclosing splitter side at least halves between visits.
@@ -87,6 +92,34 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
     return p
 
 
+def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
+    """Whether each (block, letter) pair of `T` leads into one block only.
+
+    When the states of each block share one set of outgoing letters, as in
+    every refinement of `init_refine`'s result, this is stability: the
+    partition is a bisimulation.  One pass over the transitions in storage
+    order stops at the first pair that leads into a second block; it keeps
+    one dict entry per (block, letter) pair seen.
+    """
+    in_off = T.in_offsets
+    # Transitions are stored grouped by destination: each destination's
+    # block, repeated once per incoming transition, read twice in step.
+    targets, expected = tee(chain.from_iterable(
+        map(repeat, block_of, map(sub, islice(in_off, 1, None), in_off))))
+    keys = zip(map(block_of.__getitem__, T.in_src), T.in_letter)
+    first_target: dict[tuple[int, int], int] = {}
+    return all(map(eq, map(first_target.setdefault, keys, targets), expected))
+
+
+def _check_result(T: NormalizedDlts, p_init: RefinablePartition, p: RefinablePartition) -> None:
+    """Debug runs at any n: the result must be stable and refine `p_init`, in O(m + n)."""
+    if not _is_stable(T, p.block_of):
+        raise AssertionError("a (block, letter) pair of the result leads into two blocks")
+    enclosing: dict[int, int] = {}
+    if not all(map(eq, map(enclosing.setdefault, p.block_of, p_init.block_of), p_init.block_of)):
+        raise AssertionError("a block of the result meets two blocks of the initial partition")
+
+
 def dbisim(
     T: NormalizedDlts, p_init: RefinablePartition, stats: ScanStats | None = None
 ) -> RefinablePartition:
@@ -94,8 +127,10 @@ def dbisim(
 
     `p_init` is left untouched.  Counters accumulate into `stats` when given,
     per transition too if it comes from `ScanStats.detailed` (ValueError if
-    not one per transition of `T`).  DLTS_BISIM_DEBUG=1 turns on invariant
-    checks for n <= 512, and a one-line notice on stderr when it skips them.
+    not one per transition of `T`).  DLTS_BISIM_DEBUG=1 checks the result at
+    any n; for n <= 512 it also runs `InvariantChecker` at every loop head
+    and on the result, and above that the loop prints a one-line notice on
+    stderr that it skips those per-iteration checks.
     """
     stats = ScanStats() if stats is None else stats
     counts = stats.per_transition_counts
@@ -103,17 +138,25 @@ def dbisim(
         raise ValueError(f"{len(counts)} per-transition counters for an LTS with {T.m} transitions")
 
     p = init_refine(T, p_init)
-    if p.block_count <= 1:
-        stats.blocks_final = p.block_count
-        return p
-
     debug = debug_enabled()
     checker = None
     if debug and T.n <= _DEBUG_ASSERT_MAX_N:
         checker = InvariantChecker(T, p_init)
-    elif debug:
-        print(f"{DEBUG_ENV}: invariant checks skipped, n={T.n} > {_DEBUG_ASSERT_MAX_N}",
-              file=sys.stderr)
+    # Pre-refinement leaves each block one set of outgoing letters and only
+    # separates states that cannot be bisimilar, so a stable pre-refined
+    # partition is already the coarsest bisimulation refining p_init.
+    if p.block_count <= 1 or _is_stable(T, p.block_of):
+        if checker is not None:
+            # No loop head: the checker sees the result once, with no pending range.
+            checker.check(p, [], [False] * p.block_count, [], [])
+        if debug:
+            _check_result(T, p_init, p)
+        stats.blocks_final = p.block_count
+        return p
+
+    if debug and checker is None:
+        print(f"{DEBUG_ENV}: per-iteration invariant checks skipped, n={T.n} > "
+              f"{_DEBUG_ASSERT_MAX_N}; the result is checked", file=sys.stderr)
 
     A, block_of, left, right, settled = p.A, p.block_of, p.left, p.right, p.settled
     split = p.split
@@ -187,6 +230,8 @@ def dbisim(
 
     if checker is not None:
         checker.check(p, list(zip(los, his)), in_union, buckets, touched)
+    if debug:
+        _check_result(T, p_init, p)
     if visits is not None:
         for q, v in enumerate(visits):
             for t in range(in_off[q], in_off[q + 1]):

@@ -126,7 +126,7 @@ def naive_fixpoint(T: NormalizedDlts, p_init: Iterable[set[int]]) -> PartitionVi
 class InvariantChecker:
     """Brute-force assertions over `dbisim`'s loop state, for debug runs on small inputs.
 
-    Checks, at every loop head and once after the loop:
+    Checks, at every loop head and once on the result (also when no loop runs):
       * the letter buckets are empty;
       * the worklist's (left, right) ranges are disjoint and each is a
         union of >= 2 whole blocks, and the per-block flags mirror

@@ -3,9 +3,11 @@
 Each entry of `MUTANTS` names a module of `dlts_bisim`, an exact fragment of its
 source, the text that replaces the fragment, and the tests that must fail once it
 is replaced (pytest node ids, relative to the repository root): its kill list.
-Tier-1 tests check only that every fragment occurs exactly once and that every
-kill list names tests that exist, so a change that moves a fragment or renames a
-test must update the table.
+Tier-1 tests check only that every fragment occurs exactly once, that every kill
+list names tests that exist, and that it names at least one example-based test:
+Hypothesis draws a property's examples from its source text, so a property that
+kills a mutant may stop killing it after any edit.  A change that moves a fragment
+or renames a test must update the table.
 
     python tests/_mutants.py [name ...]
 
@@ -30,7 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 60  # the slowest tier-1 test takes about 3 s
 _PROPERTIES = "tests/test_lts_properties.py::"
 _SMALL_PIECES = [_PROPERTIES + "test_plain_reading_property_holds_in_small_pieces",
-                 _PROPERTIES + "test_dfa_encoding_property_holds_in_small_pieces"]
+                 _PROPERTIES + "test_dfa_encoding_property_holds_in_small_pieces",
+                 "tests/test_lts.py::test_late_lines_read_alike_in_small_pieces"]
 _PLAIN_GUARD = "tests/test_lts.py::test_a_piece_that_is_not_plain_is_walked_line_by_line"
 _HEADER_LINES = "tests/test_lts.py::test_only_the_header_piece_of_a_written_text_is_walked_line_by_line"
 _MINIMIZE_CONTRACT = ["tests/test_cli.py::test_minimize_names_orders_and_maps_as_specified",
@@ -39,6 +42,9 @@ _SPLIT_REFERENCE = "tests/test_partition.py::test_split_matches_set_reference"
 _FLAGGED_SPLIT = "tests/test_partition.py::test_split_of_a_flagged_block_pushes_nothing"
 _REFERENCE_CORPUS = "tests/test_bisim.py::test_dbisim_matches_reference_on_seeded_corpus"
 _DEBUG_CHECKS = "tests/test_acceptance.py::test_criterion_4_debug_invariants_never_fire"
+_STABILITY_PASS = "tests/test_bisim.py::test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus"
+_STABILITY_PROPERTY = (
+    "tests/test_bisim.py::test_loop_runs_exactly_when_the_prerefinement_is_not_a_bisimulation")
 
 
 class Mutant(NamedTuple):
@@ -115,7 +121,21 @@ MUTANTS = {
     # reorders blocks.
     "full-letter-pass-kept": Mutant(
         "bisim", "len(bucket) < T.n", "len(bucket) <= T.n",
-        ["tests/test_bisim.py::test_init_refine_skips_the_letters_out_of_every_state"]),
+        ["tests/test_bisim.py::test_init_refine_skips_the_letters_out_of_every_state",
+         "tests/test_bisim.py::test_init_refine_leaves_the_layout_to_the_partial_letters"]),
+    # The stability pass after pre-refinement accepts every partition, so the loop never runs.
+    "stability-accepts-all": Mutant(
+        "bisim", "return all(map(eq, map(first_target.setdefault, keys, targets), expected))",
+        "return True", [_STABILITY_PASS, _STABILITY_PROPERTY, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+    # The stability pass keys each transition by its source's block alone.
+    "stability-key-drops-letter": Mutant(
+        "bisim", "keys = zip(map(block_of.__getitem__, T.in_src), T.in_letter)",
+        "keys = map(block_of.__getitem__, T.in_src)", [_STABILITY_PASS, _STABILITY_PROPERTY]),
+    # The stability pass compares each (block, letter) pair's first target with the
+    # source's block instead of the destination's.
+    "stability-compares-source-block": Mutant(
+        "bisim", "targets), expected))", "targets), map(block_of.__getitem__, T.in_src)))",
+        [_STABILITY_PASS, _STABILITY_PROPERTY]),
     # `split` moves a state that a bucket repeats once per occurrence.
     "split-moves-repeats": Mutant(
         "partition", "if i < boundary:", "if False:",

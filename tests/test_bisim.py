@@ -82,6 +82,15 @@ def test_init_refine_does_not_touch_input():
     assert p0.to_canonical() == [[0, 1]]
 
 
+def test_init_refine_leaves_the_layout_to_the_partial_letters():
+    # a labels a transition out of every state, its sources stored in the
+    # order q2 q0 q1: splitting by a would split nothing but move q2 first.
+    T = _dlts(3, [(2, "a", 0), (0, "a", 1), (1, "a", 2), (0, "b", 0)])
+    p = init_refine(T, _full(3))
+    assert (p.A, p.to_canonical()) == ([0, 1, 2], [[0], [1, 2]])
+    assert partition_arrays(p) == partition_arrays(init_refine_by_every_letter(T, _full(3), [1]))
+
+
 @st.composite
 def complete_dlts_and_blocks(draw):
     """A complete DLTS (every state has every letter), its transitions in a
@@ -261,21 +270,22 @@ def test_per_transition_counts_are_pinned(monkeypatch):
 
 
 def test_dbisim_detaches_the_smaller_end_block(monkeypatch):
-    # Stable blocks laid out [q0 q1 q2 | q3 q4 | q5] under one letter:
-    # q3 -> q0, q4 -> q1, and q0 q1 q2 q5 -> q5.  The first range's rightmost
-    # block {q5} is smaller than its leftmost one, so the first iteration
-    # scans only q5's four in-transitions; the spent range [q0 q1 q2 | q3 q4]
-    # then scans {q3 q4}, which nothing enters.  Detaching {q0 q1 q2} first
-    # would scan q0's and q1's in-transitions too, in a second split call.
-    T = _dlts(6, [(3, "a", 0), (4, "a", 1), (0, "a", 5), (1, "a", 5), (2, "a", 5), (5, "a", 5)],
+    # Blocks laid out [q0 q1 q2 | q3 q4 | q5] under one letter: q0 q1 q2 q3
+    # -> q0, q4 -> q5 and q5 -> q5, so {q3 q4} must split and the loop runs.
+    # The first range's rightmost block {q5} is smaller than its leftmost
+    # one, so the first iteration scans only q5's two in-transitions, which
+    # split {q3 q4}; the rest of the range scans {q3} and then {q4}, which
+    # nothing enters.  Detaching {q0 q1 q2} first would scan q0's four
+    # in-transitions instead.
+    T = _dlts(6, [(0, "a", 0), (1, "a", 0), (2, "a", 0), (3, "a", 0), (4, "a", 5), (5, "a", 5)],
               letters=("a",))
     blocks = [{0, 1, 2}, {3, 4}, {5}]
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
         stats = ScanStats.detailed(T.m)
         p = dbisim(T, RefinablePartition.from_initial(6, blocks), stats)
-        assert p.to_canonical() == [[0, 1, 2], [3, 4], [5]]
-        assert stats.per_transition_counts == [0, 0, 1, 1, 1, 1]
+        assert p.to_canonical() == [[0, 1, 2], [3], [4], [5]]
+        assert stats.per_transition_counts == [0, 0, 0, 0, 1, 1]
         assert stats.split_calls == 1
 
 
@@ -366,14 +376,100 @@ def test_dbisim_matches_reference_property(n, k, density, seed):
     assert is_bisimulation([set(b) for b in result.to_canonical()], T)
 
 
+# --- stop after pre-refinement when it is already stable -----------------
+
+
+def _blocks(block_of):
+    groups: dict[int, set[int]] = {}
+    for q, b in enumerate(block_of):
+        groups.setdefault(b, set()).add(q)
+    return list(groups.values())
+
+
+def test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus():
+    # The pass judges partitions whose blocks each have one set of outgoing
+    # letters: dbisim's result, the pre-refined partition, and the result
+    # with two blocks merged that share a letter set and an initial block.
+    # A merge is coarser than the coarsest bisimulation refining the initial
+    # partition, so it is never one; a pre-refinement that the loop splits
+    # has a (block, letter) pair that leads into two blocks.
+    is_stable = dlts_bisim.bisim._is_stable
+    rng = random.Random(2028)
+    verdicts: dict[tuple[str, bool], int] = {}
+    for _ in range(200):
+        cfg = GenConfig(n=rng.randint(1, 30), k=rng.randint(1, 4),
+                        density=rng.choice([0.2, 0.5, 0.9]), seed=rng.randrange(2**63),
+                        max_blocks=rng.randint(1, 4))
+        T, p_view = gen_random_dlts(cfg)
+        p_init = RefinablePartition.from_initial(T.n, p_view)
+        result = dbisim(T, p_init)
+        letter_sets = [set() for _ in range(T.n)]
+        for a, src in zip(T.in_letter, T.in_src):
+            letter_sets[src].add(a)
+        candidates = [("result", result.block_of), ("pre-refined", init_refine(T, p_init).block_of)]
+        blocks = _blocks(result.block_of)
+        for b, c in zip(blocks, blocks[1:]):
+            x, y = min(b), min(c)
+            if letter_sets[x] == letter_sets[y] and p_init.block_of[x] == p_init.block_of[y]:
+                merged = [result.block_of[x] if q in c else result.block_of[q] for q in range(T.n)]
+                candidates.append(("merged", merged))
+        for kind, block_of in candidates:
+            verdict = is_stable(T, block_of)
+            assert verdict == is_bisimulation(_blocks(block_of), T), (cfg, kind)
+            verdicts[kind, verdict] = verdicts.get((kind, verdict), 0) + 1
+    assert not verdicts.get(("result", False)) and not verdicts.get(("merged", True))
+    assert verdicts["pre-refined", True] and verdicts["pre-refined", False]
+    assert verdicts["merged", False]
+
+
+@st.composite
+def replicated_products(draw):
+    """The text-collapse construction at tiny sizes, from the full partition.
+
+    A random partial base DLTS is copied into r replicas: base state i of
+    replica j steps on letter a to base state delta(i, a) of replica
+    sigma_a(j), for a permutation sigma_a per letter, under shuffled state
+    ids.  The product collapses to the base's classes.
+    """
+    base_n, k, r = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.booleans(), min_size=base_n * k, max_size=base_n * k))
+    dst = draw(st.lists(st.integers(0, base_n - 1), min_size=base_n * k, max_size=base_n * k))
+    sigma = [draw(st.permutations(range(r))) for _ in range(k)]
+    ids = draw(st.permutations(range(base_n * r)))
+    transitions = [(ids[i * r + j], f"a{a}", ids[dst[i * k + a] * r + sigma[a][j]])
+                   for i in range(base_n) for a in range(k) if cells[i * k + a] for j in range(r)]
+    return _dlts(base_n * r, transitions, [f"a{a}" for a in range(k)]), [set(range(base_n * r))]
+
+
+@st.composite
+def random_instances(draw):
+    cfg = GenConfig(n=draw(st.integers(1, 20)), k=draw(st.integers(1, 3)),
+                    density=draw(st.sampled_from([0.2, 0.5, 0.9])),
+                    seed=draw(st.integers(0, 2**32 - 1)), max_blocks=draw(st.integers(1, 3)))
+    return gen_random_dlts(cfg)
+
+
+@given(st.one_of(replicated_products(), random_instances()))
+@settings(max_examples=150, deadline=None)
+def test_loop_runs_exactly_when_the_prerefinement_is_not_a_bisimulation(case):
+    T, p_view = case
+    p_init = RefinablePartition.from_initial(T.n, p_view)
+    stats = ScanStats()
+    result = dbisim(T, p_init, stats)
+    assert result.to_canonical() == canonical_view(naive_fixpoint(T, p_view))
+    pre = init_refine(T, p_init).to_canonical()
+    assert (stats.transitions_scanned == 0) == is_bisimulation([set(b) for b in pre], T)
+
+
 def test_debug_mode_follows_environment(monkeypatch, capsys):
-    # The switch turns on the checks (or the notice that skips them) and
-    # nothing else: a plain ScanStats gets no per-transition counters.
+    # The switch turns on the checks (or the notice that skips the
+    # per-iteration ones) and nothing else: a plain ScanStats gets no
+    # per-transition counters.
     for debug, notices in (("0", 0), ("1", 1)):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
         stats = ScanStats()
         dbisim(_chain(513), _full(513), stats)
-        assert capsys.readouterr().err.count("skipped") == notices
+        assert capsys.readouterr().err.count("per-iteration invariant checks skipped") == notices
         assert stats.per_transition_counts is None
         assert stats.transitions_scanned > 0
 
@@ -383,9 +479,48 @@ def test_debug_mode_reports_skipped_checks(monkeypatch, capsys):
     dbisim(_chain(8), _full(8))
     assert capsys.readouterr().err == ""  # small enough: checked, nothing to say
     dbisim(_chain(513), _full(513))
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "skipped" in err and "513" in err
+    assert capsys.readouterr().err == (
+        "DLTS_BISIM_DEBUG: per-iteration invariant checks skipped, n=513 > 512; "
+        "the result is checked\n")
+    # Stable after pre-refinement: no iteration runs, so nothing is skipped.
+    cycle = _dlts(600, [(i, "a", (i + 1) % 600) for i in range(600)], letters=("a",))
+    parity = [set(range(0, 600, 2)), set(range(1, 600, 2))]
+    stats = ScanStats()
+    assert dbisim(cycle, RefinablePartition.from_initial(600, parity), stats).block_count == 2
+    assert stats.transitions_scanned == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_debug_mode_checks_the_result_above_the_assertion_limit(monkeypatch):
+    # Past n = 512 the per-iteration invariants are skipped, yet debug runs
+    # still reject a result that is not stable (the loop's splits do
+    # nothing) or that does not refine the initial partition (pre-refinement
+    # starts from one block); plain runs return both.
+    original_split = RefinablePartition.split
+    original_init_refine = dlts_bisim.bisim.init_refine
+
+    def split_only_the_first_block(self, buckets, letters, in_union, los, his):
+        if self.block_count == 1:  # init_refine's call
+            return original_split(self, buckets, letters, in_union, los, his)
+        for a in letters:
+            buckets[a].clear()
+
+    cycle = _dlts(600, [(i, "a", (i + 1) % 600) for i in range(600)], letters=("a",))
+    odd_one_out = RefinablePartition.from_initial(600, [{0}, set(range(1, 600))])
+    cases = [
+        (RefinablePartition, "split", split_only_the_first_block, _chain(513), _full(513),
+         "leads into two blocks"),
+        (dlts_bisim.bisim, "init_refine", lambda T, p: original_init_refine(T, _full(T.n)),
+         cycle, odd_one_out, "meets two blocks of the initial partition"),
+    ]
+    for owner, name, patch, T, p_init, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, patch)
+            m.setenv("DLTS_BISIM_DEBUG", "0")
+            dbisim(T, p_init)
+            m.setenv("DLTS_BISIM_DEBUG", "1")
+            with pytest.raises(AssertionError, match=message):
+                dbisim(T, p_init)
 
 
 # --- the smaller-half rule is what gives the log bound ---------------------

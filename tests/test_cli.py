@@ -201,14 +201,17 @@ def test_minimize_drops_unreachable_state(tmp_path, capsys):
 
 
 def test_minimize_counts_scans_per_input_transition():
-    # ghost's transition comes first in storage order and is removed
-    dfa = parse_dfa("dfa 3\nstates: s0 sf ghost\ninitial: s0\nfinals: sf\n"
-                    "ghost a sf\ns0 a sf\nsf a sf\n")
+    # ghost's transition comes first in storage order, into sf, and is
+    # removed; {s0 s1} must split, and the loop scans sf's two other
+    # in-transitions once each, then {s1}'s one.
+    dfa = parse_dfa("dfa 4\nstates: sf s0 s1 ghost\ninitial: s0\nfinals: sf\n"
+                    "ghost a sf\ns0 a s1\ns1 a sf\nsf a sf\n")
     stats = ScanStats.detailed(dfa.dlts.m)
-    minimize_dfa(dfa, stats)
-    assert stats.per_transition_counts == [0, 1, 1]
-    assert stats.transitions_scanned == 2
-    with pytest.raises(ValueError, match="2 per-transition counters for a DFA with 3 transitions"):
+    _minimal, report = minimize_dfa(dfa, stats)
+    assert (report.useless_removed, report.final_blocks, report.split_calls) == (1, 3, 1)
+    assert stats.per_transition_counts == [0, 1, 1, 1]
+    assert stats.transitions_scanned == 3
+    with pytest.raises(ValueError, match="2 per-transition counters for a DFA with 4 transitions"):
         minimize_dfa(dfa, ScanStats.detailed(2))
 
 

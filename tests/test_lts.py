@@ -251,6 +251,30 @@ def test_repeated_header_line_raises_at_the_repeat(monkeypatch, word, kind, piec
         f"line {lineno}, column 1: duplicate `{word}` line", lineno, 1)
 
 
+# Texts whose reading differs in small pieces only if a later piece is mishandled,
+# each with its transitions or error as read in one piece.
+_LATE_LINES = [
+    # A `states:` line after the transitions re-encodes the ids they were given.
+    ("dlts 3\np x q\nq y r\nstates: r q p\n", [(1, 1, 0), (2, 0, 1)]),
+    # A late `states:` line that lacks a used name leaves it undeclared.
+    ("dlts 2\np x q\nq y r\nstates: q p\n", "line 3, column 5: undeclared state 'r'"),
+    # A late `letters:` line re-encodes the letter ids the same way.
+    ("dlts 2\n0 y 1\n1 x 0\nletters: x y\n", [(1, 0, 0), (0, 1, 1)]),
+    # A defective transition whose piece starts after a comment line.
+    ("dlts 2\nletters: a\n0 a 1\n# note\n1 b 0\n", "line 5, column 3: undeclared letter 'b'"),
+]
+
+
+@pytest.mark.parametrize("piece", [1, 3, 6])
+@pytest.mark.parametrize("text, want", _LATE_LINES)
+def test_late_lines_read_alike_in_small_pieces(monkeypatch, text, want, piece):
+    whole = outcome(parse_lts, text)
+    assert (whole.triples() if isinstance(whole, NormalizedDlts) else whole[1]) == want
+    monkeypatch.setattr(dlts_bisim.lts, "_PIECE", piece)
+    assert list(dlts_bisim.lts._pieces(text))[-1] == text.splitlines(keepends=True)[-1]
+    assert outcome(parse_lts, text) == whole
+
+
 def test_parse_empty_dfa_has_no_initial():
     dfa = parse_dfa("dfa 0\n")
     assert dfa.initial is None
