@@ -2,15 +2,20 @@
 
 The refinement engine works on a dense, index-based encoding of a
 deterministic LTS in which the alphabet is restricted to letters that
-actually label a transition and the transitions are held as parallel
-source and letter columns sorted by destination, so that the incoming
-transitions of a state form one contiguous slice.  Names become index
-columns a whole column at a time through dicts, and `parse_lts`,
-`parse_dfa` and `normalize` then judge every rule on those ints through one
-resolver, `_encode`, which raises the first defect through a locator that
-its caller passes.  Encoding groups the transitions by destination in one
-stable counting-sort pass: O(m + n) time, two columns of length m and one
-slot array of length n.
+actually label a transition.  Its destination-grouped view holds the
+transitions as parallel source and letter columns sorted by destination, so
+that the incoming transitions of a state form one contiguous slice.  Names
+become index columns a whole column at a time through dicts, and
+`parse_lts`, `parse_dfa` and `normalize` then judge every rule on those ints
+through one resolver, `_encode`, which raises the first defect through a
+locator that its caller passes.  `parse_lts` and `normalize` keep the
+(source, letter, destination) columns in input order and group them by
+destination only when the view is first read, in one stable counting-sort
+pass (`_grouped`): O(m + n) time, two columns of length m and one slot array
+of length n.  Pre-refinement and the stability pass read the input order,
+so a run whose refinement loop does not start never sorts.  `parse_dfa`
+groups at once, since every reader of an automaton reads incoming
+transitions.
 
 Every reader takes a text one 64 K piece at a time (`_pieces`).  The parsers
 turn each piece's transition lines into int columns before they read the
@@ -79,61 +84,63 @@ class RawLts:
     transitions: list[tuple[str, str, str]]
 
 
-@dataclass
 class NormalizedDlts:
     """Dense index encoding of a deterministic LTS.
 
-    Transitions are stored column-wise and sorted by destination: transition
+    The destination-grouped view holds the transitions column-wise: transition
     t runs from state in_src[t] on letter in_letter[t], and the incoming
     transitions of state q are exactly the indices
     in_offsets[q] <= t < in_offsets[q + 1].  Letter indices cover only
-    letters that label at least one transition, so k <= m.  Instances are
-    immutable after construction and safe to share between threads.
+    letters that label at least one transition, so k <= m.
+
+    The system keeps its own (source, letter, destination) columns in a fixed
+    storage order: input order for `_from_columns`, which `parse_lts` and
+    `normalize` use, and destination order, the view itself, for the
+    constructor, `_from_sorted` and `parse_dfa`.  A system in input order
+    builds the view on its first read of `in_src`, `in_letter` or
+    `in_offsets`, by one stable counting sort, and then keeps it; readers
+    that need no grouping (`init_refine`, the stability pass) read the
+    storage order through `_stored`.  Equality compares the views and the
+    names.  Instances are immutable after construction, apart from that
+    one-time view build, and safe to share between threads: the build is
+    idempotent, and one attribute assignment publishes it, so threads that
+    race to it only build equal lists twice.
 
     Only the parsers and `normalize` check names; the constructor trusts its fields.
     """
 
-    n: int
-    k: int
-    m: int
-    in_src: list[int]
-    in_letter: list[int]
-    in_offsets: list[int]
-    state_names: list[str]
-    letter_names: list[str]
+    def __init__(self, n: int, k: int, m: int, in_src: list[int], in_letter: list[int],
+                 in_offsets: list[int], state_names: list[str], letter_names: list[str]):
+        self.n, self.k, self.m = n, k, m
+        self.state_names, self.letter_names = state_names, letter_names
+        self._columns = (in_src, in_letter, None)  # no destination column: stored grouped
+        self._view: tuple[list[int], list[int], list[int]] | None = (in_src, in_letter, in_offsets)
 
     @classmethod
     def _from_columns(
         cls,
-        src: Sequence[int],
-        letter: Sequence[int],
-        dst: Sequence[int],
+        src: list[int],
+        letter: list[int],
+        dst: list[int],
         state_names: list[str],
         letter_names: Sequence[str],
     ) -> "NormalizedDlts":
-        """Encode `_encode`'s (source, letter, destination) index columns.
+        """Encode `_encode`'s (source, letter, destination) index columns, kept in input order.
 
-        The transitions are grouped by destination in one stable counting-sort
-        pass, so each incoming slice keeps input order, and `_from_sorted`
-        encodes them: O(m + n) time, two columns of length m and one slot
-        array of length n.  Raises LtsError if a destination is outside 0..n-1.
+        Unused letters are dropped, as in `_from_sorted`; the view is built on
+        first read.  Raises LtsError if a destination is outside 0..n-1.
         """
-        n, m = len(state_names), len(dst)
-        per_dst = Counter(dst)
-        in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
-        del per_dst
-        if in_offsets[-1] != m:  # the offsets count only destinations in 0..n-1
+        n = len(state_names)
+        if dst and (min(dst) < 0 or max(dst) >= n):
             bad = next(d for d in dst if d not in range(n))
             raise LtsError(f"destination state index {bad!r} out of range")
-        in_src = [0] * m
-        in_letter = [0] * m
-        slot = in_offsets[:-1]  # the next free position of each destination
-        for s, a, d in zip(src, letter, dst):
-            t = slot[d]
-            slot[d] = t + 1
-            in_src[t] = s
-            in_letter[t] = a
-        return cls._from_sorted(in_src, in_letter, in_offsets, state_names, letter_names)
+        letter, kept = _used_letters(letter, letter_names)
+        T = cls.__new__(cls)
+        T.n, T.k, T.m = n, len(kept), len(src)
+        T.state_names, T.letter_names = state_names, kept
+        T._columns = (src, letter, dst)
+        T._view = None
+        return T
 
     @classmethod
     def _from_sorted(
@@ -149,23 +156,94 @@ class NormalizedDlts:
         Unused letters are dropped, keeping the order of the others.  The
         result may keep the given lists as its own.
         """
-        used = set(in_letter)
-        is_used = list(map(used.__contains__, range(len(letter_names))))
-        if len(used) < len(letter_names):
-            new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
-            in_letter = list(map(new_letter.__getitem__, in_letter))
-        kept = list(compress(letter_names, is_used))
-        n, k, m = len(state_names), len(kept), len(in_src)
-        return cls(n, k, m, in_src, in_letter, in_offsets, state_names, kept)
+        in_letter, kept = _used_letters(in_letter, letter_names)
+        return cls(len(state_names), len(kept), len(in_src), in_src, in_letter, in_offsets,
+                   state_names, kept)
+
+    def _grouped_view(self) -> tuple[list[int], list[int], list[int]]:
+        view = self._view
+        if view is None:
+            src, letter, dst = self._columns
+            view = self._view = _grouped(src, letter, dst, self.n)
+        return view
+
+    @property
+    def in_src(self) -> list[int]:
+        return self._grouped_view()[0]
+
+    @property
+    def in_letter(self) -> list[int]:
+        return self._grouped_view()[1]
+
+    @property
+    def in_offsets(self) -> list[int]:
+        return self._grouped_view()[2]
+
+    def _stored(self) -> tuple[list[int], list[int], Iterable[int]]:
+        """The source, letter and destination columns in storage order.
+
+        The destinations of a system stored grouped come expanded from its
+        offsets, as an iterator; the view is never built here.
+        """
+        src, letter, dst = self._columns
+        return src, letter, _expanded(self._view[2]) if dst is None else dst
 
     def destinations(self) -> list[int]:
-        """The destination of each transition, expanded from `in_offsets`."""
-        offsets = self.in_offsets
-        return list(chain.from_iterable(map(repeat, range(self.n), map(sub, offsets[1:], offsets))))
+        """The destination of each transition of the view, expanded from `in_offsets`."""
+        return list(_expanded(self.in_offsets))
 
     def triples(self) -> list[tuple[int, int, int]]:
-        """(source, letter, destination) per transition, in storage order; built on demand."""
+        """(source, letter, destination) per transition, in view order; built on demand."""
         return list(zip(self.in_src, self.in_letter, self.destinations()))
+
+    def _fields(self) -> tuple:
+        return (self.n, self.k, self.m, *self._grouped_view(), self.state_names, self.letter_names)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        names = ("n", "k", "m", "in_src", "in_letter", "in_offsets", "state_names", "letter_names")
+        return "NormalizedDlts({})".format(
+            ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields())))
+
+
+def _used_letters(letter: list[int], letter_names: Sequence[str]) -> tuple[list[int], list[str]]:
+    """`letter` renumbered over the letters it uses, and their names, in their order."""
+    used = set(letter)
+    is_used = list(map(used.__contains__, range(len(letter_names))))
+    if len(used) < len(letter_names):
+        new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
+        letter = list(map(new_letter.__getitem__, letter))
+    return letter, list(compress(letter_names, is_used))
+
+
+def _expanded(offsets: list[int]) -> Iterator[int]:
+    """Each state q repeated offsets[q + 1] - offsets[q] times, in state order."""
+    return chain.from_iterable(map(repeat, count(), map(sub, offsets[1:], offsets)))
+
+
+def _grouped(src: Sequence[int], letter: Sequence[int], dst: Sequence[int], n: int):
+    """The (in_src, in_letter, in_offsets) view of valid columns: the transitions
+    grouped by destination in one stable counting-sort pass, so each incoming
+    slice keeps storage order.  O(m + n) time, two columns of length m and
+    one slot array of length n."""
+    per_dst = Counter(dst)
+    in_offsets = list(accumulate(map(per_dst.get, range(n), repeat(0)), initial=0))
+    del per_dst
+    in_src = [0] * len(dst)
+    in_letter = [0] * len(dst)
+    slot = in_offsets[:-1]  # the next free position of each destination
+    for s, a, d in zip(src, letter, dst):
+        t = slot[d]
+        slot[d] = t + 1
+        in_src[t] = s
+        in_letter[t] = a
+    return in_src, in_letter, in_offsets
 
 
 @dataclass
@@ -229,7 +307,7 @@ def _bad_name(names: Sequence[str], distinct: bool, what: str) -> tuple[int, str
 
 
 def normalize(raw: RawLts | NormalizedDlts) -> NormalizedDlts:
-    """Validate `raw` and encode it: used-only alphabet, destination-sorted transitions.
+    """Validate `raw` and encode it: used-only alphabet, transitions kept in input order.
 
     States without any incident transition are retained: the index space is
     identical to the declaration order of `raw.states`.  Raises
@@ -509,12 +587,15 @@ def _transition_line(text: str, i: int) -> int:
     """The line number of the i-th transition line, counted from 0.  Only errors need it,
     so the transition rows are counted again, one piece at a time."""
     lines_before = 0
-    for rows in map(_split, _pieces(text)):
+    for piece in _pieces(text):
+        rows = _split(piece)
         odd = set(_odd_rows(rows))
-        if i < len(rows) - len(odd):
+        lines = len(rows)
+        del rows  # before the next piece is split
+        if i < lines - len(odd):
             return lines_before + next(islice(filterfalse(odd.__contains__, count()), i, None)) + 1
-        i -= len(rows) - len(odd)
-        lines_before += len(rows)
+        i -= lines - len(odd)
+        lines_before += lines
 
 
 def _parse(text: str, kind: str):
@@ -620,7 +701,12 @@ def parse_dfa(text: str) -> Dfa:
             if tokens[i] not in state_index:
                 raise _error_at(text, f"undeclared state {tokens[i]!r}", lineno, i)
         named[word] = list(map(state_index.__getitem__, tokens[1:]))
-    dlts = _encoded(*encoding)
+    state_names, letter_names, columns, forks = encoding
+    if forks:
+        raise NondeterminismError(forks)
+    # Every reader of a `Dfa` reads incoming transitions, so it is stored grouped at once.
+    view = _grouped(*columns, len(state_names))
+    dlts = NormalizedDlts._from_sorted(*view, state_names, letter_names)
     return Dfa(dlts=dlts, initial=next(iter(named["initial:"]), None), finals=set(named["finals:"]))
 
 

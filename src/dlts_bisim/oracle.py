@@ -85,6 +85,26 @@ def is_bisimulation(blocks: PartitionView, T: NormalizedDlts) -> bool:
     return _preimages_are_unions(_pre_maps(T), blocks, blocks, block_of)
 
 
+def stable_by_signatures(T: NormalizedDlts, block_of: Sequence[int]) -> bool:
+    """Whether the partition with block ids `block_of` is a bisimulation of `T`.
+
+    Each state's key is its block and the sorted (letter, successor block)
+    pairs of its outgoing transitions; the partition is stable exactly when
+    every block holds one key.  That also requires the states of a block to
+    share one set of outgoing letters.  Linear in m and n up to the sort of
+    each state's at most k pairs, so it certifies results at any n.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(T.n)]
+    for src, a, dst in T.triples():
+        pairs[src].append((a, block_of[dst]))
+    key_of_block: dict[int, tuple[tuple[int, int], ...]] = {}
+    for q, out in enumerate(pairs):
+        key = tuple(sorted(out))
+        if key_of_block.setdefault(block_of[q], key) != key:
+            return False
+    return True
+
+
 def _split_all(blocks: PartitionView, x: set[int]) -> tuple[PartitionView, bool]:
     out: PartitionView = []
     changed = False

@@ -145,11 +145,13 @@ def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition,
                                 letters: list[int] | None = None) -> RefinablePartition:
     """Pre-refinement the long way: a copy of `p` split by each letter's
     sources in turn, in letter order, one `split` call per letter; only by
-    `letters` when given."""
+    `letters` when given.  Sources are bucketed in storage order, as
+    `init_refine` buckets them."""
     q = p.copy()
     buckets: list[list[int]] = [[] for _ in range(T.k)]
-    for a, src in zip(T.in_letter, T.in_src):
-        buckets[a].append(src)
+    src, letter, _dst = T._stored()
+    for a, s in zip(letter, src):
+        buckets[a].append(s)
     for a in range(T.k) if letters is None else letters:
         q.split(buckets, [a], [True] * q.block_count, [], [])
     return q

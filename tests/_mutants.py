@@ -45,6 +45,8 @@ _DEBUG_CHECKS = "tests/test_acceptance.py::test_criterion_4_debug_invariants_nev
 _STABILITY_PASS = "tests/test_bisim.py::test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus"
 _STABILITY_PROPERTY = (
     "tests/test_bisim.py::test_loop_runs_exactly_when_the_prerefinement_is_not_a_bisimulation")
+_DEBUG_ABOVE_LIMIT = ("tests/test_bisim.py::"
+                      "test_debug_runs_above_the_assertion_limit_reject_an_accept_all_stability_pass")
 
 
 class Mutant(NamedTuple):
@@ -74,7 +76,7 @@ MUTANTS = {
     # A transition error's line is looked up one piece too late when the transition
     # is the first of the next piece.
     "transition-line-off-by-one": Mutant(
-        "lts", "if i < len(rows) - len(odd):", "if i <= len(rows) - len(odd):",
+        "lts", "if i < lines - len(odd):", "if i <= lines - len(odd):",
         _SMALL_PIECES),
     # A piece that holds a `#` can be read as plain, so a comment glued to a token joins its name.
     "plain-piece-keeps-comment": Mutant(
@@ -126,16 +128,27 @@ MUTANTS = {
     # The stability pass after pre-refinement accepts every partition, so the loop never runs.
     "stability-accepts-all": Mutant(
         "bisim", "return all(map(eq, map(first_target.setdefault, keys, targets), expected))",
-        "return True", [_STABILITY_PASS, _STABILITY_PROPERTY, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+        "return True",
+        [_STABILITY_PASS, _STABILITY_PROPERTY, _REFERENCE_CORPUS, _DEBUG_CHECKS, _DEBUG_ABOVE_LIMIT]),
     # The stability pass keys each transition by its source's block alone.
     "stability-key-drops-letter": Mutant(
-        "bisim", "keys = zip(map(block_of.__getitem__, T.in_src), T.in_letter)",
-        "keys = map(block_of.__getitem__, T.in_src)", [_STABILITY_PASS, _STABILITY_PROPERTY]),
+        "bisim", "keys = zip(map(block_of.__getitem__, src), letter)",
+        "keys = map(block_of.__getitem__, src)", [_STABILITY_PASS, _STABILITY_PROPERTY]),
     # The stability pass compares each (block, letter) pair's first target with the
     # source's block instead of the destination's.
     "stability-compares-source-block": Mutant(
-        "bisim", "targets), expected))", "targets), map(block_of.__getitem__, T.in_src)))",
+        "bisim", "targets), expected))", "targets), map(block_of.__getitem__, src)))",
         [_STABILITY_PASS, _STABILITY_PROPERTY]),
+    # Pre-refinement buckets the sources in the view's destination order, which it builds.
+    "init-refine-reads-view": Mutant(
+        "bisim", "src, letter, _dst = T._stored()", "src, letter = T.in_src, T.in_letter",
+        ["tests/test_bisim.py::test_a_stable_text_path_never_groups_by_destination"]),
+    # Pre-refinement buckets the sources in the view's order once the view is built, so
+    # a run's layout depends on the runs before it.
+    "init-refine-reads-view-once-built": Mutant(
+        "bisim", "src, letter, _dst = T._stored()",
+        "src, letter, _dst = (T.in_src, T.in_letter, None) if T._view else T._stored()",
+        ["tests/test_bisim.py::test_runs_do_not_depend_on_whether_the_view_was_built"]),
     # `split` moves a state that a bucket repeats once per occurrence.
     "split-moves-repeats": Mutant(
         "partition", "if i < boundary:", "if False:",

@@ -16,11 +16,14 @@ from dlts_bisim import (
     ScanStats,
     canonical_view,
     dbisim,
+    format_dlts,
+    format_partition,
     gen_random_dlts,
     init_refine,
     is_bisimulation,
     naive_fixpoint,
     normalize,
+    parse_lts,
 )
 
 from _canon import (
@@ -251,7 +254,7 @@ def test_per_transition_counts_are_pinned(monkeypatch):
          [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2, 2, 2, 1, 1, 1, 1, 1,
           1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1], 13, 21,
          [10, 19, 0, 4, 2, 20, 21, 5, 23, 18, 1, 11, 13, 22, 17, 14, 15, 8, 16, 7, 3, 9, 6, 12],
-         [13, 6, 4, 17, 18, 16, 0, 5, 11, 3, 8, 9, 0, 9, 1, 10, 19, 20, 15, 12, 7, 2, 20, 14]),
+         [13, 5, 4, 17, 18, 16, 0, 6, 11, 3, 8, 9, 0, 9, 1, 10, 19, 20, 15, 12, 7, 2, 20, 14]),
         (T_complete, random_halves,
          [2, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2,
           1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 0, 0, 2, 2, 2, 1], 16, 23,
@@ -422,6 +425,68 @@ def test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus():
     assert verdicts["merged", False]
 
 
+def _replicated_text(r, seed):
+    """A `dlts` text of a base DLTS (0 -a-> 1, 0 -b-> 0, 1 -a-> 0) copied into r
+    replicas under shuffled state ids, one line per transition in shuffled
+    order.  Its pre-refinement, by outgoing letter set, is already stable."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(2 * r), 2 * r)
+    sigma = {a: rng.sample(range(r), r) for a in "ab"}
+    base = [(0, "a", 1), (0, "b", 0), (1, "a", 0)]
+    lines = [f"{ids[i * r + j]} {a} {ids[d * r + sigma[a][j]]}" for i, a, d in base for j in range(r)]
+    rng.shuffle(lines)
+    return f"dlts {2 * r}\n" + "\n".join(lines) + "\n"
+
+
+def test_a_stable_text_path_never_groups_by_destination(monkeypatch):
+    # Only the loop reads incoming transitions; pre-refinement and the
+    # stability pass read the storage order, so the `bisim <file>` path
+    # builds no destination-grouped view when the loop does not run.
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "0")
+    builds = []
+    grouped = dlts_bisim.lts._grouped
+
+    def spy(src, letter, dst, n):
+        builds.append(n)
+        return grouped(src, letter, dst, n)
+
+    monkeypatch.setattr(dlts_bisim.lts, "_grouped", spy)
+    text = _replicated_text(8, seed=30)
+    T = parse_lts(text)
+    stats = ScanStats()
+    result = dbisim(T, RefinablePartition.from_initial(T.n, [range(T.n)]), stats)
+    written = format_partition(result.to_canonical(), T.state_names)
+    assert builds == []
+    assert (stats.transitions_scanned, stats.blocks_final, len(written.splitlines())) == (0, 2, 2)
+    # The view is built on first read, once, and it is not the input order.
+    assert T.in_src and T.in_letter and T.in_offsets and T.triples()
+    assert builds == [16]
+    assert format_dlts(T).splitlines()[3:] != text.splitlines()[1:]
+
+
+def test_runs_do_not_depend_on_whether_the_view_was_built(monkeypatch):
+    # Pre-refinement buckets in storage order, so a second run on a system
+    # whose first run built its view, and a run on a system whose view was
+    # forced first, give the first run's layouts and counters.
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "0")
+
+    def run(T, p_view):
+        stats = ScanStats.detailed(T.m)
+        p = dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats)
+        return partition_arrays(p), stats
+
+    configs = [GenConfig(n=24, k=3, density=0.6, seed=3)]
+    configs += [GenConfig(n=40, k=3, density=0.5, seed=seed) for seed in range(5)]
+    for cfg in configs:
+        T, p_view = gen_random_dlts(cfg)
+        first = run(T, p_view)
+        assert first[1].transitions_scanned > 0, cfg  # the loop ran and built the view
+        assert run(T, p_view) == first, cfg
+        forced, _ = gen_random_dlts(cfg)
+        assert forced.in_offsets
+        assert run(forced, p_view) == first, cfg
+
+
 @st.composite
 def replicated_products(draw):
     """The text-collapse construction at tiny sizes, from the full partition.
@@ -509,7 +574,7 @@ def test_debug_mode_checks_the_result_above_the_assertion_limit(monkeypatch):
     odd_one_out = RefinablePartition.from_initial(600, [{0}, set(range(1, 600))])
     cases = [
         (RefinablePartition, "split", split_only_the_first_block, _chain(513), _full(513),
-         "leads into two blocks"),
+         "differ in their \\(letter, successor block\\) pairs"),
         (dlts_bisim.bisim, "init_refine", lambda T, p: original_init_refine(T, _full(T.n)),
          cycle, odd_one_out, "meets two blocks of the initial partition"),
     ]
@@ -521,6 +586,23 @@ def test_debug_mode_checks_the_result_above_the_assertion_limit(monkeypatch):
             m.setenv("DLTS_BISIM_DEBUG", "1")
             with pytest.raises(AssertionError, match=message):
                 dbisim(T, p_init)
+
+
+def test_debug_runs_above_the_assertion_limit_reject_an_accept_all_stability_pass(monkeypatch):
+    # The result check certifies stability with the oracle's signatures,
+    # independently of the pass that ends a run early: a pass that accepts
+    # every partition returns an unstable pre-refinement, which debug runs
+    # reject above n = 512 too.
+    T, _ = gen_random_dlts(GenConfig(n=600, k=2, density=0.9, seed=1, max_blocks=1))
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    result = dbisim(T, _full(T.n))
+    assert is_bisimulation(_blocks(result.block_of), T)
+    monkeypatch.setattr(dlts_bisim.bisim, "_is_stable", lambda T, block_of: True)
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "0")
+    assert not is_bisimulation(_blocks(dbisim(T, _full(T.n)).block_of), T)
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    with pytest.raises(AssertionError, match="differ in their"):
+        dbisim(T, _full(T.n))
 
 
 # --- the smaller-half rule is what gives the log bound ---------------------

@@ -548,6 +548,18 @@ def test_format_round_trips():
     assert again_dfa.initial == 0 and again_dfa.finals == {0}
 
 
+def test_a_system_in_input_order_equals_its_round_trip():
+    # `parse_lts` keeps the input order and `format_dlts` writes the view's
+    # destination order; equality compares the views and the names.
+    text = "dlts 3\nstates: x y z\nx a y\ny a x\nz b x\ny b z\n"
+    T = parse_lts(text)
+    written = format_dlts(T)
+    assert written.splitlines()[3:] == ["y a x", "z b x", "x a y", "y b z"]
+    again = parse_lts(written)
+    assert again == T and T == again
+    assert parse_lts(text.replace("z b x", "z b y")) != T
+
+
 def test_parse_partition():
     names = ["q0", "q1", "q2"]
     assert parse_partition("q0 q2\nq1\n", names) == [{0, 2}, {1}]

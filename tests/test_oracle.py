@@ -20,6 +20,8 @@ from dlts_bisim import (
     normalize,
 )
 
+from dlts_bisim.oracle import stable_by_signatures
+
 from _canon import assert_coarsest, dfa_language_equivalent, letter_signature_blocks, refines
 
 
@@ -81,6 +83,43 @@ def test_naive_fixpoint_refines_letter_signatures():
         T, p_init = gen_random_dlts(cfg)
         result = naive_fixpoint(T, p_init)
         assert refines(result, letter_signature_blocks(T, p_init))
+
+
+def _block_of(blocks, n):
+    block_of = [0] * n
+    for b, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = b
+    return block_of
+
+
+def test_stability_certificate_agrees_with_is_bisimulation():
+    # The coarsest bisimulation is stable; the initial partition, one block
+    # and the coarsest one with two blocks merged are judged both ways.
+    rng = random.Random(2030)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        cfg = GenConfig(n=rng.randint(1, 25), k=rng.randint(1, 4),
+                        density=rng.choice([0.2, 0.5, 0.9]), seed=rng.randrange(2**63))
+        T, p_view = gen_random_dlts(cfg)
+        coarsest = naive_fixpoint(T, p_view)
+        candidates = [coarsest, p_view, [set(range(T.n))]]
+        candidates += [[b | c] + coarsest[:i] + coarsest[i + 2:]
+                       for i, (b, c) in enumerate(zip(coarsest, coarsest[1:]))]
+        assert stable_by_signatures(T, _block_of(coarsest, T.n))
+        for blocks in candidates:
+            verdict = stable_by_signatures(T, _block_of(blocks, T.n))
+            assert verdict == is_bisimulation(blocks, T), (cfg, blocks)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 100
+
+
+def test_stability_certificate_checks_the_letter_sets():
+    # Every (block, letter) pair leads into one block, yet state 1 has no
+    # move on `a`: two signatures in one block.
+    T = normalize(RawLts(["p", "q"], ["a"], [("p", "a", "q")]))
+    assert not stable_by_signatures(T, [0, 0])
+    assert stable_by_signatures(T, [0, 1])
 
 
 def test_gen_density_extremes():
