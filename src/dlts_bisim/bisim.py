@@ -23,13 +23,13 @@ from itertools import tee
 from operator import eq
 
 from .lts import NormalizedDlts
-from .oracle import InvariantChecker, stable_by_signatures
+from .oracle import canonical_view, naive_fixpoint, stable_by_signatures
 from .partition import PartitionError, RefinablePartition
 
 DEBUG_ENV = "DLTS_BISIM_DEBUG"
 
-# The brute-force per-iteration assertions are quadratic-ish; above this size
-# they would dominate the run without telling us anything new.
+# The set-based coarsest check runs `naive_fixpoint`, about O(k n^3); above
+# this size it would dominate the run, so debug runs skip it there.
 _DEBUG_ASSERT_MAX_N = 512
 
 
@@ -61,7 +61,7 @@ class ScanStats:
 
 
 def debug_enabled() -> bool:
-    """Whether DLTS_BISIM_DEBUG=1 asks for the engine's invariant checks."""
+    """Whether DLTS_BISIM_DEBUG=1 asks for the engine's result checks."""
     return os.environ.get(DEBUG_ENV, "") == "1"
 
 
@@ -102,25 +102,53 @@ def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
     every refinement of `init_refine`'s result, this is stability: the
     partition is a bisimulation.  One pass over the transitions in storage
     order, which builds no grouped view, stops at the first pair that leads
-    into a second block; it keeps one dict entry per (block, letter) pair seen.
+    into a second block.  It keeps one dict per letter, with one entry per
+    source block seen, keyed by the block's int id, so it builds no key.
     """
     src, letter, dst = T._stored()
     # Each transition's destination block, read twice in step.
     targets, expected = tee(map(block_of.__getitem__, dst))
-    keys = zip(map(block_of.__getitem__, src), letter)
-    first_target: dict[tuple[int, int], int] = {}
-    return all(map(eq, map(first_target.setdefault, keys, targets), expected))
+    first_target: list[dict[int, int]] = [{} for _ in range(T.k)]
+    tables = map(first_target.__getitem__, letter)
+    sources = map(block_of.__getitem__, src)
+    return all(map(eq, map(dict.setdefault, tables, sources, targets), expected))
 
 
-def _check_result(T: NormalizedDlts, p_init: RefinablePartition, p: RefinablePartition) -> None:
-    """Debug runs at any n: the result must be stable, by the oracle's certificate, which
-    shares no code with `_is_stable`, and refine `p_init`, in O(m log k + n)."""
+def _check_result(T: NormalizedDlts, p_init: RefinablePartition, p: RefinablePartition,
+                  visits: list[int] | None, iterations: int) -> None:
+    """Debug runs: certify the result `p` of a run from `p_init`.
+
+    At any n the result must be stable, by the oracle's certificate, which
+    shares no code with `_is_stable`, and refine `p_init`.  When the loop
+    ran, with `visits` scans of each state over `iterations` iterations, no
+    state may have been scanned more than floor(log2 n) + 1 times, and the
+    loop must have taken exactly one iteration per block of the result but
+    one: each iteration detaches one block from a range of at least two, and
+    each split adds one block to a range, so a lost or duplicated range
+    breaks the count.  Up to n = 512 the result must also be the coarsest
+    such partition, by `naive_fixpoint`; above that a one-line notice on
+    stderr says that this check is skipped.
+    """
     if not stable_by_signatures(T, p.block_of):
         raise AssertionError(
             "two states of a block of the result differ in their (letter, successor block) pairs")
     enclosing: dict[int, int] = {}
     if not all(map(eq, map(enclosing.setdefault, p.block_of, p_init.block_of), p_init.block_of)):
         raise AssertionError("a block of the result meets two blocks of the initial partition")
+    if visits is not None:
+        if max(visits) > T.n.bit_length():
+            raise AssertionError(f"a state was scanned more than {T.n.bit_length()} times")
+        if iterations != p.block_count - 1:
+            raise AssertionError(
+                f"the loop took {iterations} iterations for {p.block_count} blocks")
+    if T.n > _DEBUG_ASSERT_MAX_N:
+        print(f"{DEBUG_ENV}: coarsest-partition check skipped, n={T.n} > "
+              f"{_DEBUG_ASSERT_MAX_N}; the other result checks ran", file=sys.stderr)
+        return
+    init_blocks = [set(p_init.block_members(b)) for b in range(p_init.block_count)]
+    if p.to_canonical() != canonical_view(naive_fixpoint(T, init_blocks)):
+        raise AssertionError(
+            "the result is not the coarsest bisimulation refining the initial partition")
 
 
 def dbisim(
@@ -130,10 +158,9 @@ def dbisim(
 
     `p_init` is left untouched.  Counters accumulate into `stats` when given,
     per transition too if it comes from `ScanStats.detailed` (ValueError if
-    not one per transition of `T`).  DLTS_BISIM_DEBUG=1 checks the result at
-    any n; for n <= 512 it also runs `InvariantChecker` at every loop head
-    and on the result, and above that the loop prints a one-line notice on
-    stderr that it skips those per-iteration checks.
+    not one per transition of `T`).  DLTS_BISIM_DEBUG=1 certifies the result
+    and the loop's work with `_check_result`, which raises AssertionError on
+    a fault and names on stderr the check it skips above n = 512.
     """
     stats = ScanStats() if stats is None else stats
     counts = stats.per_transition_counts
@@ -142,31 +169,23 @@ def dbisim(
 
     p = init_refine(T, p_init)
     debug = debug_enabled()
-    checker = None
-    if debug and T.n <= _DEBUG_ASSERT_MAX_N:
-        checker = InvariantChecker(T, p_init)
     # Pre-refinement leaves each block one set of outgoing letters and only
     # separates states that cannot be bisimilar, so a stable pre-refined
     # partition is already the coarsest bisimulation refining p_init.
     if p.block_count <= 1 or _is_stable(T, p.block_of):
-        if checker is not None:
-            # No loop head: the checker sees the result once, with no pending range.
-            checker.check(p, [], [False] * p.block_count, [], [])
         if debug:
-            _check_result(T, p_init, p)
+            _check_result(T, p_init, p, None, 0)
         stats.blocks_final = p.block_count
         return p
-
-    if debug and checker is None:
-        print(f"{DEBUG_ENV}: per-iteration invariant checks skipped, n={T.n} > "
-              f"{_DEBUG_ASSERT_MAX_N}; the result is checked", file=sys.stderr)
 
     A, block_of, left, right, settled = p.A, p.block_of, p.left, p.right, p.settled
     split = p.split
     in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
-    # Counted runs tally scans per state and expand them per transition after
-    # the loop: every scan of q visits each incoming transition of q once.
-    visits = [0] * T.n if counts is not None else None
+    # Counted and debug runs tally scans per state, and iterations; counted
+    # runs expand the tallies per transition after the loop, since every scan
+    # of q visits each incoming transition of q once.
+    visits = [0] * T.n if counts is not None or debug else None
+    iterations = 0
     # Pending splitters: disjoint ranges [los[i], his[i]) over A, each
     # spanning at least two whole blocks; popped LIFO.  in_union[b] says
     # whether block b lies inside one of them; every block starts inside the
@@ -180,9 +199,6 @@ def dbisim(
     split_calls = 0
 
     while los:
-        if checker is not None:
-            checker.check(p, list(zip(los, his)), in_union, buckets, touched)
-
         lo, hi = los[-1], his[-1]
         # Detach the smaller end block, the leftmost on a tie: either keeps
         # the rest of the range contiguous.
@@ -208,6 +224,7 @@ def dbisim(
         else:
             side = A[mid:hi]
         if visits is not None:
+            iterations += 1
             for q in side:
                 visits[q] += 1
         # Each source lands in its letter's bucket at most once, because the
@@ -231,11 +248,9 @@ def dbisim(
             split(buckets, touched, in_union, los, his)
             touched.clear()
 
-    if checker is not None:
-        checker.check(p, list(zip(los, his)), in_union, buckets, touched)
     if debug:
-        _check_result(T, p_init, p)
-    if visits is not None:
+        _check_result(T, p_init, p, visits, iterations)
+    if counts is not None:
         for q, v in enumerate(visits):
             for t in range(in_off[q], in_off[q + 1]):
                 counts[t] += v

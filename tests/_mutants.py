@@ -127,13 +127,13 @@ MUTANTS = {
          "tests/test_bisim.py::test_init_refine_leaves_the_layout_to_the_partial_letters"]),
     # The stability pass after pre-refinement accepts every partition, so the loop never runs.
     "stability-accepts-all": Mutant(
-        "bisim", "return all(map(eq, map(first_target.setdefault, keys, targets), expected))",
+        "bisim", "return all(map(eq, map(dict.setdefault, tables, sources, targets), expected))",
         "return True",
         [_STABILITY_PASS, _STABILITY_PROPERTY, _REFERENCE_CORPUS, _DEBUG_CHECKS, _DEBUG_ABOVE_LIMIT]),
     # The stability pass keys each transition by its source's block alone.
     "stability-key-drops-letter": Mutant(
-        "bisim", "keys = zip(map(block_of.__getitem__, src), letter)",
-        "keys = map(block_of.__getitem__, src)", [_STABILITY_PASS, _STABILITY_PROPERTY]),
+        "bisim", "tables = map(first_target.__getitem__, letter)",
+        "tables = first_target[:1] * len(letter)", [_STABILITY_PASS, _STABILITY_PROPERTY]),
     # The stability pass compares each (block, letter) pair's first target with the
     # source's block instead of the destination's.
     "stability-compares-source-block": Mutant(
@@ -162,7 +162,8 @@ MUTANTS = {
     "split-leaves-union-flag": Mutant(
         "partition", "in_union[b] = True", "pass",
         [_SPLIT_REFERENCE, _FLAGGED_SPLIT, _DEBUG_CHECKS,
-         "tests/test_acceptance.py::test_criterion_3_scan_counter_bound_and_scaling"]),
+         "tests/test_acceptance.py::test_criterion_3_scan_counter_bound_and_scaling",
+         "tests/test_bisim.py::test_debug_runs_count_one_iteration_per_block_but_one"]),
     # `split` leaves each bucket it splits by filled.
     "split-keeps-buckets": Mutant(
         "partition", "bucket.clear()", "pass",

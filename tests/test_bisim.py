@@ -295,41 +295,32 @@ def test_dbisim_detaches_the_smaller_end_block(monkeypatch):
 def test_loop_buckets_no_settled_source(monkeypatch):
     # A source in a one-state block cannot split, so the loop leaves it out
     # of the buckets, and an iteration whose sources are all settled makes
-    # no split call.  Loop heads are counted through the debug checker hook;
-    # a split call before the first head is the pre-refinement's.
-    heads = []
-
-    class CountingChecker:
-        def __init__(self, T, p_init):
-            pass
-
-        def check(self, *args):
-            heads.append(None)
-
+    # no split call.  Each iteration unflags the block it detaches before it
+    # calls `split`, so a call whose flags are all set is the
+    # pre-refinement's.  Debug runs hold the loop to exactly one iteration
+    # per block of the result but one.
     calls = []
     original = RefinablePartition.split
 
     def recording_split(self, buckets, letters, in_union, los, his):
         letters = list(letters)
-        if heads:
+        if not all(in_union):
             calls.append([list(buckets[a]) for a in letters])
             assert not any(self.settled[x] for a in letters for x in buckets[a])
         return original(self, buckets, letters, in_union, los, his)
 
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
-    monkeypatch.setattr(dlts_bisim.bisim, "InvariantChecker", CountingChecker)
     monkeypatch.setattr(RefinablePartition, "split", recording_split)
     T_complete, _ = gen_random_dlts(GenConfig(n=48, k=2, density=1.0, seed=7))
     order = random.Random(7).sample(range(48), 48)
     for T_case, p_view in [(_chain(16), [set(range(16))]),
                            (T_complete, [set(order[:24]), set(order[24:])])]:
-        heads.clear()
         calls.clear()
         stats = ScanStats()
         result = dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
         check_consistency(result)
         assert result.to_canonical() == canonical_view(naive_fixpoint(T_case, p_view))
-        iterations = len(heads) - 1  # the checker also runs once after the loop
+        iterations = result.block_count - 1
         assert all(any(buckets) for buckets in calls)
         assert sum(map(len, calls)) == stats.split_calls
         assert 0 < len(calls) < iterations
@@ -527,14 +518,14 @@ def test_loop_runs_exactly_when_the_prerefinement_is_not_a_bisimulation(case):
 
 
 def test_debug_mode_follows_environment(monkeypatch, capsys):
-    # The switch turns on the checks (or the notice that skips the
-    # per-iteration ones) and nothing else: a plain ScanStats gets no
+    # The switch turns on the checks (and the notice that skips the
+    # coarsest-partition one) and nothing else: a plain ScanStats gets no
     # per-transition counters.
     for debug, notices in (("0", 0), ("1", 1)):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
         stats = ScanStats()
         dbisim(_chain(513), _full(513), stats)
-        assert capsys.readouterr().err.count("per-iteration invariant checks skipped") == notices
+        assert capsys.readouterr().err.count("coarsest-partition check skipped") == notices
         assert stats.per_transition_counts is None
         assert stats.transitions_scanned > 0
 
@@ -543,21 +534,22 @@ def test_debug_mode_reports_skipped_checks(monkeypatch, capsys):
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     dbisim(_chain(8), _full(8))
     assert capsys.readouterr().err == ""  # small enough: checked, nothing to say
+    notice = ("DLTS_BISIM_DEBUG: coarsest-partition check skipped, n={} > 512; "
+              "the other result checks ran\n")
     dbisim(_chain(513), _full(513))
-    assert capsys.readouterr().err == (
-        "DLTS_BISIM_DEBUG: per-iteration invariant checks skipped, n=513 > 512; "
-        "the result is checked\n")
-    # Stable after pre-refinement: no iteration runs, so nothing is skipped.
+    assert capsys.readouterr().err == notice.format(513)
+    # Stable after pre-refinement: no iteration runs, and the result still
+    # goes unchecked for coarsest-ness.
     cycle = _dlts(600, [(i, "a", (i + 1) % 600) for i in range(600)], letters=("a",))
     parity = [set(range(0, 600, 2)), set(range(1, 600, 2))]
     stats = ScanStats()
     assert dbisim(cycle, RefinablePartition.from_initial(600, parity), stats).block_count == 2
     assert stats.transitions_scanned == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == notice.format(600)
 
 
 def test_debug_mode_checks_the_result_above_the_assertion_limit(monkeypatch):
-    # Past n = 512 the per-iteration invariants are skipped, yet debug runs
+    # Past n = 512 the coarsest-partition check is skipped, yet debug runs
     # still reject a result that is not stable (the loop's splits do
     # nothing) or that does not refine the initial partition (pre-refinement
     # starts from one block); plain runs return both.
@@ -586,6 +578,34 @@ def test_debug_mode_checks_the_result_above_the_assertion_limit(monkeypatch):
             m.setenv("DLTS_BISIM_DEBUG", "1")
             with pytest.raises(AssertionError, match=message):
                 dbisim(T, p_init)
+
+
+def test_debug_runs_count_one_iteration_per_block_but_one(monkeypatch):
+    # A split that pushes a block's range but leaves the block unflagged lets
+    # a later split of that block push an overlapping range.  The result is
+    # still right, as every range is a union of blocks, but the loop takes
+    # more iterations than the blocks it creates, which debug runs reject.
+    original = RefinablePartition.split
+
+    def split_leaving_union_flags(self, buckets, letters, in_union, los, his):
+        for a in list(letters):
+            unflagged = [b for b, flag in enumerate(in_union) if not flag]
+            original(self, buckets, [a], in_union, los, his)
+            for b in unflagged:
+                in_union[b] = False
+
+    T, p_view = gen_random_dlts(GenConfig(n=8, k=2, density=0.8, seed=1, max_blocks=2))
+    want = canonical_view(naive_fixpoint(T, p_view))
+    honest = ScanStats()
+    assert dbisim(T, RefinablePartition.from_initial(T.n, p_view), honest).to_canonical() == want
+    monkeypatch.setattr(RefinablePartition, "split", split_leaving_union_flags)
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "0")
+    stats = ScanStats()
+    assert dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats).to_canonical() == want
+    assert stats.transitions_scanned != honest.transitions_scanned
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    with pytest.raises(AssertionError, match="iterations for"):
+        dbisim(T, RefinablePartition.from_initial(T.n, p_view))
 
 
 def test_debug_runs_above_the_assertion_limit_reject_an_accept_all_stability_pass(monkeypatch):
