@@ -23,13 +23,11 @@ from itertools import tee
 from operator import eq
 
 from .lts import NormalizedDlts
-from .oracle import canonical_view, naive_fixpoint, stable_by_signatures
+from .oracle import fixpoint_fault, result_fault
 from .partition import PartitionError, RefinablePartition
 
 DEBUG_ENV = "DLTS_BISIM_DEBUG"
 
-# The set-based coarsest check runs `naive_fixpoint`, about O(k n^3); above
-# this size it would dominate the run, so debug runs skip it there.
 _DEBUG_ASSERT_MAX_N = 512
 
 
@@ -114,41 +112,40 @@ def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
     return all(map(eq, map(dict.setdefault, tables, sources, targets), expected))
 
 
+def debug_checks_fixpoint(n: int) -> bool:
+    """Whether debug runs compare a result over n states with `naive_fixpoint`,
+    about O(k n^3): only up to `_DEBUG_ASSERT_MAX_N`, where it does not dominate."""
+    return debug_enabled() and n <= _DEBUG_ASSERT_MAX_N
+
+
 def _check_result(T: NormalizedDlts, p_init: RefinablePartition, p: RefinablePartition,
                   visits: list[int] | None, iterations: int) -> None:
     """Debug runs: certify the result `p` of a run from `p_init`.
 
-    At any n the result must be stable, by the oracle's certificate, which
-    shares no code with `_is_stable`, and refine `p_init`.  When the loop
-    ran, with `visits` scans of each state over `iterations` iterations, no
-    state may have been scanned more than floor(log2 n) + 1 times, and the
-    loop must have taken exactly one iteration per block of the result but
-    one: each iteration detaches one block from a range of at least two, and
-    each split adds one block to a range, so a lost or duplicated range
-    breaks the count.  Up to n = 512 the result must also be the coarsest
-    such partition, by `naive_fixpoint`; above that a one-line notice on
+    At any n the result must pass the oracle's `result_fault`, whose
+    stability check shares no code with `_is_stable`.  When the loop ran,
+    with `visits` scans of each state over `iterations` iterations, no state
+    may have been scanned more than floor(log2 n) + 1 times, and the loop
+    must have taken one iteration per block of the result but one: each
+    iteration detaches one block from a range of at least two, and each
+    split adds one block to a range.  Where `debug_checks_fixpoint` says
+    so, the result must also pass `fixpoint_fault`; elsewhere a notice on
     stderr says that this check is skipped.
     """
-    if not stable_by_signatures(T, p.block_of):
-        raise AssertionError(
-            "two states of a block of the result differ in their (letter, successor block) pairs")
-    enclosing: dict[int, int] = {}
-    if not all(map(eq, map(enclosing.setdefault, p.block_of, p_init.block_of), p_init.block_of)):
-        raise AssertionError("a block of the result meets two blocks of the initial partition")
-    if visits is not None:
+    fault = result_fault(T, p_init.block_of, p.block_of)
+    if fault is None and visits is not None:
         if max(visits) > T.n.bit_length():
-            raise AssertionError(f"a state was scanned more than {T.n.bit_length()} times")
-        if iterations != p.block_count - 1:
-            raise AssertionError(
-                f"the loop took {iterations} iterations for {p.block_count} blocks")
-    if T.n > _DEBUG_ASSERT_MAX_N:
-        print(f"{DEBUG_ENV}: coarsest-partition check skipped, n={T.n} > "
-              f"{_DEBUG_ASSERT_MAX_N}; the other result checks ran", file=sys.stderr)
-        return
-    init_blocks = [set(p_init.block_members(b)) for b in range(p_init.block_count)]
-    if p.to_canonical() != canonical_view(naive_fixpoint(T, init_blocks)):
-        raise AssertionError(
-            "the result is not the coarsest bisimulation refining the initial partition")
+            fault = f"a state was scanned more than {T.n.bit_length()} times"
+        elif iterations != p.block_count - 1:
+            fault = f"the loop took {iterations} iterations for {p.block_count} blocks"
+    if fault is None:
+        if debug_checks_fixpoint(T.n):
+            fault = fixpoint_fault(T, p_init.block_of, p.block_of)
+        else:
+            print(f"{DEBUG_ENV}: coarsest-partition check skipped, n={T.n} > "
+                  f"{_DEBUG_ASSERT_MAX_N}; the other result checks ran", file=sys.stderr)
+    if fault is not None:
+        raise AssertionError(fault)
 
 
 def dbisim(

@@ -91,7 +91,8 @@ class NormalizedDlts:
     t runs from state in_src[t] on letter in_letter[t], and the incoming
     transitions of state q are exactly the indices
     in_offsets[q] <= t < in_offsets[q + 1].  Letter indices cover only
-    letters that label at least one transition, so k <= m.
+    letters that label at least one transition, so k <= m.  `n`, `k` and `m`
+    are the lengths of `state_names`, `letter_names` and the columns.
 
     The system keeps its own (source, letter, destination) columns in a fixed
     storage order: input order for `_from_columns`, which `parse_lts` and
@@ -106,59 +107,44 @@ class NormalizedDlts:
     idempotent, and one attribute assignment publishes it, so threads that
     race to it only build equal lists twice.
 
-    Only the parsers and `normalize` check names; the constructor trusts its fields.
+    Only the parsers and `normalize` check names; the constructor trusts its lists.
     """
 
-    def __init__(self, n: int, k: int, m: int, in_src: list[int], in_letter: list[int],
-                 in_offsets: list[int], state_names: list[str], letter_names: list[str]):
-        self.n, self.k, self.m = n, k, m
+    def __init__(self, in_src: list[int], in_letter: list[int], in_offsets: list[int],
+                 state_names: list[str], letter_names: list[str]):
         self.state_names, self.letter_names = state_names, letter_names
         self._columns = (in_src, in_letter, None)  # no destination column: stored grouped
         self._view: tuple[list[int], list[int], list[int]] | None = (in_src, in_letter, in_offsets)
 
+    n = property(lambda self: len(self.state_names))
+    k = property(lambda self: len(self.letter_names))
+    m = property(lambda self: len(self._columns[0]))
+
     @classmethod
-    def _from_columns(
-        cls,
-        src: list[int],
-        letter: list[int],
-        dst: list[int],
-        state_names: list[str],
-        letter_names: Sequence[str],
-    ) -> "NormalizedDlts":
+    def _from_columns(cls, src: list[int], letter: list[int], dst: list[int],
+                      state_names: list[str], letter_names: Sequence[str]) -> "NormalizedDlts":
         """Encode `_encode`'s (source, letter, destination) index columns, kept in input order.
 
         Unused letters are dropped, as in `_from_sorted`; the view is built on
-        first read.  Raises LtsError if a destination is outside 0..n-1.
+        first read.  The columns are trusted: `_encode` has resolved them.
         """
-        n = len(state_names)
-        if dst and (min(dst) < 0 or max(dst) >= n):
-            bad = next(d for d in dst if d not in range(n))
-            raise LtsError(f"destination state index {bad!r} out of range")
         letter, kept = _used_letters(letter, letter_names)
         T = cls.__new__(cls)
-        T.n, T.k, T.m = n, len(kept), len(src)
         T.state_names, T.letter_names = state_names, kept
         T._columns = (src, letter, dst)
         T._view = None
         return T
 
     @classmethod
-    def _from_sorted(
-        cls,
-        in_src: list[int],
-        in_letter: list[int],
-        in_offsets: list[int],
-        state_names: list[str],
-        letter_names: Sequence[str],
-    ) -> "NormalizedDlts":
+    def _from_sorted(cls, in_src: list[int], in_letter: list[int], in_offsets: list[int],
+                     state_names: list[str], letter_names: Sequence[str]) -> "NormalizedDlts":
         """Encode valid columns that are already sorted by destination, with their offsets.
 
         Unused letters are dropped, keeping the order of the others.  The
         result may keep the given lists as its own.
         """
         in_letter, kept = _used_letters(in_letter, letter_names)
-        return cls(len(state_names), len(kept), len(in_src), in_src, in_letter, in_offsets,
-                   state_names, kept)
+        return cls(in_src, in_letter, in_offsets, state_names, kept)
 
     def _grouped_view(self) -> tuple[list[int], list[int], list[int]]:
         view = self._view
@@ -167,17 +153,9 @@ class NormalizedDlts:
             view = self._view = _grouped(src, letter, dst, self.n)
         return view
 
-    @property
-    def in_src(self) -> list[int]:
-        return self._grouped_view()[0]
-
-    @property
-    def in_letter(self) -> list[int]:
-        return self._grouped_view()[1]
-
-    @property
-    def in_offsets(self) -> list[int]:
-        return self._grouped_view()[2]
+    in_src = property(lambda self: self._grouped_view()[0])
+    in_letter = property(lambda self: self._grouped_view()[1])
+    in_offsets = property(lambda self: self._grouped_view()[2])
 
     def _stored(self) -> tuple[list[int], list[int], Iterable[int]]:
         """The source, letter and destination columns in storage order.
@@ -197,7 +175,7 @@ class NormalizedDlts:
         return list(zip(self.in_src, self.in_letter, self.destinations()))
 
     def _fields(self) -> tuple:
-        return (self.n, self.k, self.m, *self._grouped_view(), self.state_names, self.letter_names)
+        return (*self._grouped_view(), self.state_names, self.letter_names)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -207,7 +185,7 @@ class NormalizedDlts:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        names = ("n", "k", "m", "in_src", "in_letter", "in_offsets", "state_names", "letter_names")
+        names = ("in_src", "in_letter", "in_offsets", "state_names", "letter_names")
         return "NormalizedDlts({})".format(
             ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields())))
 

@@ -3,12 +3,14 @@
 Everything here works on plain sets and dicts, straight from the defining
 conditions, and deliberately shares no code with `partition` or `bisim`:
 these functions are the ground truth the fast path is tested against, and
-debug runs of the engine certify each result with them.  The module imports
-only `lts`; the random instances live in `gen`.
+debug runs of the engine and `check` certify each result with the same two
+routines, `result_fault` and `fixpoint_fault`.  The module imports only
+`lts`; the random instances live in `gen`.
 """
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Iterable, Sequence
 
 from .lts import NormalizedDlts
@@ -85,6 +87,38 @@ def stable_by_signatures(T: NormalizedDlts, block_of: Sequence[int]) -> bool:
         if key_of_block.setdefault(block_of[q], key) != key:
             return False
     return True
+
+
+def result_fault(T: NormalizedDlts, init_block_of: Sequence[int],
+                 block_of: Sequence[int]) -> str | None:
+    """The first fault of a result `block_of` (block ids per state) of a run
+    from `init_block_of`, or None: it must be stable, by `stable_by_signatures`,
+    and refine the initial partition, so it also refines the pre-refinement.
+    Linear up to the sort of each state's pairs, so it runs at any n."""
+    if not stable_by_signatures(T, block_of):
+        return ("two states of a block of the result differ in their"
+                " (letter, successor block) pairs")
+    enclosing: dict[int, int] = {}
+    if not all(map(eq, map(enclosing.setdefault, block_of, init_block_of), init_block_of)):
+        return "a block of the result meets two blocks of the initial partition"
+    return None
+
+
+def fixpoint_fault(T: NormalizedDlts, init_block_of: Sequence[int],
+                   block_of: Sequence[int]) -> str | None:
+    """The fault of a result `block_of` that differs from `naive_fixpoint`'s
+    from `init_block_of`, or None; about O(k n^3), as the fixpoint is."""
+    if canonical_view(_members(block_of)) != canonical_view(
+            naive_fixpoint(T, _members(init_block_of))):
+        return "the result is not the coarsest bisimulation refining the initial partition"
+    return None
+
+
+def _members(block_of: Sequence[int]) -> PartitionView:
+    members: dict[int, set[int]] = {}
+    for q, b in enumerate(block_of):
+        members.setdefault(b, set()).add(q)
+    return list(members.values())
 
 
 def _split_all(blocks: PartitionView, x: set[int]) -> tuple[PartitionView, bool]:

@@ -172,6 +172,12 @@ MUTANTS = {
     "split-settles-two-states": Mutant(
         "partition", "if mid - lo == 1:", "if mid - lo <= 2:",
         [_SPLIT_REFERENCE, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+    # The shared result check accepts a result that merges two initial blocks.
+    "refinement-accepts-merges": Mutant(
+        "oracle", "map(enclosing.setdefault, block_of, init_block_of), init_block_of)",
+        "map(enclosing.setdefault, block_of, init_block_of), map(enclosing.get, block_of))",
+        ["tests/test_cli.py::test_check_reports_each_mismatch[refinement-0]",
+         "tests/test_bisim.py::test_debug_mode_checks_the_result_above_the_assertion_limit"]),
     # Repeats and forks are judged from the last transition line to the first.
     "transitions-judged-last-to-first": Mutant(
         "lts", "for i, key, d in zip(count(), keys(), dst):",

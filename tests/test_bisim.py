@@ -208,9 +208,9 @@ def test_dbisim_moves_a_repeated_source_once():
     # A hand-built nondeterministic encoding: q0 has two a-transitions into
     # the scanned side {q1, q2}, so q0 lands in the a-bucket twice.  That
     # side's preimage {q0} must split q0 alone off {q0, q3, q4}.
-    T = NormalizedDlts(n=5, k=1, m=2, in_src=[0, 0], in_letter=[0, 0],
-                       in_offsets=[0, 0, 1, 2, 2, 2],
+    T = NormalizedDlts(in_src=[0, 0], in_letter=[0, 0], in_offsets=[0, 0, 1, 2, 2, 2],
                        state_names=[f"q{i}" for i in range(5)], letter_names=["a"])
+    assert (T.n, T.k, T.m) == (5, 1, 2)
     p = dbisim(T, RefinablePartition.from_initial(5, [{0, 3, 4}, {1, 2}]))
     check_consistency(p)
     assert p.to_canonical() == [[0], [1, 2], [3, 4]]

@@ -3,6 +3,7 @@
 import csv
 import gc
 import hashlib
+import importlib.util
 import io
 import os
 import re
@@ -434,40 +435,76 @@ def test_check_rejects_a_negative_count(capsys):
     assert run(capsys, "check", "--count", "-1") == (1, "", "error: count must be >= 0\n")
 
 
-def test_check_mutant_fails_counter_bound(capsys, monkeypatch):
-    monkeypatch.setattr("dlts_bisim.cli.dbisim", larger_side_dbisim())
-    code, _out, err = run(
-        capsys,
-        "check", "--count", "10", "--n", "50", "--k", "4",
-        "--density", "0.9", "--seed", "0",
-    )
-    assert code == 3
-    assert "scanned" in err and "seed=" in err  # reproducer seed printed
-
-
 def _discrete(T, _blocks):
     return [{q} for q in range(T.n)]
 
 
 _from_initial = RefinablePartition.from_initial  # as it is before any patch
+_SMALL = ("--count", "20", "--n", "6", "--seed", "0")
+_STABILITY = "two states of a block of the result differ in their (letter, successor block) pairs"
 
 
-@pytest.mark.parametrize("fakes, message", [
-    ({"naive_fixpoint": _discrete}, "partition differs from the set-based fixpoint"),
-    ({"is_bisimulation": lambda _blocks, _T: False}, "result is not a bisimulation"),
-    ({"init_refine": lambda T, _p: _from_initial(T.n, _discrete(T, None))},
-     "result does not refine the letter-signature pre-refinement"),
+def _from_one_block(T, _p_init, stats):
+    return dlts_bisim.bisim.dbisim(T, _from_initial(T.n, [range(T.n)]), stats)
+
+
+@pytest.mark.parametrize("debug", ["0", "1"])
+@pytest.mark.parametrize("fakes, argv, message", [
+    pytest.param({"oracle.stable_by_signatures": lambda _T, _block_of: False}, _SMALL,
+                 (_STABILITY,) * 2, id="stability"),
     # the engine and the fixpoint both start from one block, so they agree
-    ({"naive_fixpoint": lambda T, _p: naive_fixpoint(T, [set(range(T.n))]),
-      "RefinablePartition.from_initial": staticmethod(lambda n, _p: _from_initial(n, [range(n)]))},
-     "result does not refine the initial partition"),
+    pytest.param({"cli.dbisim": _from_one_block,
+                  "oracle.naive_fixpoint": lambda T, _p: naive_fixpoint(T, [set(range(T.n))])},
+                 _SMALL, ("a block of the result meets two blocks of the initial partition",) * 2,
+                 id="refinement"),
+    pytest.param({"oracle.naive_fixpoint": _discrete}, _SMALL,
+                 ("the result is not the coarsest bisimulation refining the initial partition",) * 2,
+                 id="fixpoint"),
+    # debug runs of the engine find the broken bound first, per state
+    pytest.param({"cli.dbisim": larger_side_dbisim()},
+                 ("--count", "10", "--n", "50", "--k", "4", "--density", "0.9", "--seed", "0"),
+                 ("a transition was scanned", "a state was scanned more than"), id="bound"),
 ])
-def test_check_reports_each_mismatch(capsys, monkeypatch, fakes, message):
+def test_check_reports_each_mismatch(capsys, monkeypatch, fakes, argv, message, debug):
     for name, fake in fakes.items():
-        monkeypatch.setattr(f"dlts_bisim.cli.{name}", fake)
-    code, _out, err = run(capsys, "check", "--count", "20", "--n", "6", "--seed", "0")
-    assert code == 3
-    assert message in err and "seed=" in err
+        monkeypatch.setattr(f"dlts_bisim.{name}", fake)
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("mismatch on instance seed=")  # reproducer seed printed
+    assert message[int(debug)] in err
+
+
+def test_check_reports_a_debug_fault_as_a_mismatch(capsys, monkeypatch):
+    # An engine that takes every pre-refinement for stable fails the debug
+    # result check, which `check` reports with the seed like any mismatch.
+    monkeypatch.setattr("dlts_bisim.bisim._is_stable", lambda _T, _block_of: True)
+    assert run(capsys, "check", "--count", "50", "--n", "20", "--seed", "3")[0] == 3
+    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
+    code, out, err = run(capsys, "check", "--count", "50", "--n", "20", "--seed", "3")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(rf"mismatch on instance seed=\d+ n=\d+ .*: {re.escape(_STABILITY)}\n", err)
+
+
+@pytest.mark.parametrize("limit", [512, 10])
+def test_check_runs_the_fixpoint_once_per_instance(capsys, monkeypatch, limit):
+    # Under the debug switch the engine compares with the fixpoint up to the
+    # limit, and `check` does so above it; without the switch `check` always does.
+    calls = []
+
+    def counted(T, p_init):
+        calls.append(T.n)
+        return naive_fixpoint(T, p_init)
+
+    monkeypatch.setattr("dlts_bisim.oracle.naive_fixpoint", counted)
+    monkeypatch.setattr("dlts_bisim.bisim._DEBUG_ASSERT_MAX_N", limit)
+    for debug in ("0", "1"):
+        monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+        calls.clear()
+        code, _out, err = run(capsys, "check", "--count", "30", "--n", "20", "--seed", "7")
+        assert (code, err.splitlines()[-1]) == (0, "checked 30 instances: ok")
+        assert len(calls) == 30
+    assert limit == 512 or min(calls) <= limit < max(calls)  # instances on both sides
 
 
 def test_bench_single_size_csv(capsys):
@@ -558,7 +595,8 @@ def test_python_dash_m_runs_cli():
     assert parse_lts(done.stdout).n == 5
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_snippet_runs(capsys):
@@ -579,3 +617,14 @@ def test_public_api_is_documented():
                if isinstance(member, classmethod) and not name.startswith("_")]
     assert {"RefinablePartition.from_initial", "ScanStats.detailed"} <= set(ways_in)
     assert [way for way in ways_in if not re.search(rf"\b{way.split('.')[1]}\b", readme)] == []
+
+
+def test_every_traced_target_resolves():
+    # The benchmark's tracer wraps package attributes by name and only
+    # reports one it cannot find, so a trimmed import would drop a span.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Patched(lambda _span, original: original) as patched:
+        assert patched.missing == []
+        assert len(patched.saved) == len(tracing.TARGETS)
