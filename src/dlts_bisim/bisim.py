@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import tee
 from operator import eq
 
-from .lts import NormalizedDlts
+from .lts import NormalizedDlts, _expanded
 from .oracle import fixpoint_fault, result_fault
 from .partition import PartitionError, RefinablePartition
 
@@ -98,12 +98,16 @@ def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
 
     When the states of each block share one set of outgoing letters, as in
     every refinement of `init_refine`'s result, this is stability: the
-    partition is a bisimulation.  One pass over the transitions in storage
-    order, which builds no grouped view, stops at the first pair that leads
-    into a second block.  It keeps one dict per letter, with one entry per
-    source block seen, keyed by the block's int id, so it builds no key.
+    partition is a bisimulation.  One pass over the transitions stops at the
+    first pair that leads into a second block.  The answer does not depend
+    on the order of the pass, so it reads the grouped view when `T` has
+    built it, which is cheaper than the storage order recovered from it,
+    and the storage order otherwise; it never builds the view.  It keeps one
+    dict per letter, with one entry per source block seen, keyed by the
+    block's int id, so it builds no key.
     """
-    src, letter, dst = T._stored()
+    view = T._view
+    src, letter, dst = T._stored() if view is None else (view[0], view[1], _expanded(view[2]))
     # Each transition's destination block, read twice in step.
     targets, expected = tee(map(block_of.__getitem__, dst))
     first_target: list[dict[int, int]] = [{} for _ in range(T.k)]

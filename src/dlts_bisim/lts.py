@@ -12,10 +12,11 @@ locator that its caller passes.  `parse_lts` and `normalize` keep the
 (source, letter, destination) columns in input order and group them by
 destination only when the view is first read, in one stable counting-sort
 pass (`_grouped`): O(m + n) time, two columns of length m and one slot array
-of length n.  Pre-refinement and the stability pass read the input order,
-so a run whose refinement loop does not start never sorts.  `parse_dfa`
-groups at once, since every reader of an automaton reads incoming
-transitions.
+of length n; the input-order source and letter columns are then dropped.
+Pre-refinement reads the input order, and the stability pass reads it until
+the view is built, so a run whose refinement loop does not start never
+sorts.  `parse_dfa` groups at once, since every reader of an automaton
+reads incoming transitions.
 
 Every reader takes a text one 64 K piece at a time (`_pieces`).  The parsers
 turn each piece's transition lines into int columns before they read the
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
 from operator import add, eq, itemgetter, mul, setitem, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -94,18 +95,21 @@ class NormalizedDlts:
     letters that label at least one transition, so k <= m.  `n`, `k` and `m`
     are the lengths of `state_names`, `letter_names` and the columns.
 
-    The system keeps its own (source, letter, destination) columns in a fixed
-    storage order: input order for `_from_columns`, which `parse_lts` and
-    `normalize` use, and destination order, the view itself, for the
-    constructor, `_from_sorted` and `parse_dfa`.  A system in input order
-    builds the view on its first read of `in_src`, `in_letter` or
-    `in_offsets`, by one stable counting sort, and then keeps it; readers
-    that need no grouping (`init_refine`, the stability pass) read the
-    storage order through `_stored`.  Equality compares the views and the
+    The system has a fixed storage order of its transitions: input order for
+    `_from_columns`, which `parse_lts` and `normalize` use, and destination
+    order, the view itself, for the constructor, `_from_sorted` and
+    `parse_dfa`.  A system in input order keeps its (source, letter,
+    destination) columns until the first read of `in_src`, `in_letter` or
+    `in_offsets` builds the view, by one stable counting sort; it then keeps
+    the view and its destination column only, 3m + n + 1 ints.  Readers that
+    need no grouping (`init_refine`, the stability pass) read the storage
+    order through `_stored`, which recovers it from the view once the
+    source and letter columns are gone.  Equality compares the views and the
     names.  Instances are immutable after construction, apart from that
     one-time view build, and safe to share between threads: the build is
-    idempotent, and one attribute assignment publishes it, so threads that
-    race to it only build equal lists twice.
+    idempotent, one attribute assignment publishes the view before a second
+    one drops the columns, and readers read the columns before the view, so
+    threads that race to it only build equal lists twice.
 
     Only the parsers and `normalize` check names; the constructor trusts its lists.
     """
@@ -118,7 +122,11 @@ class NormalizedDlts:
 
     n = property(lambda self: len(self.state_names))
     k = property(lambda self: len(self.letter_names))
-    m = property(lambda self: len(self._columns[0]))
+
+    @property
+    def m(self) -> int:
+        src, _letter, dst = self._columns
+        return len(src if dst is None else dst)
 
     @classmethod
     def _from_columns(cls, src: list[int], letter: list[int], dst: list[int],
@@ -147,24 +155,37 @@ class NormalizedDlts:
         return cls(in_src, in_letter, in_offsets, state_names, kept)
 
     def _grouped_view(self) -> tuple[list[int], list[int], list[int]]:
+        # Columns first: the build publishes the view before it drops them.
+        src, letter, dst = self._columns
         view = self._view
         if view is None:
-            src, letter, dst = self._columns
             view = self._view = _grouped(src, letter, dst, self.n)
+            self._columns = (None, None, dst)
         return view
 
     in_src = property(lambda self: self._grouped_view()[0])
     in_letter = property(lambda self: self._grouped_view()[1])
     in_offsets = property(lambda self: self._grouped_view()[2])
 
-    def _stored(self) -> tuple[list[int], list[int], Iterable[int]]:
+    def _stored(self) -> tuple[Iterable[int], Iterable[int], Iterable[int]]:
         """The source, letter and destination columns in storage order.
 
         The destinations of a system stored grouped come expanded from its
-        offsets, as an iterator; the view is never built here.
+        offsets, as an iterator.  Once an input-order system has built its
+        view, its sources and letters come from the view as iterators: the
+        view is stable, so the j-th transition into d in storage order sits at
+        in_offsets[d] + j, which one `count` per destination yields.  That
+        costs O(n + m) time per call.  The view is never built here.
         """
         src, letter, dst = self._columns
-        return src, letter, _expanded(self._view[2]) if dst is None else dst
+        if dst is None:
+            return src, letter, _expanded(self._view[2])
+        if src is None:
+            in_src, in_letter, in_offsets = self._view
+            at = list(map(count, in_offsets[:-1]))  # the next position of each destination
+            at_src, at_letter = tee(map(next, map(at.__getitem__, dst)))
+            src, letter = map(in_src.__getitem__, at_src), map(in_letter.__getitem__, at_letter)
+        return src, letter, dst
 
     def destinations(self) -> list[int]:
         """The destination of each transition of the view, expanded from `in_offsets`."""

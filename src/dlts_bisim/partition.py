@@ -170,10 +170,6 @@ class RefinablePartition:
                 in_union.append(True)
             hit.clear()
 
-    def block_members(self, b: int) -> list[int]:
-        """The block's states in array order, O(size)."""
-        return self.A[self.left[b] : self.right[b]]
-
     def to_canonical(self) -> list[list[int]]:
         """Blocks as sorted index lists, ordered by their minimum state.
 

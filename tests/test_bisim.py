@@ -407,9 +407,13 @@ def test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus():
             if letter_sets[x] == letter_sets[y] and p_init.block_of[x] == p_init.block_of[y]:
                 merged = [result.block_of[x] if q in c else result.block_of[q] for q in range(T.n)]
                 candidates.append(("merged", merged))
+        # The pass reads the view once it is built, and the input order
+        # before; it never builds the view.
+        fresh, _ = gen_random_dlts(cfg)
         for kind, block_of in candidates:
             verdict = is_stable(T, block_of)
             assert verdict == is_bisimulation(_blocks(block_of), T), (cfg, kind)
+            assert is_stable(fresh, block_of) == verdict and fresh._view is None, (cfg, kind)
             verdicts[kind, verdict] = verdicts.get((kind, verdict), 0) + 1
     assert not verdicts.get(("result", False)) and not verdicts.get(("merged", True))
     assert verdicts["pre-refined", True] and verdicts["pre-refined", False]

@@ -24,6 +24,7 @@ from dlts_bisim import (
     RefinablePartition,
     ScanStats,
     gen_random_dfa,
+    gen_random_dlts,
     minimize_dfa,
     naive_fixpoint,
     normalize,
@@ -363,6 +364,24 @@ def test_minimize_peak_memory_stays_near_its_input():
     (_minimal, report), _kept, peak = _traced(minimize_dfa, dfa)
     assert (report.useless_removed, report.final_blocks) == (117, 871)  # both steps do work
     assert peak <= 1.5 * size, (peak, size)
+
+
+def test_a_built_view_replaces_the_input_order_columns():
+    """A system from `normalize`, which the `bisim <file>` path refines, keeps its
+    input-order columns until its loop builds the destination-grouped view, and then
+    the view and its destination column only: 3m + n + 1 ints.  So the build grows it
+    by the offsets alone, about 4 bytes per transition on this complete system with
+    k = 8.  One that also kept its input-order source and letter columns would grow
+    by about 21."""
+    def built_view_growth():
+        T, _blocks = gen_random_dlts(GenConfig(n=4096, k=8, density=1.0, seed=1))
+        size = tracemalloc.get_traced_memory()[0]
+        assert T.in_offsets
+        return T, tracemalloc.get_traced_memory()[0] - size
+
+    (T, growth), _kept, _peak = _traced(built_view_growth)
+    assert T.m == T.n * T.k == 4096 * 8
+    assert growth < 8 * T.m, (growth, T.m)
 
 
 def test_minimize_empty_language(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+import threading
 import tracemalloc
 from itertools import chain
 
@@ -11,6 +12,7 @@ import pytest
 import dlts_bisim.lts
 from dlts_bisim import (
     Dfa,
+    GenConfig,
     LtsError,
     LtsParseError,
     NondeterminismError,
@@ -19,6 +21,7 @@ from dlts_bisim import (
     format_dfa,
     format_dlts,
     format_partition,
+    gen_random_dlts,
     normalize,
     parse_dfa,
     parse_lts,
@@ -470,10 +473,46 @@ def test_from_columns_groups_by_destination_stably():
     shared_slices = 0
     for case in cases:
         got = NormalizedDlts._from_columns(*case[1:])
+        stored = list(zip(*got._stored()))
         assert got == _grouped_by_sort(*case), case
+        # Once the view is built, the input order is recovered from it and the
+        # destination column, which alone is kept.
+        assert got._columns[:2] == (None, None) and list(zip(*got._stored())) == stored, case
         offsets = got.in_offsets
         shared_slices += sum(offsets[q + 1] - offsets[q] >= 2 for q in range(got.n))
     assert shared_slices > 1000  # an unstable placement has room to show
+
+
+def test_threads_that_race_to_the_view_read_one_system():
+    # The view is published before the columns are dropped, and readers read
+    # the columns first, so every thread finds the columns or the view: each
+    # reads the input order before and after the view, and the same view.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(10):
+            cfg = GenConfig(n=1000, k=3, density=0.7, seed=seed)
+            reference, T = gen_random_dlts(cfg)[0], gen_random_dlts(cfg)[0]
+            want = (list(zip(*reference._stored())), reference.in_src, reference.in_letter)
+            start = threading.Barrier(8)
+            reads = []
+
+            def read():
+                start.wait(timeout=10)
+                stored = list(zip(*T._stored()))
+                view = T.in_src, T.in_letter
+                assert list(zip(*T._stored())) == stored and T.m == len(stored)
+                reads.append((stored, *view))
+
+            threads = [threading.Thread(target=read) for _ in range(start.parties)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert reads == [want] * len(threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _complete_two_letter(n, name=str):

@@ -28,6 +28,11 @@ def counting(p):
     return p.A
 
 
+def block_members(p, b):
+    """Block b's states in array order: its range of the state array."""
+    return p.A[p.left[b] : p.right[b]]
+
+
 def test_from_initial_single_block():
     p = RefinablePartition.from_initial(3, [{0, 1, 2}])
     assert p.block_count == 1
@@ -81,8 +86,8 @@ def test_split_singleton_out_of_full_block():
     assert split(p, [0], in_union=in_union) == [(0, 3)]  # the pre-split block covered everything
     assert p.to_canonical() == [[0], [1, 2]]
     assert in_union == [True, True]
-    assert p.block_members(1) == [0]  # the fresh id holds the part inside the bucket
-    assert sorted(p.block_members(0)) == [1, 2]
+    assert block_members(p, 1) == [0]  # the fresh id holds the part inside the bucket
+    assert sorted(block_members(p, 0)) == [1, 2]
 
 
 def test_split_skips_contained_blocks():
@@ -93,7 +98,7 @@ def test_split_skips_contained_blocks():
     assert split(p, [0, 1, 2], in_union=in_union) == [(2, 4)]
     assert p.to_canonical() == [[0, 1], [2], [3]]
     assert in_union == [False, True, True]  # the contained block stays outside
-    assert p.block_members(2) == [2]
+    assert block_members(p, 2) == [2]
 
 
 def test_split_tolerates_duplicates():
@@ -117,7 +122,7 @@ def test_split_skips_singleton_blocks_without_moves():
 def test_split_conserves_members():
     p = RefinablePartition.from_initial(5, [{0, 1, 2, 3, 4}])
     split(p, [1, 3])
-    joined = sorted(p.block_members(1) + p.block_members(0))
+    joined = sorted(block_members(p, 1) + block_members(p, 0))
     assert joined == [0, 1, 2, 3, 4]
 
 
@@ -134,7 +139,7 @@ def test_split_of_a_flagged_block_pushes_nothing():
     in_union = [True, False]
     assert split(p, [0, 2], in_union=in_union) == [(2, 4)]
     assert in_union == [True, True, True, True]
-    assert [p.block_members(b) for b in (2, 3)] == [[0], [2]]  # fresh ids in bucket order
+    assert [block_members(p, b) for b in (2, 3)] == [[0], [2]]  # fresh ids in bucket order
 
 
 def test_split_later_bucket_sees_earlier_splits():
@@ -143,15 +148,15 @@ def test_split_later_bucket_sees_earlier_splits():
     # The first bucket splits {0, 1} off as block 1 and pushes the whole
     # range; the second splits block 1 again and block 0, pushing nothing.
     assert split(p, [0, 1], [1, 2], in_union=in_union) == [(0, 4)]
-    assert [p.block_members(b) for b in range(4)] == [[3], [0], [1], [2]]
+    assert [block_members(p, b) for b in range(4)] == [[3], [0], [1], [2]]
     assert in_union == [True] * 4
     check_consistency(p)
 
 
 def test_block_members_in_array_order():
     p = RefinablePartition.from_initial(3, [{1}, {0, 2}])
-    assert p.block_members(0) == [1]
-    assert set(p.block_members(1)) == {0, 2}
+    assert block_members(p, 0) == [1]
+    assert set(block_members(p, 1)) == {0, 2}
 
 
 def test_to_canonical():
@@ -218,7 +223,7 @@ def test_split_matches_set_reference(case):
         check_consistency(p)
         assert p.to_canonical() == canonical_sets(sets)
         # ids: old ids keep the part outside, fresh ids ascend in the order met
-        assert [set(p.block_members(b)) for b in range(p.block_count)] == reference
+        assert [set(block_members(p, b)) for b in range(p.block_count)] == reference
         assert in_union == want_flags
         # each pushed range [left[fresh], right[old]) covers exactly the pre-split block
         assert [set(p.A[lo:hi]) for lo, hi in zip(los, his)] == pushed
