@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import tee
 from operator import eq
 
-from .lts import NormalizedDlts, _expanded
+from .lts import NormalizedDlts
 from .oracle import fixpoint_fault, result_fault
 from .partition import PartitionError, RefinablePartition
 
@@ -74,9 +74,11 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
 
     The copy is split by each letter's sources in letter order, skipping
     a letter with n sources: it splits nothing, so a complete DLTS
-    (m = n * k) gets the plain copy.  The sources are bucketed in `T`'s
-    storage order, so the layout does not depend on whether `T` has built
-    its destination-grouped view.
+    (m = n * k) gets the plain copy.  The sources are bucketed in the order
+    of the form `T` holds: input order until `T` has built its
+    destination-grouped view, and view order after.  So on a partial system
+    the layout may depend on whether an earlier run built the view, and the
+    resulting partition does not.
     """
     if len(p_init.A) != T.n:
         raise PartitionError(f"the partition covers {len(p_init.A)} states but the LTS has {T.n}")
@@ -98,16 +100,13 @@ def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
 
     When the states of each block share one set of outgoing letters, as in
     every refinement of `init_refine`'s result, this is stability: the
-    partition is a bisimulation.  One pass over the transitions stops at the
-    first pair that leads into a second block.  The answer does not depend
-    on the order of the pass, so it reads the grouped view when `T` has
-    built it, which is cheaper than the storage order recovered from it,
-    and the storage order otherwise; it never builds the view.  It keeps one
-    dict per letter, with one entry per source block seen, keyed by the
-    block's int id, so it builds no key.
+    partition is a bisimulation.  One pass over the transitions, in the
+    order of the form `T` holds, stops at the first pair that leads into a
+    second block; it never builds the view.  It keeps one dict per letter,
+    with one entry per source block seen, keyed by the block's int id, so it
+    builds no key.
     """
-    view = T._view
-    src, letter, dst = T._stored() if view is None else (view[0], view[1], _expanded(view[2]))
+    src, letter, dst = T._stored()
     # Each transition's destination block, read twice in step.
     targets, expected = tee(map(block_of.__getitem__, dst))
     first_target: list[dict[int, int]] = [{} for _ in range(T.k)]

@@ -324,7 +324,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         except AssertionError as exc:  # a debug run's result check failed
             failure = str(exc)
         else:
-            failure = result_fault(T, p_init.block_of, block_of)
+            # A debug run has run `result_fault` already, and `fixpoint_fault`
+            # where `debug_checks_fixpoint` says so.
+            failure = None if debug_enabled() else result_fault(T, p_init.block_of, block_of)
             if failure is None and not debug_checks_fixpoint(T.n):
                 failure = fixpoint_fault(T, p_init.block_of, block_of)
         if failure is None:

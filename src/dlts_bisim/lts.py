@@ -12,11 +12,10 @@ locator that its caller passes.  `parse_lts` and `normalize` keep the
 (source, letter, destination) columns in input order and group them by
 destination only when the view is first read, in one stable counting-sort
 pass (`_grouped`): O(m + n) time, two columns of length m and one slot array
-of length n; the input-order source and letter columns are then dropped.
-Pre-refinement reads the input order, and the stability pass reads it until
-the view is built, so a run whose refinement loop does not start never
-sorts.  `parse_dfa` groups at once, since every reader of an automaton
-reads incoming transitions.
+of length n; the view then replaces the input-order columns.  Pre-refinement
+and the stability pass read whichever of the two forms the system holds, so
+a run whose refinement loop does not start never sorts.  `parse_dfa` groups
+at once, since every reader of an automaton reads incoming transitions.
 
 Every reader takes a text one 64 K piece at a time (`_pieces`).  The parsers
 turn each piece's transition lines into int columns before they read the
@@ -38,7 +37,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, itemgetter, mul, setitem, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -95,21 +94,18 @@ class NormalizedDlts:
     letters that label at least one transition, so k <= m.  `n`, `k` and `m`
     are the lengths of `state_names`, `letter_names` and the columns.
 
-    The system has a fixed storage order of its transitions: input order for
-    `_from_columns`, which `parse_lts` and `normalize` use, and destination
-    order, the view itself, for the constructor, `_from_sorted` and
-    `parse_dfa`.  A system in input order keeps its (source, letter,
-    destination) columns until the first read of `in_src`, `in_letter` or
-    `in_offsets` builds the view, by one stable counting sort; it then keeps
-    the view and its destination column only, 3m + n + 1 ints.  Readers that
-    need no grouping (`init_refine`, the stability pass) read the storage
-    order through `_stored`, which recovers it from the view once the
-    source and letter columns are gone.  Equality compares the views and the
+    The transitions are held in one attribute, in one of two forms: input
+    order, (source, letter, None, destination), from `_from_columns`, which
+    `parse_lts` and `normalize` use; or grouped, (in_src, in_letter,
+    in_offsets, None), from the constructor, `_from_sorted` and `parse_dfa`.
+    The first read of `in_src`, `in_letter` or `in_offsets` groups an
+    input-order system by one stable counting sort and replaces the attribute,
+    so a system keeps 3m ints in input order and 2m + n + 1 once grouped.
+    Readers that need no grouping (`init_refine`, the stability pass) read
+    the form held through `_stored`.  Equality compares the views and the
     names.  Instances are immutable after construction, apart from that
-    one-time view build, and safe to share between threads: the build is
-    idempotent, one attribute assignment publishes the view before a second
-    one drops the columns, and readers read the columns before the view, so
-    threads that race to it only build equal lists twice.
+    one-time grouping, and safe to share between threads: each reader reads
+    the attribute once, and the grouping replaces it in one assignment.
 
     Only the parsers and `normalize` check names; the constructor trusts its lists.
     """
@@ -117,16 +113,11 @@ class NormalizedDlts:
     def __init__(self, in_src: list[int], in_letter: list[int], in_offsets: list[int],
                  state_names: list[str], letter_names: list[str]):
         self.state_names, self.letter_names = state_names, letter_names
-        self._columns = (in_src, in_letter, None)  # no destination column: stored grouped
-        self._view: tuple[list[int], list[int], list[int]] | None = (in_src, in_letter, in_offsets)
+        self._transitions = (in_src, in_letter, in_offsets, None)
 
     n = property(lambda self: len(self.state_names))
     k = property(lambda self: len(self.letter_names))
-
-    @property
-    def m(self) -> int:
-        src, _letter, dst = self._columns
-        return len(src if dst is None else dst)
+    m = property(lambda self: len(self._transitions[0]))
 
     @classmethod
     def _from_columns(cls, src: list[int], letter: list[int], dst: list[int],
@@ -139,8 +130,7 @@ class NormalizedDlts:
         letter, kept = _used_letters(letter, letter_names)
         T = cls.__new__(cls)
         T.state_names, T.letter_names = state_names, kept
-        T._columns = (src, letter, dst)
-        T._view = None
+        T._transitions = (src, letter, None, dst)
         return T
 
     @classmethod
@@ -155,37 +145,24 @@ class NormalizedDlts:
         return cls(in_src, in_letter, in_offsets, state_names, kept)
 
     def _grouped_view(self) -> tuple[list[int], list[int], list[int]]:
-        # Columns first: the build publishes the view before it drops them.
-        src, letter, dst = self._columns
-        view = self._view
-        if view is None:
-            view = self._view = _grouped(src, letter, dst, self.n)
-            self._columns = (None, None, dst)
-        return view
+        src, letter, offsets, dst = self._transitions
+        if offsets is None:
+            src, letter, offsets = _grouped(src, letter, dst, self.n)
+            self._transitions = (src, letter, offsets, None)
+        return src, letter, offsets
 
     in_src = property(lambda self: self._grouped_view()[0])
     in_letter = property(lambda self: self._grouped_view()[1])
     in_offsets = property(lambda self: self._grouped_view()[2])
 
-    def _stored(self) -> tuple[Iterable[int], Iterable[int], Iterable[int]]:
-        """The source, letter and destination columns in storage order.
+    def _stored(self) -> tuple[list[int], list[int], Iterable[int]]:
+        """The source, letter and destination columns of the form the system holds.
 
-        The destinations of a system stored grouped come expanded from its
-        offsets, as an iterator.  Once an input-order system has built its
-        view, its sources and letters come from the view as iterators: the
-        view is stable, so the j-th transition into d in storage order sits at
-        in_offsets[d] + j, which one `count` per destination yields.  That
-        costs O(n + m) time per call.  The view is never built here.
+        A grouped system's destinations come expanded from its offsets, as an
+        iterator.  The view is never built here.
         """
-        src, letter, dst = self._columns
-        if dst is None:
-            return src, letter, _expanded(self._view[2])
-        if src is None:
-            in_src, in_letter, in_offsets = self._view
-            at = list(map(count, in_offsets[:-1]))  # the next position of each destination
-            at_src, at_letter = tee(map(next, map(at.__getitem__, dst)))
-            src, letter = map(in_src.__getitem__, at_src), map(in_letter.__getitem__, at_letter)
-        return src, letter, dst
+        src, letter, offsets, dst = self._transitions
+        return src, letter, _expanded(offsets) if dst is None else dst
 
     def destinations(self) -> list[int]:
         """The destination of each transition of the view, expanded from `in_offsets`."""

@@ -145,8 +145,8 @@ def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition,
                                 letters: list[int] | None = None) -> RefinablePartition:
     """Pre-refinement the long way: a copy of `p` split by each letter's
     sources in turn, in letter order, one `split` call per letter; only by
-    `letters` when given.  Sources are bucketed in storage order, as
-    `init_refine` buckets them."""
+    `letters` when given.  Sources are bucketed in the order of the form
+    that `T` holds, as `init_refine` buckets them."""
     q = p.copy()
     buckets: list[list[int]] = [[] for _ in range(T.k)]
     src, letter, _dst = T._stored()

@@ -45,8 +45,9 @@ _DEBUG_CHECKS = "tests/test_acceptance.py::test_criterion_4_debug_invariants_nev
 _STABILITY_PASS = "tests/test_bisim.py::test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus"
 _STABILITY_PROPERTY = (
     "tests/test_bisim.py::test_loop_runs_exactly_when_the_prerefinement_is_not_a_bisimulation")
-_STORED_ORDER = "tests/test_lts.py::test_from_columns_groups_by_destination_stably"
-_VIEW_BUILT = "tests/test_bisim.py::test_runs_do_not_depend_on_whether_the_view_was_built"
+_FORMS = "tests/test_lts.py::test_from_columns_groups_by_destination_stably"
+_BUILT_VIEW_SHRINKS = "tests/test_cli.py::test_a_built_view_replaces_the_input_order_columns"
+_RUN_FOLLOWS_FORM = "tests/test_bisim.py::test_a_run_follows_the_form_that_its_system_holds"
 _DEBUG_ABOVE_LIMIT = ("tests/test_bisim.py::"
                       "test_debug_runs_above_the_assertion_limit_reject_an_accept_all_stability_pass")
 
@@ -145,35 +146,35 @@ MUTANTS = {
     "init-refine-reads-view": Mutant(
         "bisim", "src, letter, _dst = T._stored()", "src, letter = T.in_src, T.in_letter",
         ["tests/test_bisim.py::test_a_stable_text_path_never_groups_by_destination"]),
-    # Pre-refinement buckets the sources in the view's order once the view is built, so
-    # a run's layout depends on the runs before it.
-    "init-refine-reads-view-once-built": Mutant(
-        "bisim", "src, letter, _dst = T._stored()",
-        "src, letter, _dst = (T.in_src, T.in_letter, None) if T._view else T._stored()",
-        [_VIEW_BUILT]),
-    # Once the view is built, the storage order is read as the view's order, so a
-    # run's layout depends on the runs before it.
-    "stored-order-read-as-view-order": Mutant(
-        "lts",
-        "src, letter = map(in_src.__getitem__, at_src), map(in_letter.__getitem__, at_letter)",
-        "src, letter = in_src, in_letter",
-        [_STORED_ORDER, _VIEW_BUILT]),
-    # The storage order is recovered with each destination's counter one past its offset.
-    "stored-order-counters-one-late": Mutant(
-        "lts", "map(count, in_offsets[:-1])", "map(count, map(add, in_offsets[:-1], repeat(1)))",
-        [_STORED_ORDER, _VIEW_BUILT]),
-    # The input-order columns are dropped before the view is published, so a thread
-    # that reads the system while another builds its view finds neither.
-    "columns-dropped-before-view-published": Mutant(
-        "lts",
-        "view = self._view = _grouped(src, letter, dst, self.n)\n            self._columns = (None, None, dst)",
-        "self._columns = (None, None, dst)\n            view = self._view = _grouped(src, letter, dst, self.n)",
-        ["tests/test_lts.py::test_threads_that_race_to_the_view_read_one_system"]),
-    # Once the view is built, the stability pass pairs storage-order sources and
-    # letters with view-order destinations.
-    "stability-mixes-orders": Mutant(
-        "bisim", "(view[0], view[1], _expanded(view[2]))", "(*T._stored()[:2], _expanded(view[2]))",
-        [_STABILITY_PASS]),
+    # The view is built on every read and never stored, so the system stays in input order.
+    "view-built-not-stored": Mutant(
+        "lts", "self._transitions = (src, letter, offsets, None)", "pass",
+        [_FORMS, _BUILT_VIEW_SHRINKS, _RUN_FOLLOWS_FORM,
+         "tests/test_bisim.py::test_a_stable_text_path_never_groups_by_destination"]),
+    # The view is stored next to the input-order destination column, which `_stored`
+    # then pairs with the view's sources and letters.
+    "view-keeps-input-destinations": Mutant(
+        "lts", "self._transitions = (src, letter, offsets, None)",
+        "self._transitions = (src, letter, offsets, dst)",
+        [_FORMS, _BUILT_VIEW_SHRINKS, _STABILITY_PASS]),
+    # A grouped system's sources and letters are paired with the destinations one
+    # transition late.
+    "grouped-destinations-one-late": Mutant(
+        "lts", "_expanded(offsets) if dst is None else dst",
+        "chain((0,), _expanded(offsets)) if dst is None else dst",
+        [_FORMS, _STABILITY_PASS]),
+    # An input-order system is grouped as soon as it is built, so a run whose
+    # loop does not start sorts all the same.
+    "from-columns-groups-at-once": Mutant(
+        "lts", "T._transitions = (src, letter, None, dst)",
+        "T._transitions = (*_grouped(src, letter, dst, len(state_names)), None)",
+        [_FORMS, "tests/test_bisim.py::test_a_stable_text_path_never_groups_by_destination"]),
+    # `check` certifies stability again after a debug run has certified it.
+    "check-certifies-twice-under-debug": Mutant(
+        "cli", "None if debug_enabled() else result_fault(T, p_init.block_of, block_of)",
+        "result_fault(T, p_init.block_of, block_of)",
+        ["tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[512]",
+         "tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[10]"]),
     # `split` moves a state that a bucket repeats once per occurrence.
     "split-moves-repeats": Mutant(
         "partition", "if i < boundary:", "if False:",

@@ -236,26 +236,26 @@ def test_per_transition_counts_are_pinned(monkeypatch):
     # The whole outcome, not only the bound: exact counts (each scan of a
     # state counts once for every transition into it, never for the
     # transitions out of it), split calls, final blocks and the final layout.
-    T = _chain(16)
+    # Each debug setting runs on fresh systems, so every pinned value pins a
+    # first run: a second run on a partial system whose view the first built
+    # may lay out its blocks otherwise.
     halves = [set(range(8)), set(range(8, 16))]
-    T_random, p_random = gen_random_dlts(GenConfig(n=24, k=3, density=0.6, seed=3))
-    # Complete (m = n * k): pre-refinement returns a plain copy.
-    T_complete, _ = gen_random_dlts(GenConfig(n=24, k=2, density=1.0, seed=4))
     order = random.Random(4).sample(range(24), 24)
     random_halves = [set(order[:12]), set(order[12:])]
-    cases = [
-        (T, [set(range(16))], [1] * 15, 14, 16,
+    pinned = [
+        (lambda: (_chain(16), [set(range(16))]), [1] * 15, 14, 16,
          [14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15],
          [1, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 0]),
-        (T, halves, [1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 1], 12, 16,
+        (lambda: (_chain(16), halves), [1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 1], 12, 16,
          [7, 6, 5, 4, 3, 2, 1, 0, 14, 12, 11, 10, 9, 8, 13, 15],
          [0, 15, 14, 13, 12, 11, 10, 5, 4, 9, 8, 7, 6, 2, 3, 1]),
-        (T_random, p_random,
+        (lambda: gen_random_dlts(GenConfig(n=24, k=3, density=0.6, seed=3)),
          [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2, 2, 2, 1, 1, 1, 1, 1,
           1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1], 13, 21,
          [10, 19, 0, 4, 2, 20, 21, 5, 23, 18, 1, 11, 13, 22, 17, 14, 15, 8, 16, 7, 3, 9, 6, 12],
          [13, 5, 4, 17, 18, 16, 0, 6, 11, 3, 8, 9, 0, 9, 1, 10, 19, 20, 15, 12, 7, 2, 20, 14]),
-        (T_complete, random_halves,
+        # Complete (m = n * k): pre-refinement returns a plain copy.
+        (lambda: (gen_random_dlts(GenConfig(n=24, k=2, density=1.0, seed=4))[0], random_halves),
          [2, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2,
           1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 0, 0, 2, 2, 2, 1], 16, 23,
          [0, 4, 9, 17, 12, 7, 18, 3, 8, 2, 6, 15, 5, 10, 1, 20, 19, 14, 22, 21, 23, 11, 16, 13],
@@ -263,7 +263,8 @@ def test_per_transition_counts_are_pinned(monkeypatch):
     ]
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
-        for T_case, p_view, want, split_calls, blocks, A, block_of in cases:
+        for case, want, split_calls, blocks, A, block_of in pinned:
+            T_case, p_view = case()
             stats = ScanStats.detailed(T_case.m)
             p = dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
             assert stats.per_transition_counts == want
@@ -407,13 +408,15 @@ def test_stability_pass_agrees_with_is_bisimulation_on_seeded_corpus():
             if letter_sets[x] == letter_sets[y] and p_init.block_of[x] == p_init.block_of[y]:
                 merged = [result.block_of[x] if q in c else result.block_of[q] for q in range(T.n)]
                 candidates.append(("merged", merged))
-        # The pass reads the view once it is built, and the input order
-        # before; it never builds the view.
+        # The pass reads the form each system holds: the view of `T`, which
+        # the reads above built, and the input order of a fresh copy, whose
+        # view it never builds.
         fresh, _ = gen_random_dlts(cfg)
         for kind, block_of in candidates:
             verdict = is_stable(T, block_of)
             assert verdict == is_bisimulation(_blocks(block_of), T), (cfg, kind)
-            assert is_stable(fresh, block_of) == verdict and fresh._view is None, (cfg, kind)
+            assert is_stable(fresh, block_of) == verdict, (cfg, kind)
+            assert fresh._transitions[2] is None and T._transitions[3] is None, (cfg, kind)
             verdicts[kind, verdict] = verdicts.get((kind, verdict), 0) + 1
     assert not verdicts.get(("result", False)) and not verdicts.get(("merged", True))
     assert verdicts["pre-refined", True] and verdicts["pre-refined", False]
@@ -459,16 +462,19 @@ def test_a_stable_text_path_never_groups_by_destination(monkeypatch):
     assert format_dlts(T).splitlines()[3:] != text.splitlines()[1:]
 
 
-def test_runs_do_not_depend_on_whether_the_view_was_built(monkeypatch):
-    # Pre-refinement buckets in storage order, so a second run on a system
-    # whose first run built its view, and a run on a system whose view was
-    # forced first, give the first run's layouts and counters.
+def test_a_run_follows_the_form_that_its_system_holds(monkeypatch):
+    # Pre-refinement buckets in the order of the form the system holds, so a
+    # second run on a system whose first run built its view runs exactly as a
+    # first run on a system stored grouped in the same view, and first runs
+    # on two fresh copies agree.  Every run gives the same result, within
+    # floor(log2 n) + 1 scans per transition.
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "0")
 
     def run(T, p_view):
         stats = ScanStats.detailed(T.m)
         p = dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats)
-        return partition_arrays(p), stats
+        assert max(stats.per_transition_counts) <= scan_bound(T.n)
+        return partition_arrays(p), stats, p.to_canonical()
 
     configs = [GenConfig(n=24, k=3, density=0.6, seed=3)]
     configs += [GenConfig(n=40, k=3, density=0.5, seed=seed) for seed in range(5)]
@@ -476,10 +482,12 @@ def test_runs_do_not_depend_on_whether_the_view_was_built(monkeypatch):
         T, p_view = gen_random_dlts(cfg)
         first = run(T, p_view)
         assert first[1].transitions_scanned > 0, cfg  # the loop ran and built the view
-        assert run(T, p_view) == first, cfg
-        forced, _ = gen_random_dlts(cfg)
-        assert forced.in_offsets
-        assert run(forced, p_view) == first, cfg
+        assert run(gen_random_dlts(cfg)[0], p_view) == first, cfg
+        grouped = NormalizedDlts(T.in_src, T.in_letter, T.in_offsets, T.state_names, T.letter_names)
+        second = run(T, p_view)
+        assert second == run(grouped, p_view), cfg
+        want = canonical_view(naive_fixpoint(T, p_view))
+        assert first[2] == second[2] == want, cfg
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, reports, minimization."""
 
+import ast
 import csv
 import gc
 import hashlib
@@ -32,6 +33,7 @@ from dlts_bisim import (
     parse_lts,
 )
 from dlts_bisim.cli import _read, bench_rows, main
+from dlts_bisim.oracle import stable_by_signatures
 
 from _canon import (
     dfa_canonical_form,
@@ -368,11 +370,11 @@ def test_minimize_peak_memory_stays_near_its_input():
 
 def test_a_built_view_replaces_the_input_order_columns():
     """A system from `normalize`, which the `bisim <file>` path refines, keeps its
-    input-order columns until its loop builds the destination-grouped view, and then
-    the view and its destination column only: 3m + n + 1 ints.  So the build grows it
-    by the offsets alone, about 4 bytes per transition on this complete system with
-    k = 8.  One that also kept its input-order source and letter columns would grow
-    by about 21."""
+    input-order columns, 3m ints, until its loop builds the destination-grouped view,
+    and then the view alone: 2m + n + 1 ints.  So the build shrinks it, by about
+    4 bytes per transition on this complete system with k = 8.  One that also kept
+    its input-order destination column would grow by about 4, and one that kept all
+    three input-order columns by about 21."""
     def built_view_growth():
         T, _blocks = gen_random_dlts(GenConfig(n=4096, k=8, density=1.0, seed=1))
         size = tracemalloc.get_traced_memory()[0]
@@ -381,7 +383,7 @@ def test_a_built_view_replaces_the_input_order_columns():
 
     (T, growth), _kept, _peak = _traced(built_view_growth)
     assert T.m == T.n * T.k == 4096 * 8
-    assert growth < 8 * T.m, (growth, T.m)
+    assert growth < 0, (growth, T.m)
 
 
 def test_minimize_empty_language(tmp_path, capsys):
@@ -458,21 +460,23 @@ def _discrete(T, _blocks):
     return [{q} for q in range(T.n)]
 
 
-_from_initial = RefinablePartition.from_initial  # as it is before any patch
+_from_initial = RefinablePartition.from_initial  # as they are before any patch
+_init_refine = dlts_bisim.bisim.init_refine
 _SMALL = ("--count", "20", "--n", "6", "--seed", "0")
 _STABILITY = "two states of a block of the result differ in their (letter, successor block) pairs"
 
 
-def _from_one_block(T, _p_init, stats):
-    return dlts_bisim.bisim.dbisim(T, _from_initial(T.n, [range(T.n)]), stats)
+def _from_one_block(T, _p_init):
+    return _init_refine(T, _from_initial(T.n, [range(T.n)]))
 
 
 @pytest.mark.parametrize("debug", ["0", "1"])
 @pytest.mark.parametrize("fakes, argv, message", [
     pytest.param({"oracle.stable_by_signatures": lambda _T, _block_of: False}, _SMALL,
                  (_STABILITY,) * 2, id="stability"),
-    # the engine and the fixpoint both start from one block, so they agree
-    pytest.param({"cli.dbisim": _from_one_block,
+    # the engine's pre-refinement and the fixpoint both start from one block,
+    # so they agree, and a debug run's own certificate sees the fault
+    pytest.param({"bisim.init_refine": _from_one_block,
                   "oracle.naive_fixpoint": lambda T, _p: naive_fixpoint(T, [set(range(T.n))])},
                  _SMALL, ("a block of the result meets two blocks of the initial partition",) * 2,
                  id="refinement"),
@@ -507,22 +511,30 @@ def test_check_reports_a_debug_fault_as_a_mismatch(capsys, monkeypatch):
 
 @pytest.mark.parametrize("limit", [512, 10])
 def test_check_runs_the_fixpoint_once_per_instance(capsys, monkeypatch, limit):
-    # Under the debug switch the engine compares with the fixpoint up to the
-    # limit, and `check` does so above it; without the switch `check` always does.
+    # Under the debug switch the engine certifies stability and compares with
+    # the fixpoint up to the limit, and `check` compares above it; without the
+    # switch `check` does both.  Either way each instance is certified once.
     calls = []
+    stability_calls = []
 
     def counted(T, p_init):
         calls.append(T.n)
         return naive_fixpoint(T, p_init)
 
+    def counted_stability(T, block_of):
+        stability_calls.append(T.n)
+        return stable_by_signatures(T, block_of)
+
     monkeypatch.setattr("dlts_bisim.oracle.naive_fixpoint", counted)
+    monkeypatch.setattr("dlts_bisim.oracle.stable_by_signatures", counted_stability)
     monkeypatch.setattr("dlts_bisim.bisim._DEBUG_ASSERT_MAX_N", limit)
     for debug in ("0", "1"):
         monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
         calls.clear()
+        stability_calls.clear()
         code, _out, err = run(capsys, "check", "--count", "30", "--n", "20", "--seed", "7")
         assert (code, err.splitlines()[-1]) == (0, "checked 30 instances: ok")
-        assert len(calls) == 30
+        assert (len(calls), len(stability_calls)) == (30, 30), debug
     assert limit == 512 or min(calls) <= limit < max(calls)  # instances on both sides
 
 
@@ -636,6 +648,24 @@ def test_public_api_is_documented():
                if isinstance(member, classmethod) and not name.startswith("_")]
     assert {"RefinablePartition.from_initial", "ScanStats.detailed"} <= set(ways_in)
     assert [way for way in ways_in if not re.search(rf"\b{way.split('.')[1]}\b", readme)] == []
+
+
+def test_the_claims_ledger_names_existing_tests():
+    ledger = README.read_text(encoding="utf-8").split("\n## The paper's claims\n", 1)[1]
+    rows = [line[2:-2].split(" | ") for line in ledger.split("\n## ", 1)[0].splitlines()
+            if line.startswith("| ") and not line.startswith("| claim |")]
+    claims = ["`O(m log n)` time", "`O(k + m + n)` space", "no completion needed (`m <= kn`)",
+              '"much simpler than the two others"']
+    assert [claim for claim, _shown, _missing in rows] == claims
+    for claim, shown, missing in rows:
+        named = re.findall(r"`(tests/\w+\.py)(?:::(\w+))?`", shown)
+        assert named or missing.startswith("not shown yet"), claim
+        assert missing == "—" or re.search(r"\bitem \d+\b", missing), claim
+        for path, function in named:
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            tests = {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+            assert function in tests if function else tests, (claim, path, function)
 
 
 def test_every_traced_target_resolves():

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from itertools import chain
+from operator import itemgetter
 
 import pytest
 
@@ -473,36 +474,43 @@ def test_from_columns_groups_by_destination_stably():
     shared_slices = 0
     for case in cases:
         got = NormalizedDlts._from_columns(*case[1:])
+        # Held in input order, with no offsets, until the view is first read.
+        assert got._transitions[2] is None and list(got._stored()[2]) == case[3], case
         stored = list(zip(*got._stored()))
         assert got == _grouped_by_sort(*case), case
-        # Once the view is built, the input order is recovered from it and the
-        # destination column, which alone is kept.
-        assert got._columns[:2] == (None, None) and list(zip(*got._stored())) == stored, case
+        # Then the view alone is held, and it is the input order sorted stably
+        # by destination.
+        assert got._transitions[3] is None, case
+        assert list(zip(*got._stored())) == got.triples() == sorted(stored, key=itemgetter(2)), case
         offsets = got.in_offsets
         shared_slices += sum(offsets[q + 1] - offsets[q] >= 2 for q in range(got.n))
     assert shared_slices > 1000  # an unstable placement has room to show
 
 
 def test_threads_that_race_to_the_view_read_one_system():
-    # The view is published before the columns are dropped, and readers read
-    # the columns first, so every thread finds the columns or the view: each
-    # reads the input order before and after the view, and the same view.
+    # Each reader reads the one transitions attribute once, and the build
+    # replaces it in one assignment, so every thread finds the input order or
+    # the view before its own read of the view, the view after it, and the
+    # same view.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(10):
             cfg = GenConfig(n=1000, k=3, density=0.7, seed=seed)
             reference, T = gen_random_dlts(cfg)[0], gen_random_dlts(cfg)[0]
-            want = (list(zip(*reference._stored())), reference.in_src, reference.in_letter)
+            input_order = list(zip(*reference._stored()))
+            view = reference.in_src, reference.in_letter
+            view_order = list(zip(*reference._stored()))
+            assert input_order != view_order
             start = threading.Barrier(8)
             reads = []
 
             def read():
                 start.wait(timeout=10)
-                stored = list(zip(*T._stored()))
-                view = T.in_src, T.in_letter
-                assert list(zip(*T._stored())) == stored and T.m == len(stored)
-                reads.append((stored, *view))
+                before = list(zip(*T._stored()))
+                read_view = T.in_src, T.in_letter
+                after = list(zip(*T._stored()))
+                reads.append((before in (input_order, view_order), *read_view, after, T.m))
 
             threads = [threading.Thread(target=read) for _ in range(start.parties)]
             for thread in threads:
@@ -510,7 +518,7 @@ def test_threads_that_race_to_the_view_read_one_system():
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert reads == [want] * len(threads)
+            assert reads == [(True, *view, view_order, reference.m)] * len(threads)
     finally:
         sys.setswitchinterval(interval)
 
