@@ -8,10 +8,12 @@ detaches the smaller end block of a range and scans the incoming transitions
 of the *smaller* side, which is what caps the number of times any single
 transition is scanned at floor(log2 n) + 1.  The sources found are bucketed
 by letter, except those whose block is already a single state (the
-partition's `settled` flags), which no split can move; one `split` call per
-iteration that fills a bucket splits by all the buckets and pushes the
-ranges that become pending.  When the pre-refined partition is already
-stable, one pass over the transitions shows it and the loop does not run.
+partition's `settled` flags), which no split can move; the iteration then
+splits by all the buckets it filled and pushes the ranges that become
+pending.  One routine, `_split`, does the splitting: pre-refinement runs it
+once by each letter's sources, and `dbisim` runs it once for the whole loop.
+When the pre-refined partition is already stable, one pass over the
+transitions shows it and the loop does not run.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ class ScanStats:
 
     `transitions_scanned` counts every visit of an incoming transition during
     splitter-side scans, settled sources included.  `split_calls` counts the
-    letter buckets handed to `split`: one per letter that has a source
-    outside a one-state block in an iteration's scan; all of an iteration's
-    buckets go to one `split` call, and an iteration that fills none makes
-    no call.  Both stay 0 when the pre-refined partition is already stable,
-    as the loop then does not run.  `blocks_final` is the block count of the
-    result.
+    letter buckets that the loop splits by: one per letter that has a source
+    outside a one-state block in an iteration's scan, so an iteration that
+    fills no bucket splits by none.  Both stay 0 when the pre-refined
+    partition is already stable, as the loop then does not run.
+    `blocks_final` is the block count of the result.
     `per_transition_counts`, made only by `detailed`, tracks the scans per
     transition index: at most floor(log2 n) + 1 per entry, as a state's
     enclosing splitter side at least halves between visits.
@@ -91,8 +92,154 @@ def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinableParti
         sources[a].append(s)
     letters = [a for a, bucket in enumerate(sources) if len(bucket) < T.n]
     # Every block counts as inside a pending range, so no range is pushed.
-    p.split(sources, letters, [True] * p.block_count, [], [])
+    _split(p, sources, letters, [True] * p.block_count, [], [])
     return p
+
+
+def _split(p: RefinablePartition, buckets: list[list[int]], touched: list[int],
+           in_union: list[bool], los: list[int], his: list[int],
+           T: NormalizedDlts | None = None, visits: list[int] | None = None) -> tuple[int, int, int]:
+    """Split `p` by `buckets[a]` for each letter a of `touched` in turn,
+    emptying those buckets; given the system `T`, go on refining until no
+    splitter range is pending.  Returns the loop's transitions scanned,
+    split calls and iterations (counted only with `visits`), all 0 without
+    `T`.
+
+    For each bucket, every block that meets it without lying inside it
+    splits: the part inside moves to the left end of the block's subarray
+    and gets the next fresh id, so fresh ids ascend in the order the bucket
+    first meets their blocks; the part outside keeps the old id.  The
+    block's range before the split, which the two parts tile exactly, is
+    [left[fresh], right[old]).  A state repeated in a bucket moves once; a
+    one-state block is skipped before any swap, as it cannot split.  Each
+    one-state part a split creates gets its state's `settled` flag.  A
+    state's position is read only when the state may move, and compared
+    with the block's marked prefix only when that prefix is not empty,
+    since a block's first hit cannot be a repeat.  Cost is O(total bucket
+    length) element moves.
+
+    `in_union` flags the blocks that lie inside a pending splitter range:
+    disjoint ranges [los[i], his[i]) over `p.A`, each spanning at least two
+    whole blocks, popped LIFO.  A split of an unflagged block pushes its
+    pre-split range and flags the old id; the fresh id is always appended
+    flagged.  A later bucket sees the flags and ranges that an earlier one
+    left.
+
+    With `T`, each iteration then detaches the smaller end block of the top
+    range (the leftmost on a tie; either keeps the rest of the range
+    contiguous), unflags it (and the other block, when the range held only
+    two), and scans the incoming transitions of the smaller side into
+    `buckets`, filling `touched` in order of first use, before it splits
+    again.  Each scan of a state q bumps `visits[q]` when
+    `visits` is given.
+    """
+    A, pos, block_of = p.A, p.pos, p.block_of
+    left, right, settled = p.left, p.right, p.settled
+    # Block id -> states already swapped to the block's left end by the
+    # current bucket; 0 between buckets.  Ids stay below n, so it never grows.
+    marked = [0] * len(A)
+    hit: list[int] = []  # blocks hit by the current bucket, in order
+    if T is not None:
+        in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
+    scanned = split_calls = iterations = 0
+    while True:
+        for a in touched:
+            bucket = buckets[a]
+            for x in bucket:
+                b = block_of[x]
+                count = marked[b]
+                boundary = left[b] + count
+                if count:
+                    i = pos[x]
+                    if i < boundary:
+                        continue  # already marked by an earlier occurrence of x
+                else:
+                    # A block's first hit cannot be a repeat.
+                    if right[b] == boundary + 1:
+                        continue  # a one-state block
+                    hit.append(b)
+                    i = pos[x]
+                y = A[boundary]
+                A[boundary] = x
+                A[i] = y
+                pos[x] = boundary
+                pos[y] = i
+                marked[b] = count + 1
+            bucket.clear()
+            for b in hit:
+                lo = left[b]
+                mid = lo + marked[b]
+                marked[b] = 0
+                hi = right[b]
+                if mid == hi:
+                    continue  # the block lies inside the bucket: not split
+                fresh = len(left)
+                left.append(lo)
+                right.append(mid)
+                if mid - lo == 1:
+                    x = A[lo]
+                    block_of[x] = fresh
+                    settled[x] = 1
+                else:
+                    for i in range(lo, mid):
+                        block_of[A[i]] = fresh
+                left[b] = mid
+                if hi - mid == 1:
+                    settled[A[mid]] = 1
+                if not in_union[b]:
+                    # The pre-split range becomes one pending range: it now
+                    # spans the two parts.
+                    los.append(lo)
+                    his.append(hi)
+                    in_union[b] = True
+                in_union.append(True)
+            hit.clear()
+        if T is None or not los:
+            return scanned, split_calls, iterations
+        touched.clear()
+
+        lo, hi = los[-1], his[-1]
+        b = block_of[A[lo]]
+        mid = right[b]
+        c = block_of[A[hi - 1]]
+        cut = left[c]
+        if mid == cut:
+            # Exactly two blocks: the range is spent, both blocks leave the
+            # splitter union (they may re-enter later, once split).
+            los.pop()
+            his.pop()
+            in_union[c] = False
+        elif hi - cut < mid - lo:
+            his[-1] = mid = cut
+            b = c
+        else:
+            los[-1] = mid
+        in_union[b] = False
+
+        if mid - lo <= hi - mid:
+            side = A[lo:mid] if mid - lo > 1 else (A[lo],)
+        else:
+            side = A[mid:hi] if hi - mid > 1 else (A[mid],)
+        if visits is not None:
+            iterations += 1
+            for q in side:
+                visits[q] += 1
+        # Each source lands in its letter's bucket at most once, because the
+        # LTS is deterministic.  A source in a one-state block cannot split,
+        # so it is counted as scanned but not bucketed.
+        for q in side:
+            start, stop = in_off[q], in_off[q + 1]
+            scanned += stop - start
+            for t in range(start, stop):
+                x = in_src[t]
+                if settled[x]:
+                    continue
+                a = in_letter[t]
+                bucket = buckets[a]
+                if not bucket:
+                    touched.append(a)
+                bucket.append(x)
+        split_calls += len(touched)
 
 
 def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
@@ -178,79 +325,18 @@ def dbisim(
         stats.blocks_final = p.block_count
         return p
 
-    A, block_of, left, right, settled = p.A, p.block_of, p.left, p.right, p.settled
-    split = p.split
-    in_off, in_src, in_letter = T.in_offsets, T.in_src, T.in_letter
     # Counted and debug runs tally scans per state, and iterations; counted
     # runs expand the tallies per transition after the loop, since every scan
     # of q visits each incoming transition of q once.
     visits = [0] * T.n if counts is not None or debug else None
-    iterations = 0
-    # Pending splitters: disjoint ranges [los[i], his[i]) over A, each
-    # spanning at least two whole blocks; popped LIFO.  in_union[b] says
-    # whether block b lies inside one of them; every block starts inside the
-    # full range.
-    los, his = [0], [T.n]
-    in_union = [True] * p.block_count
-    # Per-letter sources of the scanned side; only touched letters get reset.
-    buckets: list[list[int]] = [[] for _ in range(T.k)]
-    touched: list[int] = []
-    scanned = 0
-    split_calls = 0
-
-    while los:
-        lo, hi = los[-1], his[-1]
-        # Detach the smaller end block, the leftmost on a tie: either keeps
-        # the rest of the range contiguous.
-        b = block_of[A[lo]]
-        mid = right[b]
-        c = block_of[A[hi - 1]]
-        cut = left[c]
-        if mid == cut:
-            # Exactly two blocks: the range is spent, both blocks leave the
-            # splitter union (they may re-enter later, once split).
-            los.pop()
-            his.pop()
-            in_union[c] = False
-        elif hi - cut < mid - lo:
-            his[-1] = mid = cut
-            b = c
-        else:
-            los[-1] = mid
-        in_union[b] = False
-
-        if mid - lo <= hi - mid:
-            side = A[lo:mid]
-        else:
-            side = A[mid:hi]
-        if visits is not None:
-            iterations += 1
-            for q in side:
-                visits[q] += 1
-        # Each source lands in its letter's bucket at most once, because the
-        # LTS is deterministic.  A source in a one-state block cannot split,
-        # so it is counted as scanned but not bucketed.
-        for q in side:
-            start, stop = in_off[q], in_off[q + 1]
-            scanned += stop - start
-            for t in range(start, stop):
-                x = in_src[t]
-                if settled[x]:
-                    continue
-                a = in_letter[t]
-                bucket = buckets[a]
-                if not bucket:
-                    touched.append(a)
-                bucket.append(x)
-
-        if touched:
-            split_calls += len(touched)
-            split(buckets, touched, in_union, los, his)
-            touched.clear()
+    # Every block starts inside the one pending range, the whole array.
+    scanned, split_calls, iterations = _split(
+        p, [[] for _ in range(T.k)], [], [True] * p.block_count, [0], [T.n], T, visits)
 
     if debug:
         _check_result(T, p_init, p, visits, iterations)
     if counts is not None:
+        in_off = T.in_offsets
         for q, v in enumerate(visits):
             for t in range(in_off[q], in_off[q + 1]):
                 counts[t] += v

@@ -6,7 +6,8 @@ Subcommands:
                 useless states), report on stderr
   gen           seeded random instance in dlts/dfa format
   check         cross-check the engine against the set-based fixpoint
-  bench         scan-counter and timing table over a size ladder
+  bench         scan-counter and timing table over a size ladder, and a
+                JSON file with the worst-case families added
 
 Artifacts go to stdout, reports and diagnostics to stderr.  Exit codes:
 0 ok, 1 parse/validation failure, 2 nondeterministic input, 3 check mismatch.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import random
 import sys
 import time
@@ -41,7 +43,15 @@ from .lts import (
     parse_lts,
     parse_partition,
 )
-from .gen import GenConfig, gen_random_dfa, gen_random_dlts, instance_stream
+from .gen import (
+    GenConfig,
+    cyclic_automaton,
+    de_bruijn_word,
+    fibonacci_word,
+    gen_random_dfa,
+    gen_random_dlts,
+    instance_stream,
+)
 from .oracle import fixpoint_fault, result_fault
 from .partition import PartitionError, RefinablePartition
 
@@ -61,8 +71,8 @@ class MinimizeReport:
     """Sizes and work counters for one minimization run.
 
     `transitions_scanned` and `split_calls` are the `ScanStats` counters of
-    the refinement: "split calls" counts the letter buckets handed to
-    `split`, which leave out sources already in a one-state block.
+    the refinement: "split calls" counts the letter buckets that the loop
+    splits by, which leave out sources already in a one-state block.
     """
 
     n: int
@@ -233,40 +243,63 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     return result, report(nb, useful_count)
 
 
+def _bench_row(family: str, T: NormalizedDlts, blocks: list, density: float,
+               seed: int | None) -> dict[str, float | int | str | None]:
+    """Refine `T` from `blocks` once: one row of `bench`'s fixed schema, but
+    for its µs per scan, which `bench --json` adds."""
+    p_init = RefinablePartition.from_initial(T.n, blocks)
+    stats = ScanStats()
+    started = time.perf_counter()
+    dbisim(T, p_init, stats)
+    elapsed = time.perf_counter() - started
+    return {
+        "family": family,
+        "n": T.n,
+        "m": T.m,
+        "k": T.k,
+        "density": density,
+        "seed": seed,
+        "transitions_scanned": stats.transitions_scanned,
+        "scan_bound": T.m * _scans_per_transition(T.n),
+        "seconds": round(elapsed, 6),
+    }
+
+
 def bench_rows(
     sizes: Sequence[int],
     seed: int,
     k: int = 2,
     density: float = 1.0,
-) -> list[dict[str, float | int]]:
+) -> list[dict[str, float | int | str | None]]:
     """One measurement row per size: work counters next to the scan bound.
 
     Each instance starts from a random two-block partition (the shape DFA
     minimization produces); with the one-block partition a complete instance
     is trivially its own coarsest bisimulation and nothing gets scanned.
     """
-    rows: list[dict[str, float | int]] = []
+    rows = []
     for n in sizes:
         cfg = GenConfig(n=n, k=k, density=density, seed=seed + n, max_blocks=1)
         T, _trivial = gen_random_dlts(cfg)
         rng = random.Random(cfg.seed + 1)
         half = {q for q in range(T.n) if rng.random() < 0.5}
         blocks = [b for b in (half, [q for q in range(T.n) if q not in half]) if b]
-        p_init = RefinablePartition.from_initial(T.n, blocks)
-        stats = ScanStats()
-        started = time.perf_counter()
-        dbisim(T, p_init, stats)
-        elapsed = time.perf_counter() - started
-        rows.append(
-            {
-                "n": T.n,
-                "m": T.m,
-                "transitions_scanned": stats.transitions_scanned,
-                "scan_bound": T.m * _scans_per_transition(T.n),
-                "seconds": round(elapsed, 6),
-            }
-        )
+        rows.append(_bench_row("random", T, blocks, density, seed))
     return rows
+
+
+# The worst-case families that `bench --json` adds to its ladder: Fibonacci
+# words keep the scans near n log2 n, and de Bruijn words scan one transition
+# floor(log2 n) times (see `gen`).
+_FAMILY_WORDS = [("fibonacci", fibonacci_word, 28657), ("fibonacci", fibonacci_word, 121393),
+                 ("de-bruijn", de_bruijn_word, 14), ("de-bruijn", de_bruijn_word, 17)]
+
+
+def _family_rows() -> list[dict[str, float | int | str | None]]:
+    """One `bench` row per worst-case family word of `_FAMILY_WORDS`, each a
+    complete unary cycle refined from its finals and non-finals."""
+    return [_bench_row(family, *cyclic_automaton(word(size)), 1.0, None)
+            for family, word, size in _FAMILY_WORDS]
 
 
 def _read(path: str) -> str:
@@ -352,9 +385,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--sizes must be comma-separated positive integers, got {args.sizes!r}")
     sizes = list(map(int, tokens))
     rows = bench_rows(sizes, args.seed, k=args.k, density=args.density)
+    if args.json:
+        written = []
+        for row in rows + _family_rows():
+            scans = row["transitions_scanned"]
+            written.append({**row, "us_per_scan": round(row["seconds"] * 1e6 / scans, 4) if scans else None})
+        report = {"python": "%d.%d.%d" % sys.version_info[:3], "rows": written}
+        try:
+            Path(args.json).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.json}: {exc}") from exc
     columns = ["n", "m", "transitions_scanned", "scan_bound", "seconds"]
     if args.csv:
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns)
+        writer = csv.DictWriter(sys.stdout, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     else:
@@ -409,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", type=int, default=2)
     p_bench.add_argument("--density", type=float, default=1.0)
     p_bench.add_argument("--csv", action="store_true", help="CSV instead of a table")
+    p_bench.add_argument("--json", metavar="PATH",
+                         help="also write the rows and the worst-case family rows to PATH")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -19,6 +19,7 @@ from dlts_bisim import (
     NormalizedDlts,
     RawLts,
     RefinablePartition,
+    is_bisimulation,
     naive_fixpoint,
 )
 
@@ -115,13 +116,12 @@ def check_consistency(p: RefinablePartition) -> None:
     n = len(p.A)
     assert sorted(p.A) == list(range(n)), "A is not a permutation"
     assert all(p.A[p.pos[q]] == q for q in range(n)), "pos is not the inverse of A"
-    assert len(p.right) == len(p.marked) == p.block_count, "block lists differ in length"
+    assert len(p.right) == p.block_count, "block lists differ in length"
     cursor = 0
     for left, right in sorted(zip(p.left, p.right)):
         assert left == cursor and right > left, "blocks do not tile the array"
         cursor = right
     assert cursor == n, "blocks do not cover the array"
-    assert not any(p.marked), "split cursor left dirty"
     assert p.settled == bytearray(p.right[b] - p.left[b] == 1 for b in p.block_of), \
         "settled flags disagree with one-state blocks"
     for b in range(p.block_count):
@@ -153,13 +153,13 @@ def init_refine_by_every_letter(T: NormalizedDlts, p: RefinablePartition,
     for a, s in zip(letter, src):
         buckets[a].append(s)
     for a in range(T.k) if letters is None else letters:
-        q.split(buckets, [a], [True] * q.block_count, [], [])
+        dlts_bisim.bisim._split(q, buckets, [a], [True] * q.block_count, [], [])
     return q
 
 
 def partition_arrays(p: RefinablePartition) -> tuple:
-    """All seven of a partition's flat arrays, for exact comparison."""
-    return p.A, p.pos, p.block_of, p.settled, p.left, p.right, p.marked
+    """All six of a partition's flat arrays, for exact comparison."""
+    return p.A, p.pos, p.block_of, p.settled, p.left, p.right
 
 
 def refines(fine, coarse) -> bool:
@@ -323,19 +323,103 @@ def table_filling_minimal_size(dfa: Dfa) -> int:
     return len(classes)
 
 
-def larger_side_dbisim():
-    """`dbisim` rebuilt from its source with the smaller-side test inverted.
+def mutant_bisim(mutant) -> types.ModuleType:
+    """`dlts_bisim.bisim` rebuilt from its source with a mutant applied: the
+    `bisim` entry of `MUTANTS` that `mutant` names, or a `Mutant` of `bisim`.
 
-    The mutant scans the larger side of every detached splitter.  Its result
-    is still the coarsest bisimulation, but the per-transition scan bound no
-    longer holds, which shows that the bound rests on the smaller-half rule.
+    The rebuilt module shares every other module with the package, so its
+    `dbisim` runs on the package's systems and partitions next to the real one.
     """
+    if isinstance(mutant, str):
+        mutant = MUTANTS[mutant]
+    assert mutant.module == "bisim", "only bisim mutants are rebuilt"
     source = inspect.getsource(dlts_bisim.bisim)
-    _module, smaller_side, larger_side, _tests = MUTANTS["larger-side"]
-    assert source.count(smaller_side) == 1, "the smaller-side test moved"
-    mutant = types.ModuleType("dlts_bisim._larger_side_mutant")
-    mutant.__package__ = "dlts_bisim"
-    sys.modules[mutant.__name__] = mutant  # dataclass decorators look the module up
-    code = compile(source.replace(smaller_side, larger_side), mutant.__name__, "exec")
-    exec(code, mutant.__dict__)
-    return mutant.dbisim
+    assert source.count(mutant.fragment) == 1, "the mutated fragment moved"
+    module = types.ModuleType("dlts_bisim._bisim_mutant")
+    module.__package__ = "dlts_bisim"
+    sys.modules[module.__name__] = module  # dataclass decorators look the module up
+    code = compile(source.replace(mutant.fragment, mutant.replacement), module.__name__, "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+def reference_loop(T: NormalizedDlts, p_view: list) -> tuple[list[int], int, list[list[int]]]:
+    """The engine's refinement, run on state sets: per-transition scan counts,
+    split calls and the canonical result of `dbisim(T, p_view)`.
+
+    Blocks are the sets of `split_tracking_ids`, which also gives their ids,
+    splitter-union flags and the pre-split sets that become pending ranges; a
+    pending range is the set of states it covers, and the stack of them is
+    popped last in, first out.  Only the array layout, which picks a range's end
+    blocks and the order in which a side's states are scanned, is kept apart:
+    the block ids in array order, and each block's states in array order, where
+    a split swaps the states it hits, in the order it meets them, to the front
+    of their block, and the part in front takes the fresh id.
+
+    It pre-refines as `init_refine` does, by each letter's sources in the order
+    of the form that `T` holds, skipping a letter with n sources, and stops
+    there when the result is a bisimulation.  Each iteration then detaches the
+    smaller end block of the top range (the leftmost on a tie), which is never
+    larger than the rest of the range, scans the incoming transitions of its
+    states in array order, buckets the sources outside one-state blocks by
+    letter in order of first use, and splits by each bucket in turn.
+    """
+    blocks = [set(block) for block in p_view]
+    lists = [sorted(block) for block in blocks]  # each block's states in array order
+    layout = list(range(len(blocks)))  # block ids in array order
+    flags = [True] * len(blocks)
+
+    def split(bucket) -> list[set[int]]:
+        id_of = {q: b for b, block in enumerate(blocks) for q in block}
+        swapped: dict[int, int] = {}
+        for x in dict.fromkeys(bucket):
+            b = id_of[x]
+            if len(lists[b]) > 1:
+                front, i = swapped.get(b, 0), lists[b].index(x)
+                lists[b][front], lists[b][i] = lists[b][i], lists[b][front]
+                swapped[b] = front + 1
+        before = len(blocks)
+        pushed = split_tracking_ids(blocks, flags, bucket)
+        for fresh in range(before, len(blocks)):
+            b = id_of[next(iter(blocks[fresh]))]
+            lists.append(lists[b][:swapped[b]])
+            lists[b] = lists[b][swapped[b]:]
+            assert (set(lists[fresh]), set(lists[b])) == (blocks[fresh], blocks[b])
+            layout.insert(layout.index(b), fresh)
+        return pushed
+
+    if T.m != T.n * T.k:
+        sources: list[list[int]] = [[] for _ in range(T.k)]
+        src, letter, _dst = T._stored()
+        for a, s in zip(letter, src):
+            sources[a].append(s)
+        for bucket in sources:
+            if len(bucket) < T.n:
+                split(bucket)
+
+    counts = [0] * T.m
+    split_calls = 0
+    # A stable pre-refinement is the answer, and the loop does not run.
+    ranges = [] if len(blocks) <= 1 or is_bisimulation(blocks, T) else [set(range(T.n))]
+    while ranges:
+        inside = [b for b in layout if blocks[b] <= ranges[-1]]
+        first, last = inside[0], inside[-1]
+        detached = first if len(blocks[first]) <= len(blocks[last]) else last
+        if len(inside) == 2:
+            ranges.pop()
+            flags[first] = flags[last] = False
+        else:
+            ranges[-1] = ranges[-1] - blocks[detached]
+            flags[detached] = False
+        size_of = {q: len(block) for block in blocks for q in block}
+        buckets: dict[int, list[int]] = {}  # by letter, in order of first use
+        for q in lists[detached]:
+            for t in range(T.in_offsets[q], T.in_offsets[q + 1]):
+                counts[t] += 1
+                x = T.in_src[t]
+                if size_of[x] > 1:
+                    buckets.setdefault(T.in_letter[t], []).append(x)
+        split_calls += len(buckets)
+        for bucket in buckets.values():
+            ranges += split(bucket)
+    return counts, split_calls, sorted(sorted(block) for block in blocks)

@@ -50,6 +50,8 @@ _BUILT_VIEW_SHRINKS = "tests/test_cli.py::test_a_built_view_replaces_the_input_o
 _RUN_FOLLOWS_FORM = "tests/test_bisim.py::test_a_run_follows_the_form_that_its_system_holds"
 _DEBUG_ABOVE_LIMIT = ("tests/test_bisim.py::"
                       "test_debug_runs_above_the_assertion_limit_reject_an_accept_all_stability_pass")
+_DEBUG_LIMIT = "tests/test_bisim.py::test_debug_mode_checks_the_result_above_the_assertion_limit"
+_REFERENCE_LOOP = "tests/test_bisim.py::test_reference_loop_does_the_engines_work"
 
 
 class Mutant(NamedTuple):
@@ -110,7 +112,7 @@ MUTANTS = {
     "quotient-counts-shifted": Mutant(
         "cli", "map(mul, range(nb), repeat(stride))", "map(mul, range(1, nb + 1), repeat(stride))",
         _MINIMIZE_CONTRACT + ["tests/test_cli.py::test_minimize_output_is_pinned"]),
-    # `dbisim` scans the larger side of each split (also `_canon.larger_side_dbisim`).
+    # `dbisim` scans the larger side of each split.
     "larger-side": Mutant(
         "bisim", "if mid - lo <= hi - mid:", "if mid - lo > hi - mid:",
         ["tests/test_acceptance.py::test_criterion_3_scan_counter_bound_and_scaling",
@@ -175,29 +177,44 @@ MUTANTS = {
         "result_fault(T, p_init.block_of, block_of)",
         ["tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[512]",
          "tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[10]"]),
-    # `split` moves a state that a bucket repeats once per occurrence.
+    # The split moves a state that a bucket repeats once per occurrence.
     "split-moves-repeats": Mutant(
-        "partition", "if i < boundary:", "if False:",
+        "bisim", "if i < boundary:", "if False:",
         [_SPLIT_REFERENCE, "tests/test_partition.py::test_split_tolerates_duplicates",
          "tests/test_bisim.py::test_dbisim_moves_a_repeated_source_once"]),
-    # `split` flags a block that splits but pushes no pending range for it.
+    # The split flags a block that splits but pushes no pending range for it.
     "split-pushes-no-range": Mutant(
-        "partition", "los.append(lo)\n                    his.append(hi)", "pass",
-        [_SPLIT_REFERENCE, _FLAGGED_SPLIT, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
-    # `split` pushes a block's range but leaves its `in_union` flag unset.
+        "bisim", "los.append(lo)\n                    his.append(hi)", "pass",
+        [_SPLIT_REFERENCE, _FLAGGED_SPLIT, _REFERENCE_CORPUS, _DEBUG_CHECKS, _DEBUG_LIMIT]),
+    # The split pushes a block's range but leaves its `in_union` flag unset.
     "split-leaves-union-flag": Mutant(
-        "partition", "in_union[b] = True", "pass",
+        "bisim", "in_union[b] = True", "pass",
         [_SPLIT_REFERENCE, _FLAGGED_SPLIT, _DEBUG_CHECKS,
          "tests/test_acceptance.py::test_criterion_3_scan_counter_bound_and_scaling",
          "tests/test_bisim.py::test_debug_runs_count_one_iteration_per_block_but_one"]),
-    # `split` leaves each bucket it splits by filled.
+    # The split leaves each bucket it splits by filled.
     "split-keeps-buckets": Mutant(
-        "partition", "bucket.clear()", "pass",
+        "bisim", "bucket.clear()", "pass",
         [_SPLIT_REFERENCE, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
-    # `split` sets the `settled` flag of a fresh part of two states.
+    # The split sets the `settled` flag of an old part of two states.
     "split-settles-two-states": Mutant(
-        "partition", "if mid - lo == 1:", "if mid - lo <= 2:",
+        "bisim", "if hi - mid == 1:", "if hi - mid <= 2:",
         [_SPLIT_REFERENCE, _REFERENCE_CORPUS, _DEBUG_CHECKS]),
+    # A one-state fresh part gets its block id but not its `settled` flag.
+    "split-leaves-fresh-state-unsettled": Mutant(
+        "bisim", "settled[x] = 1", "pass",
+        [_SPLIT_REFERENCE, "tests/test_partition.py::test_copy_is_independent", _REFERENCE_LOOP]),
+    # A one-state right side of a detached range is read one slot to the left,
+    # at the end of the left side.
+    "one-state-side-read-left": Mutant(
+        "bisim", "(A[mid],)", "(A[mid - 1],)",
+        [_REFERENCE_CORPUS, _DEBUG_CHECKS, _REFERENCE_LOOP,
+         "tests/test_bisim.py::test_per_transition_counts_are_pinned"]),
+    # The loop buckets sources in one-state blocks, which split nothing.
+    "loop-buckets-settled-sources": Mutant(
+        "bisim", "if settled[x]:", "if False:",
+        ["tests/test_bisim.py::test_loop_buckets_no_settled_source", _REFERENCE_LOOP,
+         "tests/test_bisim.py::test_per_transition_counts_are_pinned"]),
     # The shared result check accepts a result that merges two initial blocks.
     "refinement-accepts-merges": Mutant(
         "oracle", "map(enclosing.setdefault, block_of, init_block_of), init_block_of)",

@@ -25,15 +25,18 @@ from dlts_bisim import (
     normalize,
     parse_lts,
 )
+from dlts_bisim.gen import cyclic_automaton, de_bruijn_word, fibonacci_word
 
 from _canon import (
     check_consistency,
     init_refine_by_every_letter,
-    larger_side_dbisim,
     letter_signature_blocks,
+    mutant_bisim,
     partition_arrays,
+    reference_loop,
     refines,
 )
+from _mutants import Mutant
 
 
 def _dlts(n, transitions, letters=("a", "b")):
@@ -296,29 +299,28 @@ def test_dbisim_detaches_the_smaller_end_block(monkeypatch):
 def test_loop_buckets_no_settled_source(monkeypatch):
     # A source in a one-state block cannot split, so the loop leaves it out
     # of the buckets, and an iteration whose sources are all settled makes
-    # no split call.  Each iteration unflags the block it detaches before it
-    # calls `split`, so a call whose flags are all set is the
-    # pre-refinement's.  Debug runs hold the loop to exactly one iteration
-    # per block of the result but one.
+    # no split call.  A copy of the engine records the buckets of each
+    # iteration that fills one, where the loop hands them to the split.
+    # Debug runs hold the loop to exactly one iteration per block of the
+    # result but one.
     calls = []
-    original = RefinablePartition.split
 
-    def recording_split(self, buckets, letters, in_union, los, his):
-        letters = list(letters)
-        if not all(in_union):
-            calls.append([list(buckets[a]) for a in letters])
-            assert not any(self.settled[x] for a in letters for x in buckets[a])
-        return original(self, buckets, letters, in_union, los, his)
+    def record(p, buckets, touched):
+        calls.append([list(buckets[a]) for a in touched])
+        assert not any(p.settled[x] for a in touched for x in buckets[a])
 
+    handed = "split_calls += len(touched)"
+    recording = mutant_bisim(Mutant("bisim", handed, handed + "\n        if touched:\n"
+                                    "            _record(p, buckets, touched)", []))
+    recording._record = record
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
-    monkeypatch.setattr(RefinablePartition, "split", recording_split)
     T_complete, _ = gen_random_dlts(GenConfig(n=48, k=2, density=1.0, seed=7))
     order = random.Random(7).sample(range(48), 48)
     for T_case, p_view in [(_chain(16), [set(range(16))]),
                            (T_complete, [set(order[:24]), set(order[24:])])]:
         calls.clear()
         stats = ScanStats()
-        result = dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
+        result = recording.dbisim(T_case, RefinablePartition.from_initial(T_case.n, p_view), stats)
         check_consistency(result)
         assert result.to_canonical() == canonical_view(naive_fixpoint(T_case, p_view))
         iterations = result.block_count - 1
@@ -327,19 +329,48 @@ def test_loop_buckets_no_settled_source(monkeypatch):
         assert 0 < len(calls) < iterations
 
 
-# --- randomized equivalence with the reference ----------------------------
-
-
-def test_dbisim_matches_reference_on_seeded_corpus():
+def _seeded_corpus():
+    """The 250 configurations of the seeded reference corpus."""
     rng = random.Random(2024)
     for _ in range(250):
-        cfg = GenConfig(
+        yield GenConfig(
             n=rng.randint(1, 40),
             k=rng.randint(1, 4),
             density=rng.choice([0.2, 0.5, 0.9]),
             seed=rng.randrange(2**63),
             max_blocks=rng.randint(1, 4),
         )
+
+
+def _reference_cases():
+    """Each instance of the reference comparisons as a maker of fresh copies:
+    a run follows the form its system holds, so each route gets its own copy."""
+    for cfg in _seeded_corpus():
+        yield lambda cfg=cfg: gen_random_dlts(cfg)
+    for length in (89, 233, 610, 1597):
+        yield lambda length=length: cyclic_automaton(fibonacci_word(length))
+    for order in (4, 6, 8, 10):
+        yield lambda order=order: cyclic_automaton(de_bruijn_word(order))
+
+
+def test_reference_loop_does_the_engines_work():
+    # The set-based loop, which picks its splitters as the engine does,
+    # scans each transition as often, makes as many split calls and ends in
+    # the same partition: the counts pin the schedule, and the split calls
+    # pin that no settled source is bucketed.
+    for case in _reference_cases():
+        T, p_view = case()
+        stats = ScanStats.detailed(T.m)
+        result = dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats)
+        want = (stats.per_transition_counts, stats.split_calls, result.to_canonical())
+        assert reference_loop(*case()) == want, (T.n, T.m)
+
+
+# --- randomized equivalence with the reference ----------------------------
+
+
+def test_dbisim_matches_reference_on_seeded_corpus():
+    for cfg in _seeded_corpus():
         T, p_view = gen_random_dlts(cfg)
         stats = ScanStats.detailed(T.m)
         result = dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats)
@@ -562,34 +593,27 @@ def test_debug_mode_reports_skipped_checks(monkeypatch, capsys):
 
 def test_debug_mode_checks_the_result_above_the_assertion_limit(monkeypatch):
     # Past n = 512 the coarsest-partition check is skipped, yet debug runs
-    # still reject a result that is not stable (the loop's splits do
-    # nothing) or that does not refine the initial partition (pre-refinement
-    # starts from one block); plain runs return both.
-    original_split = RefinablePartition.split
+    # still reject a result that is not stable (the loop's splits push no
+    # range, so it stops after its first) or that does not refine the initial
+    # partition (pre-refinement starts from one block); plain runs return both.
     original_init_refine = dlts_bisim.bisim.init_refine
-
-    def split_only_the_first_block(self, buckets, letters, in_union, los, his):
-        if self.block_count == 1:  # init_refine's call
-            return original_split(self, buckets, letters, in_union, los, his)
-        for a in letters:
-            buckets[a].clear()
-
     cycle = _dlts(600, [(i, "a", (i + 1) % 600) for i in range(600)], letters=("a",))
     odd_one_out = RefinablePartition.from_initial(600, [{0}, set(range(1, 600))])
     cases = [
-        (RefinablePartition, "split", split_only_the_first_block, _chain(513), _full(513),
+        (mutant_bisim("split-pushes-no-range"), {}, _chain(513), _full(513),
          "differ in their \\(letter, successor block\\) pairs"),
-        (dlts_bisim.bisim, "init_refine", lambda T, p: original_init_refine(T, _full(T.n)),
+        (dlts_bisim.bisim, {"init_refine": lambda T, p: original_init_refine(T, _full(T.n))},
          cycle, odd_one_out, "meets two blocks of the initial partition"),
     ]
-    for owner, name, patch, T, p_init, message in cases:
+    for module, patches, T, p_init, message in cases:
         with monkeypatch.context() as m:
-            m.setattr(owner, name, patch)
+            for name, patch in patches.items():
+                m.setattr(module, name, patch)
             m.setenv("DLTS_BISIM_DEBUG", "0")
-            dbisim(T, p_init)
+            module.dbisim(T, p_init)
             m.setenv("DLTS_BISIM_DEBUG", "1")
             with pytest.raises(AssertionError, match=message):
-                dbisim(T, p_init)
+                module.dbisim(T, p_init)
 
 
 def test_debug_runs_count_one_iteration_per_block_but_one(monkeypatch):
@@ -597,27 +621,19 @@ def test_debug_runs_count_one_iteration_per_block_but_one(monkeypatch):
     # a later split of that block push an overlapping range.  The result is
     # still right, as every range is a union of blocks, but the loop takes
     # more iterations than the blocks it creates, which debug runs reject.
-    original = RefinablePartition.split
-
-    def split_leaving_union_flags(self, buckets, letters, in_union, los, his):
-        for a in list(letters):
-            unflagged = [b for b, flag in enumerate(in_union) if not flag]
-            original(self, buckets, [a], in_union, los, his)
-            for b in unflagged:
-                in_union[b] = False
-
+    leaving_union_flags = mutant_bisim("split-leaves-union-flag")
     T, p_view = gen_random_dlts(GenConfig(n=8, k=2, density=0.8, seed=1, max_blocks=2))
     want = canonical_view(naive_fixpoint(T, p_view))
     honest = ScanStats()
     assert dbisim(T, RefinablePartition.from_initial(T.n, p_view), honest).to_canonical() == want
-    monkeypatch.setattr(RefinablePartition, "split", split_leaving_union_flags)
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "0")
     stats = ScanStats()
-    assert dbisim(T, RefinablePartition.from_initial(T.n, p_view), stats).to_canonical() == want
+    assert leaving_union_flags.dbisim(
+        T, RefinablePartition.from_initial(T.n, p_view), stats).to_canonical() == want
     assert stats.transitions_scanned != honest.transitions_scanned
     monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
     with pytest.raises(AssertionError, match="iterations for"):
-        dbisim(T, RefinablePartition.from_initial(T.n, p_view))
+        leaving_union_flags.dbisim(T, RefinablePartition.from_initial(T.n, p_view))
 
 
 def test_debug_runs_above_the_assertion_limit_reject_an_accept_all_stability_pass(monkeypatch):
@@ -644,7 +660,7 @@ def test_scan_larger_mutant_breaks_bound_but_not_result():
     n = 64
     T = _chain(n)
     stats = ScanStats.detailed(T.m)
-    mutant = larger_side_dbisim()(T, _full(n), stats)
+    mutant = mutant_bisim("larger-side").dbisim(T, _full(n), stats)
     assert max(stats.per_transition_counts) > scan_bound(n)
     assert mutant.to_canonical() == canonical_view(naive_fixpoint(T, [set(range(n))]))
 

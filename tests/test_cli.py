@@ -6,7 +6,9 @@ import gc
 import hashlib
 import importlib.util
 import io
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from dlts_bisim import (
     RawLts,
     RefinablePartition,
     ScanStats,
+    dbisim,
     gen_random_dfa,
     gen_random_dlts,
     minimize_dfa,
@@ -33,12 +36,13 @@ from dlts_bisim import (
     parse_lts,
 )
 from dlts_bisim.cli import _read, bench_rows, main
+from dlts_bisim.gen import cyclic_automaton, de_bruijn_word, fibonacci_word
 from dlts_bisim.oracle import stable_by_signatures
 
 from _canon import (
     dfa_canonical_form,
     dfa_language_equivalent,
-    larger_side_dbisim,
+    mutant_bisim,
     table_filling_minimal_size,
 )
 
@@ -484,7 +488,7 @@ def _from_one_block(T, _p_init):
                  ("the result is not the coarsest bisimulation refining the initial partition",) * 2,
                  id="fixpoint"),
     # debug runs of the engine find the broken bound first, per state
-    pytest.param({"cli.dbisim": larger_side_dbisim()},
+    pytest.param({"cli.dbisim": mutant_bisim("larger-side").dbisim},
                  ("--count", "10", "--n", "50", "--k", "4", "--density", "0.9", "--seed", "0"),
                  ("a transition was scanned", "a state was scanned more than"), id="bound"),
 ])
@@ -580,6 +584,36 @@ def test_bench_work_counts_are_pinned(capsys):
         (1024, 1578, 2122, 17358),
         (4096, 6181, 9156, 80353),
     ]
+
+
+def test_bench_json_writes_the_fixed_schema(capsys, monkeypatch, tmp_path):
+    # The family words are shortened here; `bench --json` refines the long
+    # ones named in `_FAMILY_WORDS`.
+    monkeypatch.setattr(dlts_bisim.cli, "_FAMILY_WORDS",
+                        [("fibonacci", fibonacci_word, 89), ("de-bruijn", de_bruijn_word, 6)])
+    path = tmp_path / "BENCH_x.json"
+    code, out, _err = run(capsys, "bench", "--sizes", "64", "--seed", "3", "--csv", "--json", str(path))
+    assert code == 0
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert report["python"] == platform.python_version()
+    keys = ["family", "n", "m", "k", "density", "seed", "transitions_scanned", "scan_bound",
+            "seconds", "us_per_scan"]
+    assert [list(row) for row in report["rows"]] == [keys] * 3
+    shape = [(row["family"], row["n"], row["m"], row["k"], row["density"], row["seed"])
+             for row in report["rows"]]
+    assert shape == [("random", 64, 128, 2, 1.0, 3), ("fibonacci", 89, 89, 1, 1.0, None),
+                     ("de-bruijn", 64, 64, 1, 1.0, None)]
+    printed = next(csv.DictReader(io.StringIO(out)))
+    assert int(printed["transitions_scanned"]) == report["rows"][0]["transitions_scanned"]
+    for row, word in zip(report["rows"][1:], (fibonacci_word(89), de_bruijn_word(6))):
+        T, blocks = cyclic_automaton(word)
+        stats = ScanStats()
+        dbisim(T, RefinablePartition.from_initial(T.n, blocks), stats)
+        assert row["transitions_scanned"] == stats.transitions_scanned > 0
+        assert row["scan_bound"] == T.m * T.n.bit_length()
+        assert row["us_per_scan"] == round(row["seconds"] * 1e6 / row["transitions_scanned"], 4)
+    code, out, err = run(capsys, "bench", "--sizes", "8", "--json", str(tmp_path / "no" / "x.json"))
+    assert (code, err.startswith(f"error: cannot write {tmp_path / 'no' / 'x.json'}")) == (1, True)
 
 
 @pytest.mark.parametrize("sizes", ["1,x", "", "64,", "0", "-4", "+8", "1.5", "٣"])

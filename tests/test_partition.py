@@ -1,10 +1,11 @@
-"""The refinable partition and its split primitive."""
+"""The refinable partition, and the engine's split routine run without a system."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlts_bisim import PartitionError, RefinablePartition
+from dlts_bisim.bisim import _split
 
 from _canon import check_consistency, refines, split_sets, split_tracking_ids
 
@@ -58,6 +59,14 @@ def test_from_initial_rejects_bad_partitions():
         RefinablePartition.from_initial(1, [{0}, set()])
     with pytest.raises(PartitionError, match="out of range"):
         RefinablePartition.from_initial(2, [{0, 5}, {1}])
+    # Each block is checked in ascending order: a repeat or a state of an
+    # earlier block below a state out of range is reported first.
+    with pytest.raises(PartitionError, match="state 0 is repeated within block 0"):
+        RefinablePartition.from_initial(2, [[5, 0, 0]])
+    with pytest.raises(PartitionError, match="state 0 appears in two blocks"):
+        RefinablePartition.from_initial(2, [{0}, {0, 9}])
+    with pytest.raises(PartitionError, match="state index -1 out of range 0..1"):
+        RefinablePartition.from_initial(2, [{0}, {-1, 0}])
 
 
 def split(p, *buckets, in_union=None):
@@ -67,7 +76,7 @@ def split(p, *buckets, in_union=None):
         in_union = [False] * p.block_count
     lists = [list(bucket) for bucket in buckets]
     los, his = [], []
-    p.split(lists, range(len(lists)), in_union, los, his)
+    assert _split(p, lists, list(range(len(lists))), in_union, los, his) == (0, 0, 0)
     assert not any(lists), "buckets not emptied"
     assert len(in_union) == p.block_count
     return list(zip(los, his))
@@ -214,7 +223,7 @@ def test_split_matches_set_reference(case):
         want_flags = list(in_union)
         lists = [list(bucket) for bucket in buckets]
         los, his = [], []
-        p.split(lists, letters, in_union, los, his)
+        _split(p, lists, letters, in_union, los, his)
         pushed, sets = [], [set(b) for b in before]
         for a in letters:
             pushed += split_tracking_ids(reference, want_flags, buckets[a])

@@ -1,12 +1,11 @@
-"""The scan bound's tightness on worst-case families (see `_families`)."""
+"""The scan bound's tightness on worst-case families (see `dlts_bisim.gen`)."""
 
 import math
 
 import pytest
 
 from dlts_bisim import RefinablePartition, ScanStats, dbisim
-
-from _families import cyclic_automaton, de_bruijn_word, fibonacci_word
+from dlts_bisim.gen import cyclic_automaton, de_bruijn_word, fibonacci_word
 
 
 def _refine(word):
