@@ -64,6 +64,11 @@ def debug_enabled() -> bool:
     return os.environ.get(DEBUG_ENV, "") == "1"
 
 
+def _scans_per_transition(n: int) -> int:
+    # floor(log2 n) + 1, the most scans of one state or transition; n.bit_length() is exact.
+    return max(n.bit_length(), 1)
+
+
 def init_refine(T: NormalizedDlts, p_init: RefinablePartition) -> RefinablePartition:
     """Pre-refinement: separate states whose outgoing letter sets differ.
 
@@ -262,15 +267,9 @@ def _is_stable(T: NormalizedDlts, block_of: list[int]) -> bool:
     return all(map(eq, map(dict.setdefault, tables, sources, targets), expected))
 
 
-def debug_checks_fixpoint(n: int) -> bool:
-    """Whether debug runs compare a result over n states with `naive_fixpoint`,
-    about O(k n^3): only up to `_DEBUG_ASSERT_MAX_N`, where it does not dominate."""
-    return debug_enabled() and n <= _DEBUG_ASSERT_MAX_N
-
-
 def _check_result(T: NormalizedDlts, p_init: RefinablePartition, p: RefinablePartition,
-                  visits: list[int] | None, iterations: int) -> None:
-    """Debug runs: certify the result `p` of a run from `p_init`.
+                  visits: list[int] | None, iterations: int, fixpoint_max_n: int) -> None:
+    """Certify the result `p` of a run from `p_init`.
 
     At any n the result must pass the oracle's `result_fault`, whose
     stability check shares no code with `_is_stable`.  When the loop ran,
@@ -278,22 +277,23 @@ def _check_result(T: NormalizedDlts, p_init: RefinablePartition, p: RefinablePar
     may have been scanned more than floor(log2 n) + 1 times, and the loop
     must have taken one iteration per block of the result but one: each
     iteration detaches one block from a range of at least two, and each
-    split adds one block to a range.  Where `debug_checks_fixpoint` says
-    so, the result must also pass `fixpoint_fault`; elsewhere a notice on
-    stderr says that this check is skipped.
+    split adds one block to a range.  Up to `fixpoint_max_n` states the
+    result must also pass `fixpoint_fault`, about O(k n^3); above it a
+    notice on stderr says that this check is skipped.
     """
     fault = result_fault(T, p_init.block_of, p.block_of)
     if fault is None and visits is not None:
-        if max(visits) > T.n.bit_length():
-            fault = f"a state was scanned more than {T.n.bit_length()} times"
+        bound = _scans_per_transition(T.n)
+        if max(visits) > bound:
+            fault = f"a state was scanned more than {bound} times"
         elif iterations != p.block_count - 1:
             fault = f"the loop took {iterations} iterations for {p.block_count} blocks"
     if fault is None:
-        if debug_checks_fixpoint(T.n):
+        if T.n <= fixpoint_max_n:
             fault = fixpoint_fault(T, p_init.block_of, p.block_of)
         else:
             print(f"{DEBUG_ENV}: coarsest-partition check skipped, n={T.n} > "
-                  f"{_DEBUG_ASSERT_MAX_N}; the other result checks ran", file=sys.stderr)
+                  f"{fixpoint_max_n}; the other result checks ran", file=sys.stderr)
     if fault is not None:
         raise AssertionError(fault)
 
@@ -309,32 +309,39 @@ def dbisim(
     and the loop's work with `_check_result`, which raises AssertionError on
     a fault and names on stderr the check it skips above n = 512.
     """
+    return _refine(T, p_init, stats, _DEBUG_ASSERT_MAX_N if debug_enabled() else None)
+
+
+def _refine(T: NormalizedDlts, p_init: RefinablePartition, stats: ScanStats | None,
+            fixpoint_max_n: int | None) -> RefinablePartition:
+    """`dbisim`'s run under a certification policy: none when `fixpoint_max_n`
+    is None, else `_check_result` with that limit on the fixpoint check."""
     stats = ScanStats() if stats is None else stats
     counts = stats.per_transition_counts
     if counts is not None and len(counts) != T.m:
         raise ValueError(f"{len(counts)} per-transition counters for an LTS with {T.m} transitions")
 
     p = init_refine(T, p_init)
-    debug = debug_enabled()
+    certify = fixpoint_max_n is not None
     # Pre-refinement leaves each block one set of outgoing letters and only
     # separates states that cannot be bisimilar, so a stable pre-refined
     # partition is already the coarsest bisimulation refining p_init.
     if p.block_count <= 1 or _is_stable(T, p.block_of):
-        if debug:
-            _check_result(T, p_init, p, None, 0)
+        if certify:
+            _check_result(T, p_init, p, None, 0, fixpoint_max_n)
         stats.blocks_final = p.block_count
         return p
 
-    # Counted and debug runs tally scans per state, and iterations; counted
-    # runs expand the tallies per transition after the loop, since every scan
-    # of q visits each incoming transition of q once.
-    visits = [0] * T.n if counts is not None or debug else None
+    # Counted and certified runs tally scans per state, and iterations;
+    # counted runs expand the tallies per transition after the loop, since
+    # every scan of q visits each incoming transition of q once.
+    visits = [0] * T.n if counts is not None or certify else None
     # Every block starts inside the one pending range, the whole array.
     scanned, split_calls, iterations = _split(
         p, [[] for _ in range(T.k)], [], [True] * p.block_count, [0], [T.n], T, visits)
 
-    if debug:
-        _check_result(T, p_init, p, visits, iterations)
+    if certify:
+        _check_result(T, p_init, p, visits, iterations, fixpoint_max_n)
     if counts is not None:
         in_off = T.in_offsets
         for q, v in enumerate(visits):

@@ -28,7 +28,7 @@ from operator import add, and_, floordiv, mod, mul, not_, sub
 from pathlib import Path
 from typing import Sequence
 
-from .bisim import ScanStats, dbisim, debug_checks_fixpoint, debug_enabled
+from .bisim import ScanStats, _refine, _scans_per_transition, dbisim, debug_enabled
 from .lts import (
     Dfa,
     LtsError,
@@ -52,18 +52,12 @@ from .gen import (
     gen_random_dlts,
     instance_stream,
 )
-from .oracle import fixpoint_fault, result_fault
 from .partition import PartitionError, RefinablePartition
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONDET = 2
 EXIT_MISMATCH = 3
-
-
-def _scans_per_transition(n: int) -> int:
-    # floor(log2 n) + 1, the most scans of one transition; n.bit_length() is exact.
-    return max(n.bit_length(), 1)
 
 
 @dataclass
@@ -350,27 +344,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     checked = 0
     for cfg, T, p_view in instance_stream(args.count, args.n, args.k, args.density, args.seed):
-        stats = ScanStats.detailed(T.m)
-        p_init = RefinablePartition.from_initial(T.n, p_view)
         try:
-            block_of = dbisim(T, p_init, stats).block_of
-        except AssertionError as exc:  # a debug run's result check failed
-            failure = str(exc)
-        else:
-            # A debug run has run `result_fault` already, and `fixpoint_fault`
-            # where `debug_checks_fixpoint` says so.
-            failure = None if debug_enabled() else result_fault(T, p_init.block_of, block_of)
-            if failure is None and not debug_checks_fixpoint(T.n):
-                failure = fixpoint_fault(T, p_init.block_of, block_of)
-        if failure is None:
-            bound = _scans_per_transition(T.n)
-            worst = max(stats.per_transition_counts, default=0)
-            if worst > bound:
-                failure = f"a transition was scanned {worst} times (bound {bound})"
-        if failure is not None:
+            # One run, certified with the fixpoint at every n.
+            _refine(T, RefinablePartition.from_initial(T.n, p_view), None, T.n)
+        except AssertionError as exc:
             print(
                 f"mismatch on instance seed={cfg.seed} n={cfg.n} k={cfg.k}"
-                f" density={cfg.density} max_blocks={cfg.max_blocks}: {failure}",
+                f" density={cfg.density} max_blocks={cfg.max_blocks}: {exc}",
                 file=sys.stderr,
             )
             return EXIT_MISMATCH

@@ -171,12 +171,19 @@ MUTANTS = {
         "lts", "T._transitions = (src, letter, None, dst)",
         "T._transitions = (*_grouped(src, letter, dst, len(state_names)), None)",
         [_FORMS, "tests/test_bisim.py::test_a_stable_text_path_never_groups_by_destination"]),
-    # `check` certifies stability again after a debug run has certified it.
-    "check-certifies-twice-under-debug": Mutant(
-        "cli", "None if debug_enabled() else result_fault(T, p_init.block_of, block_of)",
-        "result_fault(T, p_init.block_of, block_of)",
-        ["tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[512]",
-         "tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[10]"]),
+    # `check` runs the engine with no certificate, so it accepts every result.
+    "check-run-uncertified": Mutant(
+        "cli", "RefinablePartition.from_initial(T.n, p_view), None, T.n)",
+        "RefinablePartition.from_initial(T.n, p_view), None, None)",
+        ["tests/test_cli.py::test_check_reports_each_mismatch[stability-0]",
+         "tests/test_cli.py::test_check_reports_each_mismatch[bound-1]",
+         "tests/test_cli.py::test_check_reports_a_debug_fault_as_a_mismatch",
+         "tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[512]"]),
+    # A certified run compares with the fixpoint only up to the debug limit, so
+    # `check` skips it above that limit, as a debug run does.
+    "check-fixpoint-up-to-debug-limit": Mutant(
+        "bisim", "if T.n <= fixpoint_max_n:", "if T.n <= min(fixpoint_max_n, _DEBUG_ASSERT_MAX_N):",
+        ["tests/test_cli.py::test_check_runs_the_fixpoint_once_per_instance[10]"]),
     # The split moves a state that a bucket repeats once per occurrence.
     "split-moves-repeats": Mutant(
         "bisim", "if i < boundary:", "if False:",

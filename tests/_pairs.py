@@ -9,8 +9,14 @@ own process, the revision first in even pairs and the working tree first in odd
 ones.  Every run prints one line.  At the end, for each workload and each
 end-to-end metric of `BENCHMARK.json`, it prints each side's median and
 quartiles and the pairs that the working tree won (ties count for neither
-side), and the failed jobs of each side.  It needs only the standard library
-and git, and it is not part of the test suite.
+side), and the failed jobs of each side.  A line is flagged `WORSE` when the
+working tree's median is worse than the revision's by more than the metric's
+`bound` in `BENCHMARK.json`, and `UNRESOLVED` when the revision's own quartiles
+span more than that bound of its median, so that the pairs cannot tell a change
+within the bound from noise, unless every run of the working tree reads better
+than every run of the revision; failed jobs are flagged `WORSE` when the working
+tree fails a larger share.  The last line counts the flags.  It needs only the
+standard library and git, and it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -45,8 +51,12 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def spread(values: list[float]) -> str:
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.6g} [{q1:.6g}–{q3:.6g}]"
 
 
@@ -77,20 +87,33 @@ def main(argv: list[str] | None = None) -> int:
                           f"{result['attempted']}", flush=True)
     print(f"\n{args.revision} (before) against the working tree (after), seed {args.seed}, "
           f"{args.pairs} pairs of {args.seconds:g} s; median [quartiles]")
+    worse = unresolved = 0
     for w in workloads:
         before, after = results[w, "before"], results[w, "after"]
         for m in metrics:
-            name = m["name"]
+            name, bound = m["name"], m["bound"]
             old = [r["metrics"][name]["value"] for r in before]
             new = [r["metrics"][name]["value"] for r in after]
             sign = 1 if m["better"] == "higher" else -1
             won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
             change = statistics.median(new) / statistics.median(old) - 1
+            q1, q2, q3 = quartiles(old)
+            flags = ""
+            if sign * change < -bound:
+                worse += 1
+                flags += f"  WORSE than the {bound:.0%} bound"
+            if q3 - q1 > bound * abs(q2) and not all(sign * (b - a) > 0 for a in old for b in new):
+                unresolved += 1
+                flags += f"  UNRESOLVED: before's quartiles span more than {bound:.0%}"
             print(f"{w:14} {name:14} {spread(old):34} {spread(new):34} {change:+7.1%} "
-                  f"won {won} of {len(old)}")
+                  f"won {won} of {len(old)}{flags}")
         failed = [sum(r["failed"] for r in side) for side in (before, after)]
         attempted = [sum(r["attempted"] for r in side) for side in (before, after)]
-        print(f"{w:14} failed jobs    {failed[0]}/{attempted[0]} before, {failed[1]}/{attempted[1]} after")
+        more_failed = failed[1] * attempted[0] > failed[0] * attempted[1]
+        worse += more_failed
+        print(f"{w:14} failed jobs    {failed[0]}/{attempted[0]} before, {failed[1]}/{attempted[1]} after"
+              + ("  WORSE" if more_failed else ""))
+    print(f"{worse} lines worse than their bound, {unresolved} unresolved")
     return 0
 
 

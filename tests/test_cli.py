@@ -477,47 +477,46 @@ def _from_one_block(T, _p_init):
 @pytest.mark.parametrize("debug", ["0", "1"])
 @pytest.mark.parametrize("fakes, argv, message", [
     pytest.param({"oracle.stable_by_signatures": lambda _T, _block_of: False}, _SMALL,
-                 (_STABILITY,) * 2, id="stability"),
+                 _STABILITY, id="stability"),
     # the engine's pre-refinement and the fixpoint both start from one block,
-    # so they agree, and a debug run's own certificate sees the fault
+    # so they agree, and the run's certificate sees the fault
     pytest.param({"bisim.init_refine": _from_one_block,
                   "oracle.naive_fixpoint": lambda T, _p: naive_fixpoint(T, [set(range(T.n))])},
-                 _SMALL, ("a block of the result meets two blocks of the initial partition",) * 2,
+                 _SMALL, "a block of the result meets two blocks of the initial partition",
                  id="refinement"),
     pytest.param({"oracle.naive_fixpoint": _discrete}, _SMALL,
-                 ("the result is not the coarsest bisimulation refining the initial partition",) * 2,
+                 "the result is not the coarsest bisimulation refining the initial partition",
                  id="fixpoint"),
-    # debug runs of the engine find the broken bound first, per state
-    pytest.param({"cli.dbisim": mutant_bisim("larger-side").dbisim},
+    pytest.param({"cli._refine": mutant_bisim("larger-side")._refine},
                  ("--count", "10", "--n", "50", "--k", "4", "--density", "0.9", "--seed", "0"),
-                 ("a transition was scanned", "a state was scanned more than"), id="bound"),
+                 "a state was scanned more than", id="bound"),
 ])
 def test_check_reports_each_mismatch(capsys, monkeypatch, fakes, argv, message, debug):
+    # `check` certifies its own run, so the switch changes nothing.
     for name, fake in fakes.items():
         monkeypatch.setattr(f"dlts_bisim.{name}", fake)
     monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
     code, out, err = run(capsys, "check", *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("mismatch on instance seed=")  # reproducer seed printed
-    assert message[int(debug)] in err
+    assert re.fullmatch(rf"mismatch on instance seed=\d+ n=\d+ .*: {re.escape(message)}.*\n", err)
 
 
 def test_check_reports_a_debug_fault_as_a_mismatch(capsys, monkeypatch):
-    # An engine that takes every pre-refinement for stable fails the debug
-    # result check, which `check` reports with the seed like any mismatch.
+    # An engine that takes every pre-refinement for stable fails the run's
+    # certificate, which `check` reports with the seed like any mismatch,
+    # whatever the debug switch says.
     monkeypatch.setattr("dlts_bisim.bisim._is_stable", lambda _T, _block_of: True)
-    assert run(capsys, "check", "--count", "50", "--n", "20", "--seed", "3")[0] == 3
-    monkeypatch.setenv("DLTS_BISIM_DEBUG", "1")
-    code, out, err = run(capsys, "check", "--count", "50", "--n", "20", "--seed", "3")
-    assert (code, out) == (3, "")
-    assert re.fullmatch(rf"mismatch on instance seed=\d+ n=\d+ .*: {re.escape(_STABILITY)}\n", err)
+    for debug in ("0", "1"):
+        monkeypatch.setenv("DLTS_BISIM_DEBUG", debug)
+        code, out, err = run(capsys, "check", "--count", "50", "--n", "20", "--seed", "3")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(rf"mismatch on instance seed=\d+ n=\d+ .*: {re.escape(_STABILITY)}\n", err)
 
 
 @pytest.mark.parametrize("limit", [512, 10])
 def test_check_runs_the_fixpoint_once_per_instance(capsys, monkeypatch, limit):
-    # Under the debug switch the engine certifies stability and compares with
-    # the fixpoint up to the limit, and `check` compares above it; without the
-    # switch `check` does both.  Either way each instance is certified once.
+    # `check` certifies each instance in one run, with the fixpoint at every
+    # n, whatever the debug switch and its limit say, and notes no skipped check.
     calls = []
     stability_calls = []
 
@@ -537,7 +536,7 @@ def test_check_runs_the_fixpoint_once_per_instance(capsys, monkeypatch, limit):
         calls.clear()
         stability_calls.clear()
         code, _out, err = run(capsys, "check", "--count", "30", "--n", "20", "--seed", "7")
-        assert (code, err.splitlines()[-1]) == (0, "checked 30 instances: ok")
+        assert (code, err) == (0, "checked 30 instances: ok\n"), debug
         assert (len(calls), len(stability_calls)) == (30, 30), debug
     assert limit == 512 or min(calls) <= limit < max(calls)  # instances on both sides
 
