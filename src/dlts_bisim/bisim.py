@@ -323,26 +323,24 @@ def _refine(T: NormalizedDlts, p_init: RefinablePartition, stats: ScanStats | No
 
     p = init_refine(T, p_init)
     certify = fixpoint_max_n is not None
+    visits = None
+    scanned = split_calls = iterations = 0
     # Pre-refinement leaves each block one set of outgoing letters and only
     # separates states that cannot be bisimilar, so a stable pre-refined
-    # partition is already the coarsest bisimulation refining p_init.
-    if p.block_count <= 1 or _is_stable(T, p.block_of):
-        if certify:
-            _check_result(T, p_init, p, None, 0, fixpoint_max_n)
-        stats.blocks_final = p.block_count
-        return p
-
-    # Counted and certified runs tally scans per state, and iterations;
-    # counted runs expand the tallies per transition after the loop, since
-    # every scan of q visits each incoming transition of q once.
-    visits = [0] * T.n if counts is not None or certify else None
-    # Every block starts inside the one pending range, the whole array.
-    scanned, split_calls, iterations = _split(
-        p, [[] for _ in range(T.k)], [], [True] * p.block_count, [0], [T.n], T, visits)
+    # partition is already the coarsest bisimulation refining p_init, and the
+    # loop does not run.
+    if p.block_count > 1 and not _is_stable(T, p.block_of):
+        # Counted and certified runs tally scans per state, and iterations;
+        # counted runs expand the tallies per transition after the loop, since
+        # every scan of q visits each incoming transition of q once.
+        visits = [0] * T.n if counts is not None or certify else None
+        # Every block starts inside the one pending range, the whole array.
+        scanned, split_calls, iterations = _split(
+            p, [[] for _ in range(T.k)], [], [True] * p.block_count, [0], [T.n], T, visits)
 
     if certify:
         _check_result(T, p_init, p, visits, iterations, fixpoint_max_n)
-    if counts is not None:
+    if counts is not None and visits is not None:
         in_off = T.in_offsets
         for q, v in enumerate(visits):
             for t in range(in_off[q], in_off[q + 1]):

@@ -21,10 +21,10 @@ import json
 import random
 import sys
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, and_, floordiv, mod, mul, not_, sub
+from itertools import accumulate, compress, count, filterfalse
+from operator import and_
 from pathlib import Path
 from typing import Sequence
 
@@ -167,7 +167,7 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     renumber = list(accumulate(useful, initial=0))  # useful states before each state
     keep = list(map(and_, map(useful.__getitem__, in_src), map(useful.__getitem__, dst)))
     kept_before = list(accumulate(keep, initial=0))  # kept transitions before each transition
-    trimmed = NormalizedDlts._from_sorted(
+    trimmed = NormalizedDlts(
         list(map(renumber.__getitem__, compress(in_src, keep))),
         list(compress(T.in_letter, keep)),
         [*map(kept_before.__getitem__, compress(in_off, useful)), kept_before[-1]],
@@ -181,7 +181,7 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
     is_final = [False] * useful_count
     for q in finals:
         is_final[q] = True
-    rest = list(compress(range(useful_count), map(not_, is_final)))
+    rest = list(filterfalse(is_final.__getitem__, range(useful_count)))
     del is_final
     p_init = RefinablePartition.from_initial(useful_count, [b for b in (finals, rest) if b])
     del rest
@@ -209,28 +209,19 @@ def minimize_dfa(dfa: Dfa, stats: ScanStats | None = None) -> tuple[Dfa, Minimiz
         is_lowest[q] = True
     names = list(map(trimmed.state_names.__getitem__, lowest.values()))
     del lowest
-    # The rows of the lowest states, as int keys d * stride + s * k + a in
-    # block numbers: one sort puts them in (destination, source, letter) order.
-    stride = nb * k
-    rows = list(map(is_lowest.__getitem__, trimmed.in_src))
-    high = map(mul, block_no, repeat(stride))  # d * stride for each state's block d
-    in_degrees = map(sub, trimmed.in_offsets[1:], trimmed.in_offsets)
-    into = list(compress(chain.from_iterable(map(repeat, high, in_degrees)), rows))
-    del high, in_degrees
-    per_dst = Counter(into)
-    offsets = list(accumulate(
-        map(per_dst.get, map(mul, range(nb), repeat(stride)), repeat(0)), initial=0))
-    del per_dst
-    low = list(map(mul, block_no, repeat(k)))  # s * k for each state's block s
-    keys = map(add, into, map(low.__getitem__, compress(trimmed.in_src, rows)))
-    keys = sorted(map(add, keys, compress(trimmed.in_letter, rows)))
+    # The rows of the lowest states, as int keys (d * nb + s) * k + a in block
+    # numbers: one sort puts them in (destination, source, letter) order, and
+    # one count of the destinations gives the offsets.
+    keys = sorted((block_no[d] * nb + block_no[s]) * k + a
+                  for s, a, d in zip(*trimmed._stored()) if is_lowest[s])
     letter_names = trimmed.letter_names
-    del trimmed, is_lowest, rows, into, low
-    q_src = list(map(mod, map(floordiv, keys, repeat(k)), repeat(nb)))
-    q_letter = list(map(mod, keys, repeat(k)))
-    del keys
+    del trimmed, is_lowest
+    offsets = [0] * (nb + 1)
+    for key in keys:
+        offsets[key // (nb * k) + 1] += 1
     result = Dfa(
-        dlts=NormalizedDlts._from_sorted(q_src, q_letter, offsets, names, letter_names),
+        dlts=NormalizedDlts([key // k % nb for key in keys], [key % k for key in keys],
+                            list(accumulate(offsets)), names, letter_names),
         initial=block_no[initial],
         finals=set(map(block_no.__getitem__, finals)),
     )

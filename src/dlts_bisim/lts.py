@@ -8,14 +8,13 @@ that the incoming transitions of a state form one contiguous slice.  Names
 become index columns a whole column at a time through dicts, and
 `parse_lts`, `parse_dfa` and `normalize` then judge every rule on those ints
 through one resolver, `_encode`, which raises the first defect through a
-locator that its caller passes.  `parse_lts` and `normalize` keep the
-(source, letter, destination) columns in input order and group them by
-destination only when the view is first read, in one stable counting-sort
-pass (`_grouped`): O(m + n) time, two columns of length m and one slot array
-of length n; the view then replaces the input-order columns.  Pre-refinement
-and the stability pass read whichever of the two forms the system holds, so
-a run whose refinement loop does not start never sorts.  `parse_dfa` groups
-at once, since every reader of an automaton reads incoming transitions.
+locator that its caller passes.  All three keep the (source, letter,
+destination) columns in input order and group them by destination only when
+the view is first read, in one stable counting-sort pass (`_grouped`):
+O(m + n) time, two columns of length m and one slot array of length n; the
+view then replaces the input-order columns.  Pre-refinement and the
+stability pass read whichever of the two forms the system holds, so a run
+whose refinement loop does not start never sorts.
 
 Every reader takes a text one 64 K piece at a time (`_pieces`).  The parsers
 turn each piece's transition lines into int columns before they read the
@@ -96,8 +95,8 @@ class NormalizedDlts:
 
     The transitions are held in one attribute, in one of two forms: input
     order, (source, letter, None, destination), from `_from_columns`, which
-    `parse_lts` and `normalize` use; or grouped, (in_src, in_letter,
-    in_offsets, None), from the constructor, `_from_sorted` and `parse_dfa`.
+    the parsers and `normalize` use; or grouped, (in_src, in_letter,
+    in_offsets, None), from the constructor.
     The first read of `in_src`, `in_letter` or `in_offsets` groups an
     input-order system by one stable counting sort and replaces the attribute,
     so a system keeps 3m ints in input order and 2m + n + 1 once grouped.
@@ -107,11 +106,18 @@ class NormalizedDlts:
     one-time grouping, and safe to share between threads: each reader reads
     the attribute once, and the grouping replaces it in one assignment.
 
-    Only the parsers and `normalize` check names; the constructor trusts its lists.
+    Only the parsers and `normalize` check names; the constructor trusts its
+    lists, apart from dropping the letters that label no transition.
     """
 
     def __init__(self, in_src: list[int], in_letter: list[int], in_offsets: list[int],
                  state_names: list[str], letter_names: list[str]):
+        used = set(in_letter)
+        if len(used) < len(letter_names):
+            is_used = list(map(used.__contains__, range(len(letter_names))))
+            new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
+            in_letter = list(map(new_letter.__getitem__, in_letter))
+            letter_names = list(compress(letter_names, is_used))
         self.state_names, self.letter_names = state_names, letter_names
         self._transitions = (in_src, in_letter, in_offsets, None)
 
@@ -124,25 +130,12 @@ class NormalizedDlts:
                       state_names: list[str], letter_names: Sequence[str]) -> "NormalizedDlts":
         """Encode `_encode`'s (source, letter, destination) index columns, kept in input order.
 
-        Unused letters are dropped, as in `_from_sorted`; the view is built on
-        first read.  The columns are trusted: `_encode` has resolved them.
+        Unused letters are dropped, as in the constructor; the view is built
+        on first read.  The columns are trusted: `_encode` has resolved them.
         """
-        letter, kept = _used_letters(letter, letter_names)
-        T = cls.__new__(cls)
-        T.state_names, T.letter_names = state_names, kept
-        T._transitions = (src, letter, None, dst)
+        T = cls(src, letter, None, state_names, letter_names)
+        T._transitions = (*T._transitions[:3], dst)
         return T
-
-    @classmethod
-    def _from_sorted(cls, in_src: list[int], in_letter: list[int], in_offsets: list[int],
-                     state_names: list[str], letter_names: Sequence[str]) -> "NormalizedDlts":
-        """Encode valid columns that are already sorted by destination, with their offsets.
-
-        Unused letters are dropped, keeping the order of the others.  The
-        result may keep the given lists as its own.
-        """
-        in_letter, kept = _used_letters(in_letter, letter_names)
-        return cls(in_src, in_letter, in_offsets, state_names, kept)
 
     def _grouped_view(self) -> tuple[list[int], list[int], list[int]]:
         src, letter, offsets, dst = self._transitions
@@ -186,16 +179,6 @@ class NormalizedDlts:
         names = ("in_src", "in_letter", "in_offsets", "state_names", "letter_names")
         return "NormalizedDlts({})".format(
             ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields())))
-
-
-def _used_letters(letter: list[int], letter_names: Sequence[str]) -> tuple[list[int], list[str]]:
-    """`letter` renumbered over the letters it uses, and their names, in their order."""
-    used = set(letter)
-    is_used = list(map(used.__contains__, range(len(letter_names))))
-    if len(used) < len(letter_names):
-        new_letter = list(accumulate(is_used, initial=0))  # used letters before each letter
-        letter = list(map(new_letter.__getitem__, letter))
-    return letter, list(compress(letter_names, is_used))
 
 
 def _expanded(offsets: list[int]) -> Iterator[int]:
@@ -677,13 +660,8 @@ def parse_dfa(text: str) -> Dfa:
             if tokens[i] not in state_index:
                 raise _error_at(text, f"undeclared state {tokens[i]!r}", lineno, i)
         named[word] = list(map(state_index.__getitem__, tokens[1:]))
-    state_names, letter_names, columns, forks = encoding
-    if forks:
-        raise NondeterminismError(forks)
-    # Every reader of a `Dfa` reads incoming transitions, so it is stored grouped at once.
-    view = _grouped(*columns, len(state_names))
-    dlts = NormalizedDlts._from_sorted(*view, state_names, letter_names)
-    return Dfa(dlts=dlts, initial=next(iter(named["initial:"]), None), finals=set(named["finals:"]))
+    return Dfa(dlts=_encoded(*encoding), initial=next(iter(named["initial:"]), None),
+               finals=set(named["finals:"]))
 
 
 def parse_partition(text: str, state_names: Sequence[str]) -> list[set[int]]:

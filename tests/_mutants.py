@@ -104,14 +104,20 @@ MUTANTS = {
     "blocks-named-by-last-member": Mutant(
         "cli", "deque(map(lowest.setdefault, p.block_of, count()), 0)",
         "deque(map(lowest.__setitem__, p.block_of, count()), 0)", _MINIMIZE_CONTRACT),
-    # The quotient's offsets start one transition late; their differences, and so the
-    # written automaton, stay the same.
-    "quotient-offsets-off-by-one": Mutant(
-        "cli", "repeat(0)), initial=0))", "repeat(0)), initial=1))", _MINIMIZE_CONTRACT),
-    # Each destination block takes the count of the next one.
-    "quotient-counts-shifted": Mutant(
-        "cli", "map(mul, range(nb), repeat(stride))", "map(mul, range(1, nb + 1), repeat(stride))",
+    # Each quotient transition is counted into the offsets of the block before its
+    # destination's, so every block takes the count of the next one.
+    "quotient-offsets-wrong-block": Mutant(
+        "cli", "offsets[key // (nb * k) + 1]", "offsets[key // (nb * k)]",
         _MINIMIZE_CONTRACT + ["tests/test_cli.py::test_minimize_output_is_pinned"]),
+    # The quotient's sort key puts the source block before the destination block.
+    "quotient-key-source-first": Mutant(
+        "cli", "(block_no[d] * nb + block_no[s]) * k + a", "(block_no[s] * nb + block_no[d]) * k + a",
+        _MINIMIZE_CONTRACT + ["tests/test_cli.py::test_minimize_output_is_pinned"]),
+    # The constructor keeps the letters that label no transition.
+    "constructor-keeps-unused-letters": Mutant(
+        "lts", "if len(used) < len(letter_names):", "if False:",
+        ["tests/test_lts.py::test_the_constructor_keeps_only_used_letters",
+         "tests/test_lts.py::test_normalize_drops_unused_letters"]),
     # `dbisim` scans the larger side of each split.
     "larger-side": Mutant(
         "bisim", "if mid - lo <= hi - mid:", "if mid - lo > hi - mid:",
@@ -168,8 +174,8 @@ MUTANTS = {
     # An input-order system is grouped as soon as it is built, so a run whose
     # loop does not start sorts all the same.
     "from-columns-groups-at-once": Mutant(
-        "lts", "T._transitions = (src, letter, None, dst)",
-        "T._transitions = (*_grouped(src, letter, dst, len(state_names)), None)",
+        "lts", "T._transitions = (*T._transitions[:3], dst)",
+        "T._transitions = (*_grouped(*T._transitions[:2], dst, len(state_names)), None)",
         [_FORMS, "tests/test_bisim.py::test_a_stable_text_path_never_groups_by_destination"]),
     # `check` runs the engine with no certificate, so it accepts every result.
     "check-run-uncertified": Mutant(

@@ -124,6 +124,12 @@ def test_parse_dfa():
     for line in ("initial: e o", "initial:"):
         with pytest.raises(LtsParseError, match="^line 3: `initial:` takes exactly one state name$"):
             parse_dfa(f"dfa 2\nstates: e o\n{line}\ne a o\n")
+    # Held in input order until the view is first read, then grouped stably by destination.
+    dlts = parse_dfa("dfa 3\nstates: x y z\ninitial: x\nz a y\ny a x\nx a y\ny b y\n").dlts
+    assert dlts._transitions[2] is None
+    assert list(zip(*dlts._stored())) == [(2, 0, 1), (1, 0, 0), (0, 0, 1), (1, 1, 1)]
+    assert dlts.triples() == [(1, 0, 0), (2, 0, 1), (0, 0, 1), (1, 1, 1)]
+    assert dlts._transitions[3] is None
 
 
 # (b, y) forks before (a, x) does
@@ -453,7 +459,7 @@ def _grouped_by_sort(n, src, letter, dst, state_names, letter_names):
         offsets[q + 1] += offsets[q]
     in_src = [src[t] for t in order]
     in_letter = [letter[t] for t in order]
-    return NormalizedDlts._from_sorted(in_src, in_letter, offsets, state_names, letter_names)
+    return NormalizedDlts(in_src, in_letter, offsets, state_names, letter_names)
 
 
 def _random_columns(rng):
@@ -485,6 +491,11 @@ def test_from_columns_groups_by_destination_stably():
         offsets = got.in_offsets
         shared_slices += sum(offsets[q + 1] - offsets[q] >= 2 for q in range(got.n))
     assert shared_slices > 1000  # an unstable placement has room to show
+
+
+def test_the_constructor_keeps_only_used_letters():
+    T = NormalizedDlts([0], [1], [0, 1], ["q"], ["a", "b"])
+    assert (T.k, T.letter_names, T.in_letter) == (1, ["b"], [0])
 
 
 def test_threads_that_race_to_the_view_read_one_system():
